@@ -5,7 +5,10 @@ dispatches to the library, and prints a report whose JSON shape is
 stable:
 
     {"tool_version": ..., "arrangement": {...}, "result": {...},
-     "hypotheses": {...}, "verification": {"modular_only": bool}}
+     "hypotheses": {...}, "verification": {"modular_only": false}}
+
+Every rank is computed exactly, so ``verification.modular_only`` is always
+false; the key is kept for compatibility with existing readers.
 
 Exit codes: 0 success, 1 input or parse error, 2 hypothesis refusal,
 3 resource ceiling hit.
@@ -41,7 +44,6 @@ from .errors import (
 from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable
 from .holonomy import h3_group, holonomy_rank, is_decomposable, local_h3_rank
 from .jumploci import characteristic_components, resonance_components
-from .linalg import capture_verification, exact_only
 from .lyndon import DEFAULT_WORD_CEILING
 from .milnor import milnor_b1
 from .parsing import parse_arrangement
@@ -52,7 +54,6 @@ class RunConfig:
     """Validated per-invocation settings shared by all subcommands."""
 
     input_source: str | None  # "builtin:NAME[:params]" or "file:PATH"
-    subcommand: str
     degree_limit: int = 3
     depth: int = 1
     separated_assertion: bool = False
@@ -60,7 +61,6 @@ class RunConfig:
     output_format: str = "json"
     seed: int = 0
     resource_ceiling: int = DEFAULT_WORD_CEILING
-    modular_verification: bool = True
 
     def __post_init__(self):
         if self.degree_limit < 1:
@@ -112,22 +112,21 @@ def _load_arrangement(config: RunConfig):
         return parse_arrangement(fh.read())
 
 
-def _run(config: RunConfig, compute):
-    """Load, compute under a verification log, and print the report."""
-    arr = _load_arrangement(config)
-    with capture_verification() as log:
-        if config.modular_verification:
-            result, hypotheses = compute(arr)
-        else:
-            with exact_only():
-                result, hypotheses = compute(arr)
-    report = {
+def _report(arrangement, result: dict, hypotheses: dict) -> dict:
+    return {
         "tool_version": __version__,
-        "arrangement": arrangement_to_json(arr) if arr is not None else None,
+        "arrangement": arrangement,
         "result": result,
         "hypotheses": hypotheses,
-        "verification": {"modular_only": log.modular_only},
+        "verification": {"modular_only": False},
     }
+
+
+def _run(config: RunConfig, compute):
+    """Load, compute, and print the report."""
+    arr = _load_arrangement(config)
+    result, hypotheses = compute(arr)
+    report = _report(arrangement_to_json(arr), result, hypotheses)
     _emit(report, config.output_format)
     return report
 
@@ -158,8 +157,6 @@ def _emit_table(report: dict):
     hyp = report.get("hypotheses")
     if hyp:
         click.echo("hypotheses: " + ", ".join("%s=%s" % kv for kv in hyp.items()))
-    if report["verification"]["modular_only"]:
-        click.echo("note: some ranks verified only modulo random primes")
 
 
 def _maybe_int(key):
@@ -206,7 +203,7 @@ def cli():
 @_format_options
 def info(builtin_spec, file_path, fmt, ceiling):
     """Basic facts: size, rank, Betti numbers, flat census."""
-    config = RunConfig(_source(builtin_spec, file_path), "info",
+    config = RunConfig(_source(builtin_spec, file_path),
                        output_format=fmt, resource_ceiling=ceiling)
 
     def compute(arr):
@@ -233,7 +230,7 @@ def info(builtin_spec, file_path, fmt, ceiling):
 @_format_options
 def l2(builtin_spec, file_path, fmt, ceiling):
     """Rank-2 intersection lattice with Moebius values."""
-    config = RunConfig(_source(builtin_spec, file_path), "l2",
+    config = RunConfig(_source(builtin_spec, file_path),
                        output_format=fmt, resource_ceiling=ceiling)
     _run(config, lambda arr: (l2_to_json(arr), {}))
 
@@ -243,7 +240,7 @@ def l2(builtin_spec, file_path, fmt, ceiling):
 @_format_options
 def betti_cmd(builtin_spec, file_path, fmt, ceiling):
     """First and second Betti numbers of the complement."""
-    config = RunConfig(_source(builtin_spec, file_path), "betti",
+    config = RunConfig(_source(builtin_spec, file_path),
                        output_format=fmt, resource_ceiling=ceiling)
 
     def compute(arr):
@@ -260,7 +257,7 @@ def betti_cmd(builtin_spec, file_path, fmt, ceiling):
               help="largest LCS degree to compute")
 def holonomy(builtin_spec, file_path, fmt, ceiling, kmax):
     """Holonomy Lie algebra ranks phi_1..phi_max from the presentation."""
-    config = RunConfig(_source(builtin_spec, file_path), "holonomy",
+    config = RunConfig(_source(builtin_spec, file_path),
                        degree_limit=kmax, output_format=fmt,
                        resource_ceiling=ceiling)
 
@@ -279,7 +276,7 @@ def holonomy(builtin_spec, file_path, fmt, ceiling, kmax):
 @_format_options
 def decomp(builtin_spec, file_path, fmt, ceiling):
     """Decomposability over Q and Z, with degree-3 ranks and torsion."""
-    config = RunConfig(_source(builtin_spec, file_path), "decomp",
+    config = RunConfig(_source(builtin_spec, file_path),
                        output_format=fmt, resource_ceiling=ceiling)
 
     def compute(arr):
@@ -303,7 +300,7 @@ def decomp(builtin_spec, file_path, fmt, ceiling):
               help="largest LCS degree to report")
 def lcs(builtin_spec, file_path, fmt, ceiling, kmax):
     """LCS ranks from the product formula (decomposable arrangements)."""
-    config = RunConfig(_source(builtin_spec, file_path), "lcs",
+    config = RunConfig(_source(builtin_spec, file_path),
                        degree_limit=kmax, output_format=fmt,
                        resource_ceiling=ceiling)
 
@@ -323,7 +320,7 @@ def lcs(builtin_spec, file_path, fmt, ceiling, kmax):
               help="largest Chen degree to report")
 def chen(builtin_spec, file_path, fmt, ceiling, kmax):
     """Chen ranks theta_1..theta_max (decomposable arrangements)."""
-    config = RunConfig(_source(builtin_spec, file_path), "chen",
+    config = RunConfig(_source(builtin_spec, file_path),
                        degree_limit=kmax, output_format=fmt,
                        resource_ceiling=ceiling)
 
@@ -353,7 +350,7 @@ def _component_json(arr, comp):
               help="resonance depth s")
 def resonance(builtin_spec, file_path, fmt, ceiling, depth):
     """Components of the depth-s resonance variety."""
-    config = RunConfig(_source(builtin_spec, file_path), "resonance",
+    config = RunConfig(_source(builtin_spec, file_path),
                        depth=depth, output_format=fmt, resource_ceiling=ceiling)
 
     def compute(arr):
@@ -376,7 +373,7 @@ def resonance(builtin_spec, file_path, fmt, ceiling, depth):
               help="assert the Alexander invariant is separated")
 def charvar(builtin_spec, file_path, fmt, ceiling, depth, separated):
     """Subtorus components of the depth-s characteristic variety."""
-    config = RunConfig(_source(builtin_spec, file_path), "charvar",
+    config = RunConfig(_source(builtin_spec, file_path),
                        depth=depth, separated_assertion=separated,
                        output_format=fmt, resource_ceiling=ceiling)
 
@@ -409,7 +406,7 @@ def milnor(builtin_spec, file_path, fmt, ceiling, mult, separated):
             multiplicities = tuple(int(p) for p in mult.split(","))
         except ValueError:
             raise DomainError("--mult wants integers like 1,2,1") from None
-    config = RunConfig(_source(builtin_spec, file_path), "milnor",
+    config = RunConfig(_source(builtin_spec, file_path),
                        separated_assertion=separated,
                        multiplicities=multiplicities,
                        output_format=fmt, resource_ceiling=ceiling)
@@ -439,22 +436,15 @@ def milnor(builtin_spec, file_path, fmt, ceiling, mult, separated):
 @_format_options
 def check(seed, samples, fmt, ceiling):
     """Cross-oracle consistency suite; nonzero exit on any mismatch."""
-    config = RunConfig(None, "check", seed=seed,
+    config = RunConfig(None, seed=seed,
                        output_format=fmt, resource_ceiling=ceiling)
-    with capture_verification() as log:
-        results = run_all_checks(seed=config.seed, samples=samples)
-    report = {
-        "tool_version": __version__,
-        "arrangement": None,
-        "result": {
-            "ok": all(r.ok for r in results),
-            "checks": [
-                {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-            ],
-        },
-        "hypotheses": {},
-        "verification": {"modular_only": log.modular_only},
-    }
+    results = run_all_checks(seed=config.seed, samples=samples)
+    report = _report(None, {
+        "ok": all(r.ok for r in results),
+        "checks": [
+            {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
+        ],
+    }, {})
     _emit(report, config.output_format)
     if not report["result"]["ok"]:
         raise SystemExit(1)

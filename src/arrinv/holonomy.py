@@ -11,8 +11,7 @@ Degree-k ranks come from the ideal propagation J_{k+1} = [L_1, J_k]: the
 ideal is generated in degree 2 and the ambient free Lie algebra in degree
 1, so left-bracketing a raw generating set by the generators again yields
 a raw generating set.  Rows are kept raw (no echelonization between
-degrees); rank is taken once per degree, exactly for narrow matrices and
-by two-prime modular agreement for wide ones.
+degrees); rank is taken once per degree by exact sparse elimination.
 
 Everything degree-3: the quotient of the integral degree-3 piece by J_3 is
 reported with its torsion via Smith normal form, which decides integral
@@ -28,13 +27,7 @@ from math import comb
 
 from .arrangement import Arrangement, compute_l2
 from .errors import DomainError, ResourceError
-from .linalg import (
-    capture_verification,
-    note_modular_use,
-    rank,
-    reduced_echelon,
-    smith_diagonal,
-)
+from .linalg import rank, reduced_echelon, smith_diagonal
 from .lyndon import (
     DEFAULT_WORD_CEILING,
     Word,
@@ -148,12 +141,9 @@ def _guard(n: int, k: int, ceiling: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _jk_rank(arr: Arrangement, k: int) -> tuple[int, bool]:
+def _jk_rank(arr: Arrangement, k: int) -> int:
     basis = lyndon_basis(arr.n, k)
-    rows = _int_rows(_jk_word_rows(arr, k), basis)
-    with capture_verification() as log:
-        r = rank(rows, len(basis))
-    return r, log.modular_only
+    return rank(_int_rows(_jk_word_rows(arr, k), basis), len(basis))
 
 
 def holonomy_rank(arr: Arrangement, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> int:
@@ -163,10 +153,7 @@ def holonomy_rank(arr: Arrangement, k: int, ceiling: int = DEFAULT_WORD_CEILING)
     if k == 1:
         return arr.n
     _guard(arr.n, k, ceiling)
-    r, modular = _jk_rank(arr, k)
-    if modular:
-        note_modular_use()
-    return witt_count(arr.n, k) - r
+    return witt_count(arr.n, k) - _jk_rank(arr, k)
 
 
 @lru_cache(maxsize=None)
@@ -219,13 +206,11 @@ def _derived_word_rows(n: int, j: int) -> tuple[Vector, ...]:
 
 
 @lru_cache(maxsize=None)
-def _bk_rank(arr: Arrangement, j: int) -> tuple[int, bool]:
+def _bk_rank(arr: Arrangement, j: int) -> int:
     basis = lyndon_basis(arr.n, j)
     rows = _int_rows(_jk_word_rows(arr, j), basis)
     rows += _int_rows(_derived_word_rows(arr.n, j), basis)
-    with capture_verification() as log:
-        r = rank(rows, len(basis))
-    return r, log.modular_only
+    return rank(rows, len(basis))
 
 
 def infinitesimal_alexander_dims(
@@ -241,13 +226,9 @@ def infinitesimal_alexander_dims(
     if kmax < 0:
         raise DomainError("kmax must be nonnegative")
     _guard(arr.n, kmax + 2, ceiling)
-    out = []
-    for k in range(kmax + 1):
-        r, modular = _bk_rank(arr, k + 2)
-        if modular:
-            note_modular_use()
-        out.append(witt_count(arr.n, k + 2) - r)
-    return out
+    return [
+        witt_count(arr.n, k + 2) - _bk_rank(arr, k + 2) for k in range(kmax + 1)
+    ]
 
 
 def _echelon_subspace(word_rows, basis) -> GradedSubspace:

@@ -1,80 +1,15 @@
-"""Exact and modular linear algebra kernels.
+"""Exact linear algebra kernels.
 
 Matrices are given as lists of sparse rows; a row maps column index to an
-integer or Fraction value.  Ranks over the rationals are computed two ways:
-
-* exact fraction-free sparse elimination, used for narrow matrices and
-  always available on demand;
-* dense elimination modulo two independent random 31-bit primes, used for
-  wide matrices where exact elimination is too slow.  The rank mod p never
-  exceeds the rational rank, so the answer is accepted only when two primes
-  agree on the maximum observed value.  Use of this path is recorded in the
-  active verification log so reports can state whether every number was
-  confirmed exactly.
-
-Smith normal form diagonals are always computed exactly over the integers.
+integer or Fraction value.  Ranks over the rationals come from one kernel,
+fraction-free sparse elimination, at every width.  Smith normal form
+diagonals are computed exactly over the integers.
 """
 
 from __future__ import annotations
 
-import random
-from contextlib import contextmanager
-from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
-
-# Widest matrix still eliminated exactly by default.  Every degree-2 matrix,
-# the degree-3 matrices of the shipped catalog and all Orlik-Solomon matrices
-# fall below this, so those ranks are always exact.
-EXACT_COLUMN_LIMIT = 250
-
-# Fixed seed for prime selection: repeated runs see identical primes.
-_PRIME_SEED = 0x5EED
-
-_MODULAR_BITS = 31
-
-
-class VerificationLog:
-    """Records whether any rank in scope skipped exact confirmation."""
-
-    def __init__(self) -> None:
-        self.modular_only = False
-
-
-_ACTIVE_LOG: ContextVar[VerificationLog | None] = ContextVar(
-    "arrinv_verification_log", default=None
-)
-_FORCE_EXACT: ContextVar[bool] = ContextVar("arrinv_force_exact", default=False)
-
-
-@contextmanager
-def capture_verification():
-    """Collect modular-use information for every rank computed in the body."""
-    log = VerificationLog()
-    token = _ACTIVE_LOG.set(log)
-    try:
-        yield log
-    finally:
-        _ACTIVE_LOG.reset(token)
-
-
-@contextmanager
-def exact_only():
-    """Force exact elimination regardless of width (may be very slow)."""
-    token = _FORCE_EXACT.set(True)
-    try:
-        yield
-    finally:
-        _FORCE_EXACT.reset(token)
-
-
-def note_modular_use() -> None:
-    """Mark the active verification log, if any, as not fully exact."""
-    log = _ACTIVE_LOG.get()
-    if log is not None:
-        log.modular_only = True
 
 
 def _intify(row) -> dict[int, int]:
@@ -184,109 +119,9 @@ def reduced_echelon(rows) -> list[dict[int, Fraction]]:
     return [pivots[c] for c in sorted(pivots)]
 
 
-def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24 with the first twelve primes
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in small:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _modular_primes(count: int, seed: int = _PRIME_SEED) -> list[int]:
-    rng = random.Random(seed)
-    out: list[int] = []
-    while len(out) < count:
-        cand = rng.randrange(1 << (_MODULAR_BITS - 1), 1 << _MODULAR_BITS) | 1
-        if cand not in out and _is_probable_prime(cand):
-            out.append(cand)
-    return out
-
-
-def _to_triplets(rows):
-    ris: list[int] = []
-    cis: list[int] = []
-    vals: list[int] = []
-    nrows = 0
-    for row in rows:
-        for c, v in row.items():
-            if v:
-                ris.append(nrows)
-                cis.append(c)
-                vals.append(int(v))
-        nrows += 1
-    return nrows, np.array(ris, dtype=np.int64), np.array(cis, dtype=np.int64), vals
-
-
-def _rank_mod_p(nrows, ris, cis, vals, ncols, p) -> int:
-    M = np.zeros((nrows, ncols), dtype=np.int64)
-    M[ris, cis] = np.array([v % p for v in vals], dtype=np.int64)
-    R, C = M.shape
-    r = 0
-    for c in range(C):
-        if r == R:
-            break
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r, c:] = M[r, c:] * inv % p
-        below = M[r + 1 :, c]
-        idx = np.nonzero(below)[0]
-        if idx.size:
-            tgt = idx + r + 1
-            M[tgt, c + 1 :] = (
-                M[tgt, c + 1 :] - np.multiply.outer(M[tgt, c], M[r, c + 1 :])
-            ) % p
-            M[tgt, c] = 0
-        r += 1
-    return r
-
-
-def rank_modular(rows, ncols: int, max_primes: int = 6) -> int:
-    """Rank over Q via agreement of eliminations mod independent primes.
-
-    A prime can only undercount the rank, so the maximum observed value is
-    accepted once two primes report it.
-    """
-    nrows, ris, cis, vals = _to_triplets(rows)
-    if nrows == 0 or ncols == 0:
-        return 0
-    seen: list[int] = []
-    for p in _modular_primes(max_primes):
-        seen.append(_rank_mod_p(nrows, ris, cis, vals, ncols, p))
-        if len(seen) >= 2 and seen.count(max(seen)) >= 2:
-            return max(seen)
-    raise RuntimeError("modular ranks failed to stabilize: %r" % (seen,))
-
-
 def rank(rows, ncols: int) -> int:
-    """Rank over Q; exact when narrow, two-prime modular when wide."""
-    rows = rows if isinstance(rows, list) else list(rows)
-    if not rows or ncols == 0:
-        return 0
-    if ncols <= EXACT_COLUMN_LIMIT or _FORCE_EXACT.get():
-        return rank_exact(rows)
-    note_modular_use()
-    return rank_modular(rows, ncols)
+    """Rank over Q of a matrix with ``ncols`` columns (exact at any width)."""
+    return rank_exact(rows)
 
 
 def smith_diagonal(rows, ncols: int) -> list[int]:

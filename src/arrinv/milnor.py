@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arrangement import MultiArrangement, arrangement_rank, compute_l2
+from .arrangement import Flat2, MultiArrangement, arrangement_rank, compute_l2
 from .errors import HypothesisError, RefusalError
 from .holonomy import is_decomposable
 
@@ -53,24 +53,32 @@ class MilnorReport:
         assert sorted(self.eigen_multiplicities) == list(range(self.N))
 
 
+def _local_orders(ma: MultiArrangement) -> list[tuple[Flat2, int]]:
+    """(X, d) per multiple flat X: d = gcd(N, the off-flat multiplicities,
+    the in-flat multiplicity sum), the largest order of a character in T_X."""
+    arr = ma.arrangement
+    m = ma.multiplicities
+    out = []
+    for flat in compute_l2(arr).multiple_flats():
+        members = set(flat.members)
+        d = ma.total
+        for h in range(arr.n):
+            if h not in members:
+                d = gcd(d, m[h])
+        out.append((flat, gcd(d, sum(m[h] for h in members))))
+    return out
+
+
 def _local_spectrum(ma: MultiArrangement) -> dict[int, int]:
     """Depth contributions of the local subtori, per nonzero residue.
 
     For each multiple flat X the characters t_j lying in T_X are exactly
-    the j divisible by N/d with d = gcd(N, the off-flat multiplicities,
-    and the in-flat multiplicity sum); each contributes mu(X) - 1.
+    the j divisible by N/d, with d from ``_local_orders``; each
+    contributes mu(X) - 1.
     """
-    arr = ma.arrangement
-    m = ma.multiplicities
     N = ma.total
     spectrum = {j: 0 for j in range(1, N)}
-    for flat in compute_l2(arr).multiple_flats():
-        members = set(flat.members)
-        d = N
-        for h in range(arr.n):
-            if h not in members:
-                d = gcd(d, m[h])
-        d = gcd(d, sum(m[h] for h in members))
+    for flat, d in _local_orders(ma):
         step = N // d
         for j in range(step, N, step):
             # distinct flats never claim the same nontrivial character
@@ -80,8 +88,14 @@ def _local_spectrum(ma: MultiArrangement) -> dict[int, int]:
 
 
 def local_b1_lower_bound(ma: MultiArrangement) -> int:
-    """Unconditional lower bound for b1 from the local subtori alone."""
-    return (ma.arrangement.n - 1) + sum(_local_spectrum(ma).values())
+    """Unconditional lower bound for b1 from the local subtori alone.
+
+    Each multiple flat X holds d - 1 nontrivial characters, each adding
+    mu(X) - 1, so the bound costs one gcd per flat, independent of N.
+    """
+    return (ma.arrangement.n - 1) + sum(
+        (d - 1) * (flat.mobius - 1) for flat, d in _local_orders(ma)
+    )
 
 
 def milnor_b1(ma: MultiArrangement, *, separated: bool = False) -> MilnorReport:
@@ -120,15 +134,17 @@ def monodromy_trivial_criterion(ma: MultiArrangement) -> bool:
 
     True when the arrangement has rank at least 3, is rationally
     decomposable, and no local subtorus holds a nontrivial character of
-    the weight vector (the local lower bound for b1 is n - 1).  The
-    separatedness hypothesis is not decided here.  A False from the last
-    condition is a certainty: the local subtori lie in the characteristic
-    variety whether or not the Alexander invariant is separated, so the
-    monodromy is then nontrivial.
+    the weight vector: every multiple flat has d = 1.  Each multiple flat
+    has mu(X) >= 2, so that is the local lower bound for b1 being n - 1.
+    The separatedness hypothesis is not decided here.  A False from the
+    last condition is a certainty: the local subtori lie in the
+    characteristic variety whether or not the Alexander invariant is
+    separated, so the monodromy is then nontrivial.  The cost is one gcd
+    per multiple flat, independent of N.
     """
     arr = ma.arrangement
     return (
         arrangement_rank(arr) >= 3
         and is_decomposable(arr)["rational"]
-        and local_b1_lower_bound(ma) == arr.n - 1
+        and all(d == 1 for _, d in _local_orders(ma))
     )

@@ -17,7 +17,6 @@ from arrinv.holonomy import (
     is_decomposable,
     local_h3_rank,
 )
-from arrinv.linalg import capture_verification
 from arrinv.lyndon import witt_count
 
 
@@ -122,14 +121,3 @@ def test_resource_ceiling():
         holonomy_rank(builtin("braid", (4,)), 6, ceiling=1000)
     with pytest.raises(ResourceError):
         infinitesimal_alexander_dims(builtin("nonpappus"), 6, ceiling=2000)
-
-
-def test_cached_rank_still_reports_modular_route():
-    arr = builtin("nonpappus")
-    with capture_verification() as log:
-        first = holonomy_rank(arr, 4)
-    assert log.modular_only
-    with capture_verification() as log2:
-        again = holonomy_rank(arr, 4)
-    assert again == first
-    assert log2.modular_only

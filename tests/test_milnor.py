@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -90,6 +91,31 @@ def test_criterion_flags():
     assert monodromy_trivial_criterion(unit(builtin("nonpappus")))
     assert not monodromy_trivial_criterion(unit(builtin("braid", (3,))))
     assert not monodromy_trivial_criterion(unit(builtin("pappus")))
+
+
+def test_criterion_at_huge_total_multiplicity():
+    # N is about 10^12, so the predicate must answer from one gcd per
+    # multiple flat, never by enumerating residues mod N
+    arr = builtin("x3")
+    flats = compute_l2(arr).multiple_flats()
+
+    def gcd_condition(m):
+        N = sum(m)
+        return all(
+            gcd(N, *(m[h] for h in range(arr.n) if h not in f.members)) == 1
+            for f in flats
+        )
+
+    big = 10**12
+    trivial = (1, 1, 1, 1, 1, big)
+    # off the flat (0, 1, 3) every weight is even, and so is N
+    nontrivial = (1, 2, 2, 1, 2, big)
+    assert gcd_condition(trivial) and not gcd_condition(nontrivial)
+    assert monodromy_trivial_criterion(MultiArrangement(arr, trivial))
+    assert not monodromy_trivial_criterion(MultiArrangement(arr, nontrivial))
+    # only (0, 1, 3) holds characters: the one of order 2, adding mu - 1 = 1
+    assert local_b1_lower_bound(MultiArrangement(arr, trivial)) == arr.n - 1
+    assert local_b1_lower_bound(MultiArrangement(arr, nontrivial)) == arr.n
 
 
 def test_eigen_invariants():
