@@ -101,3 +101,28 @@ def builtin(name: str, params=()) -> Arrangement:
     if name == "graphic":
         return graphic_arrangement(_edge_params(params))
     return _builtin_cached(name, _int_params(params))
+
+
+def from_spec(spec: str) -> Arrangement:
+    """Look up a catalog arrangement written ``NAME[:params]``, as in
+    ``braid:4``, ``split_solvable:2,3`` or ``graphic:0-1,1-2``."""
+    name, _, rest = spec.partition(":")
+    parts = rest.split(",") if rest else []
+    if name == "graphic":
+        edges = []
+        for part in parts:
+            a, _, b = part.partition("-")
+            try:
+                edges.append((int(a), int(b)))
+            except ValueError:
+                raise CatalogError(
+                    "graphic edges look like 0-1,1-2; got %r" % part
+                ) from None
+        return builtin(name, edges)
+    try:
+        params = [int(p) for p in parts]
+    except ValueError:
+        raise CatalogError(
+            "parameters for %s must be integers, got %r" % (name, rest)
+        ) from None
+    return builtin(name, params)

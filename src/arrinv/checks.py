@@ -21,7 +21,7 @@ from .arrangement import (
     compute_l2,
     make_arrangement,
 )
-from .catalog import builtin
+from .catalog import from_spec
 from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable, witt_rank
 from .holonomy import holonomy_rank, infinitesimal_alexander_dims, is_decomposable
 from .jumploci import chen_ranks_from_resonance
@@ -62,14 +62,8 @@ def random_multiplicities(rng: random.Random, n: int, top: int = 4) -> tuple[int
 
 
 def _catalog_samples() -> list[tuple[str, Arrangement]]:
-    return [
-        ("x3", builtin("x3")),
-        ("x2", builtin("x2")),
-        ("nonpappus", builtin("nonpappus")),
-        ("pappus", builtin("pappus")),
-        ("braid:3", builtin("braid", [3])),
-        ("split_solvable:2,3", builtin("split_solvable", [2, 3])),
-    ]
+    specs = ("x3", "x2", "nonpappus", "pappus", "braid:3", "split_solvable:2,3")
+    return [(spec, from_spec(spec)) for spec in specs]
 
 
 def check_pair_cover(arrs) -> CheckResult:

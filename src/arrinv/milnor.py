@@ -36,8 +36,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arrangement import Flat2, MultiArrangement, arrangement_rank, compute_l2
-from .errors import HypothesisError, RefusalError
+from .errors import HypothesisError, RefusalError, ResourceError
 from .holonomy import is_decomposable
+
+# largest N = sum(m) for milnor_b1, whose report has one entry per residue
+MAX_MILNOR_TOTAL = 10**6
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,8 @@ def milnor_b1(ma: MultiArrangement, *, separated: bool = False) -> MilnorReport:
     """First Betti number of the Milnor fiber of a multi-arrangement.
 
     Needs the arrangement rationally decomposable and the caller's
-    assertion that the Alexander invariant is separated.
+    assertion that the Alexander invariant is separated.  Raises
+    ResourceError when N exceeds ``MAX_MILNOR_TOTAL``.
     """
     arr = ma.arrangement
     if not is_decomposable(arr)["rational"]:
@@ -118,6 +122,9 @@ def milnor_b1(ma: MultiArrangement, *, separated: bool = False) -> MilnorReport:
             "separated=True (--assert-separated) to assert it"
         )
     N = ma.total
+    if N > MAX_MILNOR_TOTAL:
+        raise ResourceError("multiplicity total N = %d exceeds %d; the report "
+                            "needs one entry per residue mod N" % (N, MAX_MILNOR_TOTAL))
     eigen = {0: arr.n - 1}
     eigen.update(_local_spectrum(ma))
     return MilnorReport(

@@ -1,7 +1,7 @@
 import pytest
 
 from arrinv.arrangement import compute_l2
-from arrinv.catalog import CATALOG_NAMES, builtin
+from arrinv.catalog import CATALOG_NAMES, builtin, from_spec
 from arrinv.errors import CatalogError
 
 
@@ -92,6 +92,16 @@ def test_graphic_params():
         builtin("graphic", (3,))
     with pytest.raises(CatalogError):
         builtin("graphic", ((0, 0),))
+
+
+def test_from_spec():
+    arr = from_spec("graphic:0-1,1-2")
+    assert arr == builtin("graphic", [(0, 1), (1, 2)])
+    assert from_spec("split_solvable:2,3") is builtin("split_solvable", (2, 3))
+    with pytest.raises(CatalogError, match="integers"):
+        from_spec("braid:x")
+    with pytest.raises(CatalogError, match="0-x"):
+        from_spec("graphic:0-x")
 
 
 def test_cache_returns_same_object():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import arrinv
 from arrinv.cli import main
 
@@ -20,8 +22,24 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
-def test_report_envelope(capsys):
-    doc = run_json(capsys, "betti", "--builtin", "x3")
+# every arrangement subcommand, with the options it needs on x3
+ARRANGEMENT_COMMANDS = [
+    ("info",),
+    ("l2",),
+    ("betti",),
+    ("holonomy",),
+    ("decomp",),
+    ("lcs",),
+    ("chen",),
+    ("resonance",),
+    ("charvar", "--assert-separated"),
+    ("milnor", "--assert-separated"),
+]
+
+
+@pytest.mark.parametrize("command", ARRANGEMENT_COMMANDS, ids=lambda c: c[0])
+def test_report_envelope(capsys, command):
+    doc = run_json(capsys, command[0], "--builtin", "x3", *command[1:])
     assert set(doc) == {
         "arrangement",
         "hypotheses",
@@ -29,9 +47,10 @@ def test_report_envelope(capsys):
         "tool_version",
         "verification",
     }
-    assert doc["result"] == {"b1": 6, "b2": 12}
     assert len(doc["arrangement"]["normals"]) == 6
     assert doc["verification"] == {"modular_only": False}
+    if command[0] == "betti":
+        assert doc["result"] == {"b1": 6, "b2": 12}
 
 
 def test_decomp_golden(capsys):
@@ -157,11 +176,29 @@ def test_input_sources_are_exclusive(tmp_path, capsys):
     assert rc == 1
 
 
-def test_table_output(capsys):
-    rc, out = run(capsys, "betti", "--builtin", "x3", "--table")
+@pytest.mark.parametrize("command", ARRANGEMENT_COMMANDS, ids=lambda c: c[0])
+def test_table_output(capsys, command):
+    rc, out = run(capsys, command[0], "--builtin", "x3", "--table", *command[1:])
     assert rc == 0
-    assert "b1" in out and "6" in out
     assert not out.lstrip().startswith("{")
+    if command[0] == "betti":
+        assert "b1" in out and "6" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("holonomy", "--max", "0"),
+    ("lcs", "--max", "0"),
+    ("chen", "--max", "0"),
+    ("resonance", "--depth", "0"),
+    ("charvar", "--depth", "0"),
+    ("betti", "--ceiling", "999"),
+    ("milnor", "--mult", "1,x"),
+], ids=lambda a: "%s%s" % a[:2])
+def test_option_bounds(capsys, argv):
+    rc = main([argv[0], "--builtin", "x3", *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: " + argv[1] + " ")
 
 
 def test_modular_flag_surfaces_in_report(capsys):

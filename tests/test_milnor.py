@@ -1,12 +1,15 @@
 import random
+import time
 from math import gcd
 
 import pytest
 
+from arrinv import milnor
 from arrinv.arrangement import MultiArrangement, compute_l2, make_arrangement
 from arrinv.catalog import builtin
 from arrinv.checks import random_multiplicities
-from arrinv.errors import HypothesisError, RefusalError
+from arrinv.cli import main
+from arrinv.errors import HypothesisError, RefusalError, ResourceError
 from arrinv.milnor import (
     local_b1_lower_bound,
     milnor_b1,
@@ -116,6 +119,31 @@ def test_criterion_at_huge_total_multiplicity():
     # only (0, 1, 3) holds characters: the one of order 2, adding mu - 1 = 1
     assert local_b1_lower_bound(MultiArrangement(arr, trivial)) == arr.n - 1
     assert local_b1_lower_bound(MultiArrangement(arr, nontrivial)) == arr.n
+
+
+def test_total_multiplicity_is_bounded(capsys, monkeypatch):
+    # the report holds one entry per residue mod N, so a huge N is refused
+    # before any of them is built, after the exit-2 refusals
+    x3 = builtin("x3")
+    huge = MultiArrangement(x3, (1, 1, 1, 1, 1, 10**9))
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceError, match="1000000005"):
+        milnor_b1(huge, separated=True)
+    assert time.perf_counter() - t0 < 5
+    with pytest.raises(RefusalError):
+        milnor_b1(huge)
+    pappus = builtin("pappus")
+    with pytest.raises(HypothesisError):
+        milnor_b1(MultiArrangement(pappus, (1,) * 8 + (10**9,)), separated=True)
+    rc = main(["milnor", "--builtin", "x3", "--mult", "1,1,1,1,1,1000000000",
+               "--assert-separated"])
+    assert rc == 3
+    assert "resource ceiling" in capsys.readouterr().err
+    # the bound is inclusive
+    monkeypatch.setattr(milnor, "MAX_MILNOR_TOTAL", 6)
+    assert milnor_b1(unit(x3), separated=True).N == 6
+    with pytest.raises(ResourceError):
+        milnor_b1(MultiArrangement(x3, (1, 1, 1, 1, 1, 2)), separated=True)
 
 
 def test_eigen_invariants():
