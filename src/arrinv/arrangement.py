@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import DomainError
-from .linalg import rank_exact
+from .linalg import rank_exact, reduced_echelon
 
 
 def _coerce_scalar(v) -> Fraction:
@@ -63,11 +63,9 @@ def make_arrangement(normals, labels=None, ambient_dim=None) -> Arrangement:
             raise DomainError("all normals must have length %d" % d)
         if not any(row):
             raise DomainError("zero vector is not a hyperplane normal")
-    for i, j in combinations(range(len(rows)), 2):
-        if _proportional(rows[i], rows[j]):
-            raise DomainError(
-                "normals %d and %d define the same hyperplane" % (i, j)
-            )
+    dup = first_duplicate(rows)
+    if dup is not None:
+        raise DomainError("normals %d and %d define the same hyperplane" % dup)
     if labels is None:
         labels = tuple("H%d" % i for i in range(len(rows)))
     else:
@@ -77,13 +75,26 @@ def make_arrangement(normals, labels=None, ambient_dim=None) -> Arrangement:
     return Arrangement(d, tuple(rows), labels)
 
 
-def _proportional(a, b) -> bool:
-    # cross-multiply every 2x2 minor of the two rows
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
+def span_key(rows) -> tuple:
+    """Canonical form of the span of ``rows``: its reduced echelon basis.
+
+    Two lists of vectors span the same subspace iff their keys are equal,
+    so the key can group normals by the line or plane they span.
+    """
+    basis = reduced_echelon([dict(enumerate(r)) for r in rows])
+    return tuple(tuple(sorted(b.items())) for b in basis)
+
+
+def first_duplicate(rows):
+    """The first pair (i, j), i < j, of proportional rows, or None.
+
+    The pair is lexicographically first: the smallest i with a duplicate,
+    and the smallest j after it.
+    """
+    lines: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        lines.setdefault(span_key([row]), []).append(i)
+    return min((tuple(g[:2]) for g in lines.values() if len(g) > 1), default=None)
 
 
 @dataclass(frozen=True)
@@ -118,38 +129,23 @@ class L2Lattice:
         return tuple(f for f in self.flats if len(f) >= 3)
 
 
-def _span_rank(rows) -> int:
-    return rank_exact([{i: v for i, v in enumerate(r) if v} for r in rows])
-
-
 @lru_cache(maxsize=None)
 def compute_l2(arr: Arrangement) -> L2Lattice:
     """Group the hyperplane pairs of ``arr`` into maximal rank-2 flats.
 
-    Two hyperplanes lie in the same flat iff their common intersection has
-    codimension 2 and every other member contains it; this is detected by
-    rank tests on the normals alone, so it works in any ambient dimension.
+    Hyperplane k contains the codimension-2 intersection of hyperplanes i
+    and j iff n_k lies in the 2-plane span(n_i, n_j).  So the flat through
+    i and j is the union of all pairs whose normals span the same 2-plane,
+    and grouping the pairs by ``span_key`` of that plane finds every flat
+    with O(n^2) small eliminations, in any ambient dimension.
     """
     n = arr.n
     normals = arr.normals
-    assigned: set[tuple[int, int]] = set()
-    flats: list[Flat2] = []
+    planes: dict[tuple, set[int]] = {}
     for i, j in combinations(range(n), 2):
-        if (i, j) in assigned:
-            continue
-        members = [i, j]
-        base = [normals[i], normals[j]]
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            if _span_rank(base + [normals[k]]) == 2:
-                members.append(k)
-        members.sort()
-        for a, b in combinations(members, 2):
-            assigned.add((a, b))
-        flats.append(Flat2(tuple(members)))
-    flats.sort(key=lambda f: f.members)
-    lat = L2Lattice(tuple(flats), n)
+        planes.setdefault(span_key((normals[i], normals[j])), set()).update((i, j))
+    members = sorted(tuple(sorted(m)) for m in planes.values())
+    lat = L2Lattice(tuple(Flat2(m) for m in members), n)
     # every pair of hyperplanes lies in exactly one flat
     pairs = sum(len(f) * (len(f) - 1) // 2 for f in lat)
     if pairs != n * (n - 1) // 2:
@@ -164,7 +160,7 @@ def mobius2(f: Flat2) -> int:
 
 def arrangement_rank(arr: Arrangement) -> int:
     """Rank of the arrangement: codimension of the common intersection."""
-    return _span_rank(arr.normals)
+    return rank_exact([dict(enumerate(r)) for r in arr.normals])
 
 
 def betti(arr: Arrangement) -> tuple[int, int]:

@@ -16,10 +16,10 @@ from math import comb, gcd
 from .arrangement import (
     Arrangement,
     MultiArrangement,
-    _proportional,
     arrangement_rank,
     compute_l2,
     make_arrangement,
+    span_key,
 )
 from .catalog import from_spec
 from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable, witt_rank
@@ -41,15 +41,13 @@ def random_rank3_arrangement(rng: random.Random, max_n: int = 8) -> Arrangement:
     """Random essential rank-3 arrangement with small integer normals."""
     n = rng.randrange(3, max_n + 1)
     while True:
-        normals: list[tuple[int, int, int]] = []
-        while len(normals) < n:
+        # one normal per line through the origin: the first one drawn
+        lines: dict[tuple, tuple[int, int, int]] = {}
+        while len(lines) < n:
             v = tuple(rng.randrange(-2, 3) for _ in range(3))
-            if not any(v):
-                continue
-            if any(_proportional(v, w) for w in normals):
-                continue
-            normals.append(v)
-        arr = make_arrangement(normals)
+            if any(v):
+                lines.setdefault(span_key([v]), v)
+        arr = make_arrangement(list(lines.values()))
         if arrangement_rank(arr) == 3:
             return arr
 

@@ -232,7 +232,8 @@ def lcs(arr, ceiling, kmax):
 @_command("chen", _max_option(4, "largest Chen degree to report"))
 def chen(arr, ceiling, kmax):
     """Chen ranks theta_1..theta_max (decomposable arrangements)."""
-    ranks = {str(k): chen_ranks_decomposable(arr, k) for k in range(1, kmax + 1)}
+    # top degree first: its refusals come before any rank is computed
+    ranks = {str(k): chen_ranks_decomposable(arr, k) for k in range(kmax, 0, -1)}
     return {"kind": "chen", "ranks": ranks}, {"q_decomposable": True}
 
 

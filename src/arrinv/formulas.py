@@ -20,9 +20,13 @@ from dataclasses import dataclass
 from math import comb
 
 from .arrangement import Arrangement, SimpleGraph, compute_l2
-from .errors import DomainError, HypothesisError
+from .errors import DomainError, HypothesisError, ResourceError
 from .holonomy import is_decomposable
 from .lyndon import divisors, number_mobius, witt_count
+
+# largest degree the decomposable LCS and Chen formulas report; past it
+# they raise ResourceError, after the decomposability refusal
+MAX_FORMULA_DEGREE = 1000
 
 
 @dataclass(frozen=True)
@@ -79,19 +83,22 @@ def chen_lower_bound(arr: Arrangement, k: int) -> int:
     return (k - 1) * sum(comb(f.mobius + k - 2, k) for f in lat.multiple_flats())
 
 
-def _require_rational(arr: Arrangement, what: str):
+def _require_formula_domain(arr: Arrangement, what: str, degree: int):
     if not is_decomposable(arr)["rational"]:
         raise HypothesisError(
             "%s assumes a rationally decomposable arrangement; "
             "is_decomposable reports rational=false" % (what,)
         )
+    if degree > MAX_FORMULA_DEGREE:
+        raise ResourceError("degree %d exceeds %d, the largest the formulas "
+                            "report" % (degree, MAX_FORMULA_DEGREE))
 
 
 def chen_ranks_decomposable(arr: Arrangement, k: int) -> int:
     """Chen rank theta_k under the decomposability hypothesis."""
     if k < 1:
         raise DomainError("Chen ranks are indexed by k >= 1")
-    _require_rational(arr, "chen_ranks_decomposable")
+    _require_formula_domain(arr, "chen_ranks_decomposable", k)
     if k == 1:
         return arr.n
     return chen_lower_bound(arr, k)
@@ -112,7 +119,7 @@ def lcs_ranks_decomposable(arr: Arrangement, kmax: int) -> RankTable:
     """LCS ranks phi_1..phi_kmax under the decomposability hypothesis."""
     if kmax < 1:
         raise DomainError("need kmax >= 1")
-    _require_rational(arr, "lcs_ranks_decomposable")
+    _require_formula_domain(arr, "lcs_ranks_decomposable", kmax)
     mus = [f.mobius for f in compute_l2(arr)]
     a = arr.n - sum(mus)
     values = {k: _phi_from_product(a, mus, k) for k in range(1, kmax + 1)}

@@ -22,7 +22,7 @@ import json
 import re
 from fractions import Fraction
 
-from .arrangement import Arrangement, _proportional, make_arrangement
+from .arrangement import Arrangement, first_duplicate
 from .errors import ParseError
 
 _VAR_RE = re.compile(r"[A-Za-z][0-9]*\Z")
@@ -209,19 +209,17 @@ def _parse_polynomial(text: str) -> Arrangement:
     for coeffs in factors:
         rows.append(tuple(coeffs.get(v, Fraction(0)) for v in varorder))
         labels.append(render_linear_form(coeffs.items()))
-    _check_duplicates(rows, labels)
-    return make_arrangement(rows, labels)
+    return _checked_arrangement(len(varorder), rows, labels)
 
 
-def _check_duplicates(rows, labels) -> None:
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if _proportional(rows[i], rows[j]):
-                raise ParseError(
-                    "duplicate",
-                    "factors %s and %s cut the same hyperplane"
-                    % (labels[i], labels[j]),
-                )
+def _checked_arrangement(width, rows, labels) -> Arrangement:
+    # the parsers have refused every input make_arrangement would refuse
+    # except a repeated hyperplane, so the only check left is this one
+    dup = first_duplicate(rows)
+    if dup is not None:
+        raise ParseError("duplicate", "factors %s and %s cut the same hyperplane"
+                         % (labels[dup[0]], labels[dup[1]]))
+    return Arrangement(width, tuple(rows), tuple(labels))
 
 
 def _json_entry(v) -> Fraction:
@@ -277,8 +275,7 @@ def _parse_json(text: str) -> Arrangement:
         if not any(row):
             raise ParseError("zero_form", "normal %d is the zero vector" % i)
     names = labels if labels is not None else ["H%d" % i for i in range(len(rows))]
-    _check_duplicates(rows, names)
-    return make_arrangement(rows, labels)
+    return _checked_arrangement(width, rows, names)
 
 
 def parse_arrangement(text: str) -> Arrangement:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -10,6 +11,7 @@ from arrinv.arrangement import (
     arrangement_rank,
     betti,
     compute_l2,
+    first_duplicate,
     graphic_arrangement,
     l2_to_json,
     localization,
@@ -17,9 +19,10 @@ from arrinv.arrangement import (
     mobius2,
     product,
 )
-from arrinv.catalog import builtin
+from arrinv.catalog import builtin, from_spec
 from arrinv.checks import random_rank3_arrangement
 from arrinv.errors import DomainError
+from arrinv.parsing import parse_arrangement
 
 from oracles import brute_l2_flats, whitney_betti2
 
@@ -47,12 +50,33 @@ def test_make_arrangement_rejections():
         make_arrangement([(1, 2, 0), (-1, -2, 0)])
     with pytest.raises(DomainError):
         make_arrangement([])
+    # the lexicographically first proportional pair is named
+    with pytest.raises(DomainError, match="normals 0 and 3 define the same hyperplane"):
+        make_arrangement([(1, 0), (0, 1), (0, 2), (3, 0)])
+
+
+def _random_arrangement(rng, d, n):
+    rows = []
+    while len(rows) < n:
+        v = tuple(rng.randrange(-2, 3) for _ in range(d))
+        if any(v) and first_duplicate(rows + [v]) is None:
+            rows.append(v)
+    return make_arrangement(rows)
 
 
 def test_compute_l2_matches_sympy_route():
     rng = random.Random(17)
     samples = [builtin("x3"), builtin("pappus"), builtin("braid", [3])]
     samples += [random_rank3_arrangement(rng) for _ in range(12)]
+    samples += [
+        from_spec("braid:4"),
+        from_spec("graphic:0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4"),
+        from_spec("split_solvable:3,3,2"),
+        parse_arrangement(json.dumps({"normals": [
+            ["1/2", 0, 0], [0, "2/3", 0], [0, 0, 1], [1, "-3/2", 0],
+            ["1/3", 0, "-1/3"], [0, 1, -1], [1, 1, "5/7"]]})),
+    ]
+    samples += [_random_arrangement(rng, 4, 7) for _ in range(3)]
     for arr in samples:
         got = {frozenset(f.members) for f in compute_l2(arr)}
         assert got == brute_l2_flats(arr.normals)

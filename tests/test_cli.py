@@ -234,3 +234,24 @@ def test_cli_import_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_formula_degree_is_bounded(capsys, monkeypatch):
+    # past MAX_FORMULA_DEGREE, lcs and chen refuse before computing a rank,
+    # and after the exit-2 decomposability refusal
+    from arrinv import formulas
+
+    def no_rank(*args):
+        raise AssertionError("a rank was computed past the degree bound")
+
+    for command in ("lcs", "chen"):
+        with monkeypatch.context() as m:
+            m.setattr(formulas, "chen_lower_bound", no_rank)
+            m.setattr(formulas, "_phi_from_product", no_rank)
+            rc = main([command, "--builtin", "x3", "--max", "1000001"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("resource ceiling: degree 1000001")
+        rc = main([command, "--builtin", "braid:3", "--max", "1000001"])
+        assert rc == 2
+        doc = run_json(capsys, command, "--builtin", "x3", "--max", "1000")
+        assert len(doc["result"]["ranks"]) == formulas.MAX_FORMULA_DEGREE == 1000

@@ -59,6 +59,15 @@ def test_factor_kinds():
     assert kind_of("1/0x") == "syntax"
 
 
+def test_first_duplicate_pair_is_reported():
+    # the smallest i with a duplicate, then the smallest j after it
+    with pytest.raises(ParseError, match="factors x and 3x cut the same hyperplane"):
+        parse_arrangement("x y (2y) (3x)")
+    doc = json.dumps({"normals": [[1, 0], [0, 1], [0, 2], [3, 0]]})
+    with pytest.raises(ParseError, match="factors H0 and H3 cut the same hyperplane"):
+        parse_arrangement(doc)
+
+
 def test_render_round_trip():
     arr = parse_arrangement("(2x - 3y + z) (x + 1/3y)")
     for label, row in zip(arr.labels, arr.normals):
