@@ -45,11 +45,9 @@ from .formulas import (
     free_chen,
     graphic_lcs,
     lcs_ranks_decomposable,
-    witt_rank,
 )
 from .holonomy import (
     h3_group,
-    holonomy_ideal_subspace,
     holonomy_rank,
     holonomy_relators,
     infinitesimal_alexander_dims,
@@ -110,7 +108,6 @@ __all__ = [
     "graphic_arrangement",
     "graphic_lcs",
     "h3_group",
-    "holonomy_ideal_subspace",
     "holonomy_rank",
     "holonomy_relators",
     "i2_basis",
@@ -131,5 +128,4 @@ __all__ = [
     "render_linear_form",
     "resonance_components",
     "witt_count",
-    "witt_rank",
 ]

@@ -22,10 +22,10 @@ from .arrangement import (
     span_key,
 )
 from .catalog import from_spec
-from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable, witt_rank
+from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable
 from .holonomy import holonomy_rank, infinitesimal_alexander_dims, is_decomposable
 from .jumploci import chen_ranks_from_resonance
-from .lyndon import lyndon_words
+from .lyndon import lyndon_words, witt_count
 from .milnor import _local_spectrum
 from .osalgebra import falk_phi3, i2_basis
 
@@ -168,10 +168,10 @@ def check_milnor_double_count(rng, cases: int = 8) -> CheckResult:
 def check_witt_identity(n_max: int = 6, k_max: int = 6) -> CheckResult:
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
-            total = sum(d * witt_rank(n, d) for d in range(1, k + 1) if k % d == 0)
+            total = sum(d * witt_count(n, d) for d in range(1, k + 1) if k % d == 0)
             if total != n**k:
                 return CheckResult("witt-necklace", False, "n=%d k=%d" % (n, k))
-            if n <= 4 and len(lyndon_words(n, k)) != witt_rank(n, k):
+            if n <= 4 and len(lyndon_words(n, k)) != witt_count(n, k):
                 return CheckResult("witt-necklace", False, "lyndon n=%d k=%d" % (n, k))
     return CheckResult("witt-necklace", True, "n<=%d k<=%d" % (n_max, k_max))
 

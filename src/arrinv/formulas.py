@@ -55,13 +55,6 @@ class RankTable:
         return tuple(self.values[k] for k in range(1, len(self.values) + 1))
 
 
-def witt_rank(n: int, k: int) -> int:
-    """Rank of the degree-k layer of the free Lie algebra on n letters."""
-    if n < 1 or k < 1:
-        raise DomainError("witt_rank needs n >= 1 and k >= 1")
-    return witt_count(n, k)
-
-
 def free_chen(n: int, k: int) -> int:
     """Chen rank theta_k of the free group on n generators."""
     if n < 1 or k < 1:

@@ -13,21 +13,25 @@ ideal is generated in degree 2 and the ambient free Lie algebra in degree
 a raw generating set.  Rows are kept raw (no echelonization between
 degrees); rank is taken once per degree by exact sparse elimination.
 
-Everything degree-3: the quotient of the integral degree-3 piece by J_3 is
-reported with its torsion via Smith normal form, which decides integral
-decomposability; rational decomposability compares ranks only.
+In degree 3 the integral quotient Lie_3 / J_3 comes from one Smith normal
+form of J_3 (`linalg.smith_diagonal`, a streaming unit-pivot pass plus a
+small dense core).  Its rank decides rational decomposability and its
+torsion integral decomposability, so `decomp` eliminates J_3 once.
+`holonomy_rank` keeps its own `rank_exact` route, and the tests compare
+the two.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb
 
 from .arrangement import Arrangement, compute_l2
 from .errors import DomainError, ResourceError
-from .linalg import rank, reduced_echelon, smith_diagonal
+from .linalg import rank, smith_diagonal
 from .lyndon import (
     DEFAULT_WORD_CEILING,
     Word,
@@ -61,19 +65,6 @@ class AbelianGroupReport:
 
     rank: int
     torsion: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GradedSubspace:
-    """A degree-homogeneous subspace, rows in reduced echelon form."""
-
-    degree: int
-    ambient_dim: int
-    basis_rows: tuple[tuple[tuple[int, Fraction], ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_rows)
 
 
 def _bracket_rows(row: Vector, i: int) -> dict[Word, int]:
@@ -127,8 +118,10 @@ def _jk_word_rows(arr: Arrangement, k: int) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-def _int_rows(word_rows, basis) -> list[dict[int, int]]:
-    return [{basis.index[w]: c for w, c in row} for row in word_rows]
+def _int_rows(word_rows, basis) -> Iterator[dict[int, int]]:
+    # streamed: the kernels copy each row as they take it, so the integer
+    # rows are never all alive at once
+    return ({basis.index[w]: c for w, c in row} for row in word_rows)
 
 
 def _guard(n: int, k: int, ceiling: int) -> None:
@@ -161,8 +154,7 @@ def h3_group(arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING) -> AbelianGr
     """The degree-3 piece of the integral holonomy Lie algebra."""
     _guard(arr.n, 3, ceiling)
     basis = lyndon_basis(arr.n, 3)
-    rows = _int_rows(_jk_word_rows(arr, 3), basis)
-    diag = smith_diagonal(rows, len(basis))
+    diag = smith_diagonal(_int_rows(_jk_word_rows(arr, 3), basis), len(basis))
     torsion = tuple(d for d in diag if d > 1)
     return AbelianGroupReport(len(basis) - len(diag), torsion)
 
@@ -177,13 +169,12 @@ def is_decomposable(arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING) -> di
 
     The comparison map onto the local part is surjective, so rational
     decomposability is the rank equality, and integral decomposability
-    additionally needs the degree-3 group torsion-free.
+    additionally needs the degree-3 group torsion-free.  Both come from
+    the one Smith normal form behind `h3_group`.
     """
-    rational = holonomy_rank(arr, 3, ceiling) == local_h3_rank(arr)
-    if not rational:
-        return {"rational": False, "integral": False}
     report = h3_group(arr, ceiling)
-    return {"rational": True, "integral": not report.torsion}
+    rational = report.rank == local_h3_rank(arr)
+    return {"rational": rational, "integral": rational and not report.torsion}
 
 
 @lru_cache(maxsize=None)
@@ -208,9 +199,8 @@ def _derived_word_rows(n: int, j: int) -> tuple[Vector, ...]:
 @lru_cache(maxsize=None)
 def _bk_rank(arr: Arrangement, j: int) -> int:
     basis = lyndon_basis(arr.n, j)
-    rows = _int_rows(_jk_word_rows(arr, j), basis)
-    rows += _int_rows(_derived_word_rows(arr.n, j), basis)
-    return rank(rows, len(basis))
+    rows = chain(_jk_word_rows(arr, j), _derived_word_rows(arr.n, j))
+    return rank(_int_rows(rows, basis), len(basis))
 
 
 def infinitesimal_alexander_dims(
@@ -229,27 +219,3 @@ def infinitesimal_alexander_dims(
     return [
         witt_count(arr.n, k + 2) - _bk_rank(arr, k + 2) for k in range(kmax + 1)
     ]
-
-
-def _echelon_subspace(word_rows, basis) -> GradedSubspace:
-    rows = reduced_echelon(_int_rows(word_rows, basis))
-    frozen = tuple(tuple(sorted(r.items())) for r in rows)
-    return GradedSubspace(basis.degree, len(basis), frozen)
-
-
-def holonomy_ideal_subspace(
-    arr: Arrangement, k: int, ceiling: int = DEFAULT_WORD_CEILING
-) -> GradedSubspace:
-    """Reduced echelon basis of J_k (exact; meant for small degrees)."""
-    if k < 2:
-        raise DomainError("the ideal starts in degree 2")
-    _guard(arr.n, k, ceiling)
-    return _echelon_subspace(_jk_word_rows(arr, k), lyndon_basis(arr.n, k))
-
-
-def derived_subspace(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> GradedSubspace:
-    """Reduced echelon basis of the derived span D_k of the free Lie algebra."""
-    if n < 1 or k < 1:
-        raise DomainError("need n >= 1 and k >= 1")
-    _guard(n, k, ceiling)
-    return _echelon_subspace(_derived_word_rows(n, k), lyndon_basis(n, k))

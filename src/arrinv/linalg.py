@@ -1,14 +1,18 @@
 """Exact linear algebra kernels.
 
-Matrices are given as lists of sparse rows; a row maps column index to an
-integer or Fraction value.  Ranks over the rationals come from one kernel,
-fraction-free sparse elimination, at every width.  Smith normal form
-diagonals are computed exactly over the integers.
+Matrices are given as iterables of sparse rows; a row maps column index
+to an integer or Fraction value.  Ranks over the rationals come from one
+kernel, fraction-free sparse elimination, at every width.  Smith normal
+form diagonals are computed exactly over the integers by a streaming
+unit-pivot front end, shaped like the rank kernel's dict of pivots, and a
+dense reduction of the small core it leaves; the number of invariant
+factors is the rank, so one pass gives both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -127,58 +131,83 @@ def rank(rows, ncols: int) -> int:
 def smith_diagonal(rows, ncols: int) -> list[int]:
     """Invariant factors of an integer matrix, positive, each dividing the next.
 
-    Always exact.  A sparse sweep first eliminates unit pivots (which
-    contribute invariant factor 1 and, once their row and column are
-    cleared, split off); the leftover core, usually tiny, goes through
-    dense integer reduction with smallest-pivot selection and the
-    classical divisibility push.
+    Always exact.  A streaming front end splits off unit pivots: each row
+    is reduced against the pivots found so far, in the order they were
+    created, and becomes a pivot itself if a +-1 entry is left; otherwise
+    it is set aside.  The set-aside rows are passed through again until no
+    new pivot appears.  Every pivot contributes invariant factor 1, and
+    the set-aside rows, now zero on every pivot column, form the core that
+    goes through dense integer reduction.  The length of the result is the
+    rank over Q, so rank and torsion come from one pass.
     """
-    sparse: list[dict[int, int]] = []
-    for row in rows:
-        r = {}
-        for c, v in row.items():
-            iv = int(v)
-            if iv != v:
-                raise ValueError("smith_diagonal requires integer entries")
-            if iv:
-                r[c] = iv
-        if r:
-            sparse.append(r)
-    units = 0
+    # unit pivot rows in creation order, and the column of each unit; a
+    # pivot is zero on the columns of every pivot created before it
+    prows: list[dict[int, int]] = []
+    pivot_of: dict[int, int] = {}
+    # the first pass streams the input, so rows that reduce to zero are
+    # freed at once
+    pending = map(_integer_row, rows)
     while True:
-        pivot = None
-        for idx, r in enumerate(sparse):
-            for c, v in r.items():
-                if v == 1 or v == -1:
-                    pivot = (idx, c, v)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        idx, c, s = pivot
-        prow = sparse.pop(idx)
-        units += 1
-        for other in sparse:
-            coef = other.pop(c, 0)
-            if not coef:
+        found = len(prows)
+        core = []
+        for r in pending:
+            r = _reduce_units(r, prows, pivot_of)
+            if not r:
                 continue
-            scale = coef * s
-            for k, v in prow.items():
-                if k == c:
-                    continue
-                w = other.get(k, 0) - scale * v
-                if w:
-                    other[k] = w
-                else:
-                    other.pop(k, None)
-        sparse = [r for r in sparse if r]
-    if not sparse:
+            unit = min((c for c, v in r.items() if v == 1 or v == -1), default=None)
+            if unit is None:
+                core.append(r)
+            else:
+                pivot_of[unit] = len(prows)
+                prows.append(r)
+        pending = core
+        if len(prows) == found:
+            break
+    units = len(prows)
+    if not core:
         return [1] * units
-    used = sorted({c for r in sparse for c in r})
+    used = sorted({c for r in core for c in r})
     remap = {c: i for i, c in enumerate(used)}
-    core = [{remap[c]: v for c, v in r.items()} for r in sparse]
+    core = [{remap[c]: v for c, v in r.items()} for r in core]
     return [1] * units + _smith_dense(core, len(used))
+
+
+def _integer_row(row) -> dict[int, int]:
+    r = {}
+    for c, v in row.items():
+        iv = int(v)
+        if iv != v:
+            raise ValueError("smith_diagonal requires integer entries")
+        if iv:
+            r[c] = iv
+    return r
+
+
+def _reduce_units(r: dict[int, int], prows, pivot_of) -> dict[int, int]:
+    # clear the pivot columns of r, earliest pivot first: a pivot is zero on
+    # the columns of earlier pivots, so a cleared column never comes back
+    hits = [(pivot_of[c], c) for c in r if c in pivot_of]
+    if not hits:
+        return r
+    heapify(hits)
+    while hits:
+        i, c = heappop(hits)
+        coef = r.pop(c, 0)
+        if not coef:
+            continue
+        prow = prows[i]
+        scale = coef * prow[c]
+        for k, v in prow.items():
+            if k == c:
+                continue
+            w = r.get(k, 0) - scale * v
+            if w:
+                if k not in r and k in pivot_of:
+                    heappush(hits, (pivot_of[k], k))
+                r[k] = w
+            else:
+                r.pop(k, None)
+    return r
 
 
 def _smith_dense(rows, ncols: int) -> list[int]:

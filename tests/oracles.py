@@ -4,17 +4,25 @@ Each oracle recomputes a quantity along a route the library never takes:
 rotation-filtered Lyndon enumeration, tensor-algebra bracket expansion,
 sympy ranks and Smith forms, whole-lattice Moebius sums, Hilbert series
 coefficient extraction, per-character Milnor accounting, and a Kunneth
-count on product arrangements.  Slow and simple on purpose.
+count on product arrangements.  Slow and simple on purpose.  The graded
+subspaces at the end are the one exception: they echelonize the library's
+own J_k and derived-span rows, for tests of those row builders.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import comb
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
+
+from arrinv.errors import DomainError
+from arrinv.holonomy import _derived_word_rows, _guard, _int_rows, _jk_word_rows
+from arrinv.linalg import reduced_echelon
+from arrinv.lyndon import DEFAULT_WORD_CEILING, lyndon_basis
 
 
 # ---------------------------------------------------------------- lyndon
@@ -236,3 +244,43 @@ def fraction_rank(rows, ncols: int) -> int:
         rank += 1
         col += 1
     return rank
+
+
+# ------------------------------------------------------- graded subspaces
+
+@dataclass(frozen=True)
+class GradedSubspace:
+    """A degree-homogeneous subspace, rows in reduced echelon form."""
+
+    degree: int
+    ambient_dim: int
+    basis_rows: tuple[tuple[tuple[int, Fraction], ...], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis_rows)
+
+
+def _echelon_subspace(word_rows, basis) -> GradedSubspace:
+    rows = reduced_echelon(_int_rows(word_rows, basis))
+    frozen = tuple(tuple(sorted(r.items())) for r in rows)
+    return GradedSubspace(basis.degree, len(basis), frozen)
+
+
+def holonomy_ideal_subspace(
+    arr, k: int, ceiling: int = DEFAULT_WORD_CEILING
+) -> GradedSubspace:
+    """Reduced echelon basis of J_k (exact; meant for small degrees)."""
+    if k < 2:
+        raise DomainError("the ideal starts in degree 2")
+    _guard(arr.n, k, ceiling)
+    return _echelon_subspace(_jk_word_rows(arr, k), lyndon_basis(arr.n, k))
+
+
+def derived_subspace(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> GradedSubspace:
+    """Reduced echelon basis of the derived span D_k of the free Lie algebra."""
+    if n < 1 or k < 1:
+        raise DomainError("need n >= 1 and k >= 1")
+    _guard(n, k, ceiling)
+    return _echelon_subspace(_derived_word_rows(n, k), lyndon_basis(n, k))
+

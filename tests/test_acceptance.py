@@ -28,7 +28,6 @@ from arrinv.formulas import (
     chen_ranks_decomposable,
     graphic_lcs,
     lcs_ranks_decomposable,
-    witt_rank,
 )
 from arrinv.holonomy import (
     h3_group,
@@ -38,7 +37,7 @@ from arrinv.holonomy import (
     local_h3_rank,
 )
 from arrinv.jumploci import chen_ranks_from_resonance, resonance_components
-from arrinv.lyndon import lyndon_words
+from arrinv.lyndon import lyndon_words, witt_count
 from arrinv.milnor import milnor_b1, monodromy_trivial_criterion
 from arrinv.osalgebra import falk_phi3, i2_basis
 
@@ -258,7 +257,7 @@ def test_criterion_12_multiplicity_invariance():
 def test_criterion_13_witt_identity():
     for n in range(1, 10):
         for k in range(1, 9):
-            assert sum(d * witt_rank(n, d) for d in range(1, k + 1) if k % d == 0) == n**k
+            assert sum(d * witt_count(n, d) for d in range(1, k + 1) if k % d == 0) == n**k
     for n in range(1, 10):
         for k in range(1, 7):
-            assert len(lyndon_words(n, k)) == witt_rank(n, k)
+            assert len(lyndon_words(n, k)) == witt_count(n, k)

@@ -15,23 +15,11 @@ from arrinv.formulas import (
     free_chen,
     graphic_lcs,
     lcs_ranks_decomposable,
-    witt_rank,
 )
 from arrinv.holonomy import holonomy_rank
-from arrinv.lyndon import lyndon_words, witt_count
+from arrinv.lyndon import witt_count
 
 from oracles import hilbert_theta
-
-
-def test_witt_rank_matches_word_count():
-    for n in range(1, 5):
-        for k in range(1, 7):
-            assert witt_rank(n, k) == witt_count(n, k)
-            assert witt_rank(n, k) == len(lyndon_words(n, k))
-    with pytest.raises(DomainError):
-        witt_rank(0, 3)
-    with pytest.raises(DomainError):
-        witt_rank(2, 0)
 
 
 def test_free_chen_against_hilbert_series():

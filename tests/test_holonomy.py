@@ -4,13 +4,11 @@ from math import comb
 import pytest
 
 from arrinv.arrangement import betti, compute_l2
-from arrinv.catalog import builtin
+from arrinv.catalog import builtin, from_spec
 from arrinv.checks import random_rank3_arrangement
 from arrinv.errors import DomainError, ResourceError
 from arrinv.holonomy import (
-    derived_subspace,
     h3_group,
-    holonomy_ideal_subspace,
     holonomy_rank,
     holonomy_relators,
     infinitesimal_alexander_dims,
@@ -18,6 +16,9 @@ from arrinv.holonomy import (
     local_h3_rank,
 )
 from arrinv.lyndon import witt_count
+
+from oracles import derived_subspace, holonomy_ideal_subspace
+from test_acceptance import budget
 
 
 def test_relator_census():
@@ -59,6 +60,23 @@ def test_h3_groups_are_free():
         report = h3_group(arr)
         assert report.rank == expected
         assert report.torsion == ()
+
+
+def test_wide_h3_groups_match_the_rank_route():
+    # J_3 of braid:6 is 10650 x 8990 and of K7 3675 x 3080; the Smith
+    # form's rank must agree with the independent rank_exact route
+    k7 = ",".join("%d-%d" % (i, j) for i in range(7) for j in range(i + 1, 7))
+    with budget(3, "wide degree-3 groups"):
+        for spec in ("braid:6", "graphic:" + k7):
+            arr = from_spec(spec)
+            report = h3_group(arr)
+            assert report.rank == holonomy_rank(arr, 3), spec
+            assert report.torsion == (), spec
+            assert not is_decomposable(arr)["rational"], spec
+        braid6 = builtin("braid", (6,))
+        assert h3_group(braid6).rank == 440
+        assert local_h3_rank(braid6) == 160
+        assert is_decomposable(braid6) == {"rational": False, "integral": False}
 
 
 def test_local_h3_rank():

@@ -109,3 +109,24 @@ def test_smith_torsion_appears_for_nondiagonal_input():
     rows = [{0: 2, 1: 0}, {0: 0, 1: 2}, {0: 1, 1: 1}]
     assert smith_diagonal(rows, 2) == [1, 2]
 
+
+def test_smith_diagonal_many_small_matrices():
+    # unit pivots meet set-aside rows in every order; the diagonal length
+    # is the rank, so rank and torsion come from the same pass
+    rng = random.Random(2024)
+    for _ in range(600):
+        nrows, ncols = rng.randrange(0, 13), rng.randrange(1, 11)
+        density = rng.random()
+        rows = random_sparse_rows(rng, nrows, ncols, density=density, lo=-4, hi=4)
+        got = smith_diagonal(rows, ncols)
+        assert got == sympy_invariant_factors(rows, ncols), rows
+        assert len(got) == rank_exact(rows)
+
+
+def test_smith_unit_pivot_found_on_a_second_pass():
+    # the first row has no unit entry; the pivot from the second row turns
+    # it into (0, 1), a unit pivot, which then clears the third row
+    rows = [{0: 2, 1: 3}, {0: 1, 1: 1}, {1: 2}]
+    assert sympy_invariant_factors(rows, 2) == [1, 1]
+    assert smith_diagonal(rows, 2) == [1, 1]
+
