@@ -17,9 +17,20 @@ from arrinv.formulas import (
     lcs_ranks_decomposable,
 )
 from arrinv.holonomy import holonomy_rank
-from arrinv.lyndon import witt_count
+from arrinv.lyndon import lyndon_words, witt_count
 
 from oracles import hilbert_theta
+
+
+def test_witt_rank_matches_word_count():
+    # the formulas take the free Lie ranks from lyndon.witt_count
+    for n in range(1, 5):
+        for k in range(1, 7):
+            assert witt_count(n, k) == len(lyndon_words(n, k))
+    # no letters, no words; degree 0 has no free Lie layer
+    assert witt_count(0, 3) == 0
+    with pytest.raises(DomainError):
+        witt_count(2, 0)
 
 
 def test_free_chen_against_hilbert_series():

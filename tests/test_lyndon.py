@@ -39,10 +39,6 @@ def test_witt_count_matches_enumeration():
     for n in range(1, 5):
         for k in range(1, 7):
             assert witt_count(n, k) == len(lyndon_words(n, k))
-    # no letters, no words; degree 0 has no free Lie layer
-    assert witt_count(0, 3) == 0
-    with pytest.raises(DomainError):
-        witt_count(2, 0)
 
 
 def test_standard_factorization_is_least_proper_suffix():
