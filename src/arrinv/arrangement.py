@@ -6,6 +6,11 @@ invariants in this package depend only on the rank-2 part of the
 intersection lattice: the partition of the hyperplane pairs into maximal
 pencils (flats of codimension 2), each weighted by its Moebius value
 mu = (number of members) - 1.
+
+Lines and 2-planes spanned by normals are compared through integer keys:
+a line by its primitive integer vector (``line_key``), a 2-plane by the
+primitive vector of its 2x2 minors, its Pluecker coordinates
+(``plane_key``).  Neither needs an elimination.
 """
 
 from __future__ import annotations
@@ -14,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError
-from .linalg import rank_exact, reduced_echelon
+from .linalg import rank_exact
 
 
 def _coerce_scalar(v) -> Fraction:
@@ -75,14 +80,42 @@ def make_arrangement(normals, labels=None, ambient_dim=None) -> Arrangement:
     return Arrangement(d, tuple(rows), labels)
 
 
-def span_key(rows) -> tuple:
-    """Canonical form of the span of ``rows``: its reduced echelon basis.
+def _primitive(vec) -> tuple[int, ...]:
+    # divide an integer vector by its content and make the first nonzero
+    # entry positive; a zero vector stays zero
+    g = gcd(*vec)
+    if not g:
+        return tuple(vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
 
-    Two lists of vectors span the same subspace iff their keys are equal,
-    so the key can group normals by the line or plane they span.
+
+def line_key(row) -> tuple[int, ...]:
+    """The primitive integer vector on the line spanned by a nonzero row.
+
+    Denominators are cleared, the content divided out and the first
+    nonzero entry made positive, so two rows are proportional iff their
+    keys are equal.
     """
-    basis = reduced_echelon([dict(enumerate(r)) for r in rows])
-    return tuple(tuple(sorted(b.items())) for b in basis)
+    den = lcm(*(Fraction(v).denominator for v in row))
+    return _primitive([int(v * den) for v in row])
+
+
+def plane_key(u, v) -> tuple[int, ...]:
+    """Primitive Pluecker vector of the 2-plane spanned by integer rows u, v.
+
+    The 2x2 minors u_a v_b - u_b v_a (a < b) determine the plane up to a
+    nonzero scalar, so two pairs span the same plane iff their keys are
+    equal.  Proportional rows span no plane and raise DomainError.
+    """
+    d = len(u)
+    minors = [
+        u[a] * v[b] - u[b] * v[a] for a in range(d) for b in range(a + 1, d)
+    ]
+    if not any(minors):
+        raise DomainError("proportional rows span no 2-plane")
+    return _primitive(minors)
 
 
 def first_duplicate(rows):
@@ -93,7 +126,7 @@ def first_duplicate(rows):
     """
     lines: dict[tuple, list[int]] = {}
     for i, row in enumerate(rows):
-        lines.setdefault(span_key([row]), []).append(i)
+        lines.setdefault(line_key(row), []).append(i)
     return min((tuple(g[:2]) for g in lines.values() if len(g) > 1), default=None)
 
 
@@ -135,15 +168,17 @@ def compute_l2(arr: Arrangement) -> L2Lattice:
 
     Hyperplane k contains the codimension-2 intersection of hyperplanes i
     and j iff n_k lies in the 2-plane span(n_i, n_j).  So the flat through
-    i and j is the union of all pairs whose normals span the same 2-plane,
-    and grouping the pairs by ``span_key`` of that plane finds every flat
-    with O(n^2) small eliminations, in any ambient dimension.
+    i and j is the union of all pairs whose normals span the same 2-plane.
+    Each normal is reduced once to its primitive integer vector
+    (``line_key``), and the pairs are grouped by ``plane_key``, the
+    primitive vector of their 2x2 minors: O(n^2 d^2) integer products and
+    no elimination, in any ambient dimension.
     """
     n = arr.n
-    normals = arr.normals
+    prim = [line_key(r) for r in arr.normals]
     planes: dict[tuple, set[int]] = {}
     for i, j in combinations(range(n), 2):
-        planes.setdefault(span_key((normals[i], normals[j])), set()).update((i, j))
+        planes.setdefault(plane_key(prim[i], prim[j]), set()).update((i, j))
     members = sorted(tuple(sorted(m)) for m in planes.values())
     lat = L2Lattice(tuple(Flat2(m) for m in members), n)
     # every pair of hyperplanes lies in exactly one flat

@@ -18,8 +18,8 @@ from .arrangement import (
     MultiArrangement,
     arrangement_rank,
     compute_l2,
+    line_key,
     make_arrangement,
-    span_key,
 )
 from .catalog import from_spec
 from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable
@@ -46,7 +46,7 @@ def random_rank3_arrangement(rng: random.Random, max_n: int = 8) -> Arrangement:
         while len(lines) < n:
             v = tuple(rng.randrange(-2, 3) for _ in range(3))
             if any(v):
-                lines.setdefault(span_key([v]), v)
+                lines.setdefault(line_key(v), v)
         arr = make_arrangement(list(lines.values()))
         if arrangement_rank(arr) == 3:
             return arr

@@ -19,6 +19,11 @@ small dense core).  Its rank decides rational decomposability and its
 torsion integral decomposability, so `decomp` eliminates J_3 once.
 `holonomy_rank` keeps its own `rank_exact` route, and the tests compare
 the two.
+
+Each public function gets its Lyndon bases from `lyndon.lyndon_basis`,
+the one check against the word ceiling, with its caller's ceiling and
+before any cached elimination.  A basis compares by (n, degree) alone, so
+the caches are keyed by the arrangement and the degree, never the ceiling.
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ from itertools import chain
 from math import comb
 
 from .arrangement import Arrangement, compute_l2
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .linalg import rank, smith_diagonal
 from .lyndon import (
     DEFAULT_WORD_CEILING,
+    LyndonBasis,
     Word,
     lyndon_basis,
     lyndon_product,
@@ -86,14 +92,9 @@ def holonomy_relators(arr: Arrangement) -> HolonomyPresentation:
     relators = []
     for flat in compute_l2(arr):
         members = flat.members
+        total = tuple(((k,), 1) for k in members)
         for h in members[:-1]:
-            acc: dict[Word, int] = {}
-            for k in members:
-                if k == h:
-                    continue
-                for w, c in lyndon_product((h,), (k,)).items():
-                    acc[w] = acc.get(w, 0) + c
-            vec = tuple(sorted((w, c) for w, c in acc.items() if c))
+            vec = tuple(sorted(_bracket_rows(total, h).items()))
             relators.append(Relator(h, members, vec))
     return HolonomyPresentation(arr.n, tuple(relators))
 
@@ -124,19 +125,10 @@ def _int_rows(word_rows, basis) -> Iterator[dict[int, int]]:
     return ({basis.index[w]: c for w, c in row} for row in word_rows)
 
 
-def _guard(n: int, k: int, ceiling: int) -> None:
-    size = witt_count(n, k)
-    if size > ceiling:
-        raise ResourceError(
-            "degree-%d computation needs %d basis words, above the ceiling "
-            "of %d" % (k, size, ceiling)
-        )
-
-
 @lru_cache(maxsize=None)
-def _jk_rank(arr: Arrangement, k: int) -> int:
-    basis = lyndon_basis(arr.n, k)
-    return rank(_int_rows(_jk_word_rows(arr, k), basis), len(basis))
+def _jk_rank(arr: Arrangement, basis: LyndonBasis) -> int:
+    rows = _jk_word_rows(arr, basis.degree)
+    return rank(_int_rows(rows, basis), len(basis))
 
 
 def holonomy_rank(arr: Arrangement, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> int:
@@ -145,16 +137,19 @@ def holonomy_rank(arr: Arrangement, k: int, ceiling: int = DEFAULT_WORD_CEILING)
         raise DomainError("degree must be positive")
     if k == 1:
         return arr.n
-    _guard(arr.n, k, ceiling)
-    return witt_count(arr.n, k) - _jk_rank(arr, k)
+    basis = lyndon_basis(arr.n, k, ceiling)
+    return witt_count(arr.n, k) - _jk_rank(arr, basis)
+
+
+def h3_group(arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING) -> AbelianGroupReport:
+    """The degree-3 piece of the integral holonomy Lie algebra."""
+    return _h3_group(arr, lyndon_basis(arr.n, 3, ceiling))
 
 
 @lru_cache(maxsize=None)
-def h3_group(arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING) -> AbelianGroupReport:
-    """The degree-3 piece of the integral holonomy Lie algebra."""
-    _guard(arr.n, 3, ceiling)
-    basis = lyndon_basis(arr.n, 3)
-    diag = smith_diagonal(_int_rows(_jk_word_rows(arr, 3), basis), len(basis))
+def _h3_group(arr: Arrangement, basis: LyndonBasis) -> AbelianGroupReport:
+    rows = _int_rows(_jk_word_rows(arr, 3), basis)
+    diag = smith_diagonal(rows, len(basis))
     torsion = tuple(d for d in diag if d > 1)
     return AbelianGroupReport(len(basis) - len(diag), torsion)
 
@@ -197,8 +192,8 @@ def _derived_word_rows(n: int, j: int) -> tuple[Vector, ...]:
 
 
 @lru_cache(maxsize=None)
-def _bk_rank(arr: Arrangement, j: int) -> int:
-    basis = lyndon_basis(arr.n, j)
+def _bk_rank(arr: Arrangement, basis: LyndonBasis) -> int:
+    j = basis.degree
     rows = chain(_jk_word_rows(arr, j), _derived_word_rows(arr.n, j))
     return rank(_int_rows(rows, basis), len(basis))
 
@@ -215,7 +210,6 @@ def infinitesimal_alexander_dims(
     """
     if kmax < 0:
         raise DomainError("kmax must be nonnegative")
-    _guard(arr.n, kmax + 2, ceiling)
-    return [
-        witt_count(arr.n, k + 2) - _bk_rank(arr, k + 2) for k in range(kmax + 1)
-    ]
+    # every degree is checked, largest first, before any elimination
+    bases = [lyndon_basis(arr.n, j, ceiling) for j in range(kmax + 2, 1, -1)]
+    return [witt_count(arr.n, b.degree) - _bk_rank(arr, b) for b in reversed(bases)]

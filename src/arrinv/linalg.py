@@ -7,6 +7,11 @@ form diagonals are computed exactly over the integers by a streaming
 unit-pivot front end, shaped like the rank kernel's dict of pivots, and a
 dense reduction of the small core it leaves; the number of invariant
 factors is the rank, so one pass gives both.
+
+These are the package's only elimination kernels: ``rank_exact`` (and
+``rank``, which takes a column count and calls it) and ``smith_diagonal``.
+Spans of normals are compared by integer keys in ``arrangement`` and need
+no echelon form.
 """
 
 from __future__ import annotations
@@ -66,61 +71,6 @@ def rank_exact(rows) -> int:
                     nr.pop(k, None)
             r = _normalize(nr)
     return len(pivots)
-
-
-def reduced_echelon(rows) -> list[dict[int, Fraction]]:
-    """Reduced row echelon basis of the row span, ordered by pivot column.
-
-    Each returned row has value 1 at its pivot column and zeros at every
-    other pivot column, so rows stay sparse when the corank is small.
-    """
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        r = {c: Fraction(v) for c, v in row.items() if v}
-        while r:
-            c = min(r)
-            p = pivots.get(c)
-            if p is None:
-                a = r.pop(c)
-                newp = {c: Fraction(1)}
-                for k, v in r.items():
-                    newp[k] = v / a
-                # clear later pivot columns from the new row first, so the
-                # invariant "pivot rows touch no other pivot column" holds
-                for pc, prow in pivots.items():
-                    coef = newp.pop(pc, None)
-                    if coef:
-                        for k, v in prow.items():
-                            if k == pc:
-                                continue
-                            w = newp.get(k, Fraction(0)) - coef * v
-                            if w:
-                                newp[k] = w
-                            else:
-                                newp.pop(k, None)
-                for prow in pivots.values():
-                    coef = prow.pop(c, None)
-                    if coef:
-                        for k, v in newp.items():
-                            if k == c:
-                                continue
-                            w = prow.get(k, Fraction(0)) - coef * v
-                            if w:
-                                prow[k] = w
-                            else:
-                                prow.pop(k, None)
-                pivots[c] = newp
-                break
-            a = r.pop(c)
-            for k, v in p.items():
-                if k == c:
-                    continue
-                w = r.get(k, Fraction(0)) - a * v
-                if w:
-                    r[k] = w
-                else:
-                    r.pop(k, None)
-    return [pivots[c] for c in sorted(pivots)]
 
 
 def rank(rows, ncols: int) -> int:

@@ -11,8 +11,8 @@ reduced by the Jacobi identity through the standard factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, ResourceError
 
@@ -149,17 +149,22 @@ def witt_count(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class LyndonBasis:
-    """The degree-k Lyndon basis over n generators, with index lookup."""
+    """The degree-k Lyndon basis over n generators, with index lookup.
+
+    The basis is determined by (n, degree), which is all that is compared
+    and hashed; the words and their index are built on first use.
+    """
 
     n: int
     degree: int
-    words: tuple[Word, ...]
-    index: dict[Word, int] = field(compare=False, repr=False, default=None)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "index", {w: i for i, w in enumerate(self.words)}
-        )
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(lyndon_words(self.n, self.degree))
+
+    @cached_property
+    def index(self) -> dict[Word, int]:
+        return {w: i for i, w in enumerate(self.words)}
 
     def __len__(self) -> int:
         return len(self.words)
@@ -172,10 +177,16 @@ class LyndonBasis:
 
 
 def lyndon_basis(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> LyndonBasis:
+    """The degree-k Lyndon basis, refused above ``ceiling`` words.
+
+    This is the package's one check of a free Lie degree against the word
+    ceiling; every computation over the basis asks for it here, with its
+    caller's ceiling, before any work starts.
+    """
     size = witt_count(n, k) if k >= 1 else 0
     if size > ceiling:
         raise ResourceError(
-            "degree-%d basis on %d generators has %d words, above the "
-            "ceiling of %d" % (k, n, size, ceiling)
+            "degree-%d computation needs %d basis words, above the ceiling "
+            "of %d" % (k, size, ceiling)
         )
-    return LyndonBasis(n, k, tuple(lyndon_words(n, k)))
+    return LyndonBasis(n, k)

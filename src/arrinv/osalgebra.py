@@ -6,7 +6,9 @@ by the boundaries d(e_i e_j e_k) of triples lying in a common rank-2 flat.
 This module builds that quadratic piece I2, checks its rank against the
 Moebius-sum second Betti number, and computes the nullity of the
 multiplication map E1 (x) I2 -> E3, which equals the degree-3 rank of the
-holonomy Lie algebra and serves as its independent oracle.
+holonomy Lie algebra and serves as its independent oracle.  Both work on
+the generators as the flats' triples give them: nothing is echelonized,
+and the only elimination is an exact rank.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arrangement import Arrangement, L2Lattice, compute_l2
-from .linalg import rank, rank_exact, reduced_echelon
+from .linalg import rank, rank_exact
 
 
 def pair_index(n: int):
@@ -60,37 +62,31 @@ def i2_basis(lat: L2Lattice) -> OSQuadraticIdeal:
 
 
 def falk_phi3(arr: Arrangement) -> int:
-    """Nullity of the multiplication map E1 (x) I2 -> Lambda^3."""
+    """Nullity of the multiplication map E1 (x) I2 -> Lambda^3.
+
+    The domain has dimension n * rank(I2), and the image is spanned by
+    e_h ^ d(e_i e_j e_k) over every hyperplane h and every triple i < j < k
+    inside a flat, so no basis of I2 is needed.
+    """
     n = arr.n
-    ideal = i2_basis(compute_l2(arr))
-    basis = reduced_echelon(list(ideal.generators))
+    lat = compute_l2(arr)
     tidx = triple_index(n)
     rows = []
-    for h in range(n):
-        for g in basis:
-            row = {}
-            for c, v in g.items():
-                i, j = _unrank_pair(c, n)
-                if h == i or h == j:
-                    continue
-                # e_h ^ e_i ^ e_j, sorted with a sign
-                if h < i:
-                    row[tidx[h, i, j]] = row.get(tidx[h, i, j], 0) + v
-                elif h < j:
-                    row[tidx[i, h, j]] = row.get(tidx[i, h, j], 0) - v
-                else:
-                    row[tidx[i, j, h]] = row.get(tidx[i, j, h], 0) + v
-            rows.append({c: v for c, v in row.items() if v})
-    domain = n * len(basis)
-    return domain - rank(rows, len(tidx))
-
-
-def _unrank_pair(c: int, n: int) -> tuple[int, int]:
-    # inverse of the lexicographic pair order used by pair_index
-    i = 0
-    block = n - 1
-    while c >= block:
-        c -= block
-        i += 1
-        block -= 1
-    return i, i + 1 + c
+    for flat in lat:
+        for i, j, k in combinations(flat.members, 3):
+            # d(e_i e_j e_k) = e_j e_k - e_i e_k + e_i e_j
+            for h in range(n):
+                # e_h ^ e_a ^ e_b, sorted with a sign; the three pairs give
+                # three different triples, so no two terms collide
+                row = {}
+                for a, b, v in ((j, k, 1), (i, k, -1), (i, j, 1)):
+                    if h == a or h == b:
+                        continue
+                    if h < a:
+                        row[tidx[h, a, b]] = v
+                    elif h < b:
+                        row[tidx[a, h, b]] = -v
+                    else:
+                        row[tidx[a, b, h]] = v
+                rows.append(row)
+    return n * i2_basis(lat).rank - rank(rows, len(tidx))

@@ -5,8 +5,9 @@ rotation-filtered Lyndon enumeration, tensor-algebra bracket expansion,
 sympy ranks and Smith forms, whole-lattice Moebius sums, Hilbert series
 coefficient extraction, per-character Milnor accounting, and a Kunneth
 count on product arrangements.  Slow and simple on purpose.  The graded
-subspaces at the end are the one exception: they echelonize the library's
-own J_k and derived-span rows, for tests of those row builders.
+subspaces at the end are the one exception: they take sympy's reduced
+row echelon form of the library's own J_k and derived-span rows, for tests
+of those row builders.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from arrinv.errors import DomainError
-from arrinv.holonomy import _derived_word_rows, _guard, _int_rows, _jk_word_rows
-from arrinv.linalg import reduced_echelon
+from arrinv.holonomy import _derived_word_rows, _int_rows, _jk_word_rows
 from arrinv.lyndon import DEFAULT_WORD_CEILING, lyndon_basis
 
 
@@ -262,8 +262,18 @@ class GradedSubspace:
 
 
 def _echelon_subspace(word_rows, basis) -> GradedSubspace:
-    rows = reduced_echelon(_int_rows(word_rows, basis))
-    frozen = tuple(tuple(sorted(r.items())) for r in rows)
+    dense = []
+    for r in _int_rows(word_rows, basis):
+        row = [0] * len(basis)
+        for c, v in r.items():
+            row[c] = v
+        dense.append(row)
+    rref = sympy.Matrix(dense).rref()[0].tolist() if dense else []
+    frozen = tuple(
+        tuple((c, Fraction(int(v.p), int(v.q))) for c, v in enumerate(r) if v)
+        for r in rref
+        if any(r)
+    )
     return GradedSubspace(basis.degree, len(basis), frozen)
 
 
@@ -273,14 +283,12 @@ def holonomy_ideal_subspace(
     """Reduced echelon basis of J_k (exact; meant for small degrees)."""
     if k < 2:
         raise DomainError("the ideal starts in degree 2")
-    _guard(arr.n, k, ceiling)
-    return _echelon_subspace(_jk_word_rows(arr, k), lyndon_basis(arr.n, k))
+    basis = lyndon_basis(arr.n, k, ceiling)
+    return _echelon_subspace(_jk_word_rows(arr, k), basis)
 
 
 def derived_subspace(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> GradedSubspace:
     """Reduced echelon basis of the derived span D_k of the free Lie algebra."""
     if n < 1 or k < 1:
         raise DomainError("need n >= 1 and k >= 1")
-    _guard(n, k, ceiling)
-    return _echelon_subspace(_derived_word_rows(n, k), lyndon_basis(n, k))
-
+    return _echelon_subspace(_derived_word_rows(n, k), lyndon_basis(n, k, ceiling))

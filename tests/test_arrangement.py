@@ -14,9 +14,11 @@ from arrinv.arrangement import (
     first_duplicate,
     graphic_arrangement,
     l2_to_json,
+    line_key,
     localization,
     make_arrangement,
     mobius2,
+    plane_key,
     product,
 )
 from arrinv.catalog import builtin, from_spec
@@ -24,7 +26,7 @@ from arrinv.checks import random_rank3_arrangement
 from arrinv.errors import DomainError
 from arrinv.parsing import parse_arrangement
 
-from oracles import brute_l2_flats, whitney_betti2
+from oracles import brute_l2_flats, fraction_rank, whitney_betti2
 
 
 def test_make_arrangement_basic():
@@ -53,6 +55,48 @@ def test_make_arrangement_rejections():
     # the lexicographically first proportional pair is named
     with pytest.raises(DomainError, match="normals 0 and 3 define the same hyperplane"):
         make_arrangement([(1, 0), (0, 1), (0, 2), (3, 0)])
+
+
+def _scaled(rng, row):
+    # the same line, through a random nonzero fraction of either sign
+    f = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+    return tuple(f * v for v in row)
+
+
+def _nonzero(rng, d):
+    while True:
+        v = tuple(rng.randrange(-2, 3) for _ in range(d))
+        if any(v):
+            return v
+
+
+def test_line_and_plane_keys_match_span_equality():
+    rng = random.Random(41)
+    for d in range(2, 10):
+        for _ in range(40):
+            u, v = _nonzero(rng, d), _nonzero(rng, d)
+            same_line = fraction_rank([u, v], d) == 1
+            assert (line_key(_scaled(rng, u)) == line_key(_scaled(rng, v))) == same_line
+            if same_line:
+                with pytest.raises(DomainError):
+                    plane_key(line_key(u), line_key(_scaled(rng, v)))
+                continue
+            # a second pair: a random change of basis of span(u, v), whose
+            # determinant may be negative, or an unrelated pair
+            if rng.random() < 0.5:
+                while True:
+                    a, b, c, e = (rng.randint(-3, 3) for _ in range(4))
+                    if a * e - b * c:
+                        break
+                x = tuple(a * p + b * q for p, q in zip(u, v))
+                y = tuple(c * p + e * q for p, q in zip(u, v))
+            else:
+                x, y = _nonzero(rng, d), _nonzero(rng, d)
+                if fraction_rank([x, y], d) < 2:
+                    continue
+            key = plane_key(line_key(_scaled(rng, u)), line_key(_scaled(rng, v)))
+            other = plane_key(line_key(_scaled(rng, x)), line_key(_scaled(rng, y)))
+            assert (key == other) == (fraction_rank([u, v, x, y], d) == 2)
 
 
 def _random_arrangement(rng, d, n):

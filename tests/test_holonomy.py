@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from arrinv.arrangement import betti, compute_l2
+from arrinv.arrangement import betti, compute_l2, make_arrangement
 from arrinv.catalog import builtin, from_spec
 from arrinv.checks import random_rank3_arrangement
 from arrinv.errors import DomainError, ResourceError
@@ -15,7 +15,7 @@ from arrinv.holonomy import (
     is_decomposable,
     local_h3_rank,
 )
-from arrinv.lyndon import witt_count
+from arrinv.lyndon import DEFAULT_WORD_CEILING, witt_count
 
 from oracles import derived_subspace, holonomy_ideal_subspace
 from test_acceptance import budget
@@ -139,3 +139,30 @@ def test_resource_ceiling():
         holonomy_rank(builtin("braid", (4,)), 6, ceiling=1000)
     with pytest.raises(ResourceError):
         infinitesimal_alexander_dims(builtin("nonpappus"), 6, ceiling=2000)
+
+
+def test_every_basis_is_checked_against_the_callers_ceiling(monkeypatch):
+    from arrinv import holonomy
+
+    seen = []
+    real = holonomy.lyndon_basis
+
+    def spy(n, k, ceiling=DEFAULT_WORD_CEILING):
+        seen.append(ceiling)
+        return real(n, k, ceiling)
+
+    monkeypatch.setattr(holonomy, "lyndon_basis", spy)
+    # fresh labels make a new arrangement, so no cache answers for it
+    x3 = builtin("x3")
+    arr = make_arrangement(x3.normals, labels=["spy%d" % i for i in range(x3.n)])
+    assert holonomy_rank(arr, 4, ceiling=5000) == 9
+    assert h3_group(arr, ceiling=5000).rank == 6
+    assert infinitesimal_alexander_dims(arr, 2, ceiling=5000) == [3, 6, 9]
+    assert seen and set(seen) == {5000}
+    with pytest.raises(ResourceError, match="7735 basis words, above the ceiling of 5000"):
+        holonomy_rank(arr, 6, ceiling=5000)
+    # a refusal names the caller's ceiling, above the default as well
+    braid10 = from_spec("braid:10")
+    with pytest.raises(ResourceError, match="242970 basis words, above the ceiling of 242969"):
+        h3_group(braid10, ceiling=242969)
+    assert holonomy.lyndon_basis(braid10.n, 3, 300000).degree == 3

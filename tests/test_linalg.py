@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from arrinv.linalg import rank, rank_exact, reduced_echelon, smith_diagonal
+from arrinv.linalg import rank, rank_exact, smith_diagonal
 
 from oracles import fraction_rank, sympy_invariant_factors, sympy_rank
 
@@ -56,23 +56,6 @@ def test_rank_dispatch_records_modular_use():
         a, b = rng.sample(rows, 2)
         rows.append({c: 3 * a.get(c, 0) - b.get(c, 0) for c in a.keys() | b.keys()})
     assert rank(rows, 300) == fraction_rank(rows, 300) <= 30
-
-
-def test_reduced_echelon_preserves_row_space():
-    rng = random.Random(7)
-    for _ in range(20):
-        ncols = rng.randrange(1, 8)
-        rows = random_sparse_rows(rng, rng.randrange(1, 9), ncols)
-        ech = reduced_echelon(rows)
-        assert len(ech) == rank_exact(rows)
-        # appending the original rows must not grow the rank
-        assert rank_exact(list(ech) + rows) == len(ech)
-        # pivots are unit and alone in their column
-        pivots = [min(r) for r in ech]
-        assert pivots == sorted(pivots)
-        for r, p in zip(ech, pivots):
-            assert r[p] == 1
-            assert all(other.get(p, 0) == 0 for other in ech if other is not r)
 
 
 def test_smith_diagonal_known_matrices():

@@ -57,6 +57,6 @@ def test_falk_phi3_catalog_values():
 
 def test_falk_phi3_matches_holonomy_route():
     rng = random.Random(61)
-    for _ in range(8):
-        arr = random_rank3_arrangement(rng, max_n=7)
+    for _ in range(24):
+        arr = random_rank3_arrangement(rng, max_n=8)
         assert falk_phi3(arr) == holonomy_rank(arr, 3)
