@@ -12,9 +12,11 @@ false; the key is kept for compatibility with existing readers.
 
 A subcommand is one compute function ``(arr, ceiling, **options) ->
 (result, hypotheses)``, whose docstring is its help, registered with
-``@_command(name, *extra_options)``.  Compute functions call the library
-through module-level names at call time, so a tracer that rebinds them
-sees each call.
+``@_command(name, *extra_options)`` as an argparse subparser.  Compute
+functions call the library through module-level names at call time, so a
+tracer that rebinds them sees each call.  Parsing needs nothing beyond
+the standard library; usage errors raise DomainError, and option bounds
+are checked once, after parsing.
 
 Exit codes: 0 success, 1 input or parse error, 2 hypothesis refusal,
 3 resource ceiling hit.
@@ -22,11 +24,10 @@ Exit codes: 0 success, 1 input or parse error, 2 hypothesis refusal,
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from collections import Counter
-
-import click
 
 from . import __version__
 from .arrangement import (
@@ -39,18 +40,12 @@ from .arrangement import (
 )
 from .catalog import CATALOG_NAMES, from_spec
 from .checks import run_all_checks
-from .errors import (
-    CatalogError,
-    DomainError,
-    HypothesisError,
-    ParseError,
-    RefusalError,
-    ResourceError,
-)
-from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable
+from .errors import (CatalogError, DomainError, HypothesisError, ParseError, RefusalError,
+                     ResourceError)
+from .formulas import MAX_FORMULA_DEGREE, chen_ranks_decomposable, lcs_ranks_decomposable
 from .holonomy import h3_group, holonomy_rank, is_decomposable, local_h3_rank
 from .jumploci import characteristic_components, resonance_components
-from .lyndon import DEFAULT_WORD_CEILING
+from .lyndon import DEFAULT_WORD_CEILING, lyndon_basis
 from .milnor import milnor_b1
 from .parsing import parse_arrangement
 
@@ -67,92 +62,94 @@ def _report(arrangement, result: dict, hypotheses: dict) -> dict:
 
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
         return
     arr = report.get("arrangement")
     if arr:
-        click.echo("arrangement: %d hyperplanes in %d variables"
-                   % (len(arr["normals"]), len(arr["variables"])))
+        print("arrangement: %d hyperplanes in %d variables"
+              % (len(arr["normals"]), len(arr["variables"])))
     for key, value in report["result"].items():
         if isinstance(value, dict):
-            click.echo("%s:" % key)
+            print("%s:" % key)
             for k in sorted(value, key=_maybe_int):
-                click.echo("  %s: %s" % (k, value[k]))
+                print("  %s: %s" % (k, value[k]))
         elif isinstance(value, list) and value and isinstance(value[0], dict):
-            click.echo("%s:" % key)
+            print("%s:" % key)
             for entry in value:
-                click.echo("  " + ", ".join("%s=%s" % kv for kv in entry.items()))
+                print("  " + ", ".join("%s=%s" % kv for kv in entry.items()))
         else:
-            click.echo("%s: %s" % (key, value))
+            print("%s: %s" % (key, value))
     hyp = report.get("hypotheses")
     if hyp:
-        click.echo("hypotheses: " + ", ".join("%s=%s" % kv for kv in hyp.items()))
+        print("hypotheses: " + ", ".join("%s=%s" % kv for kv in hyp.items()))
 
 
 def _maybe_int(key):
     return (0, int(key)) if str(key).lstrip("-").isdigit() else (1, str(key))
 
 
-def _at_least(low: int):
-    def check(ctx, param, value):
-        if value < low:
-            raise DomainError("%s must be at least %d" % (param.opts[0], low))
-        return value
-    return check
+class _Parser(argparse.ArgumentParser):
+    """argparse without abbreviations or ``-h``, whose usage errors raise
+    DomainError, so they exit 1 through ``main`` like every input error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message):
+        raise DomainError(message)
 
 
-def _parse_mult(ctx, param, value):
-    if value is None:
-        return None
-    try:
-        return tuple(int(p) for p in value.split(","))
-    except ValueError:
-        raise DomainError("--mult wants integers like 1,2,1") from None
+def _int_option(flag: str, default: int, help: str, dest: str | None = None):
+    """(flag, add_argument keywords) of an integer option showing its default."""
+    return flag, dict(dest=dest or flag[2:], type=int, default=default,
+                      help=help + " (default: %(default)s)")
 
 
-def _format_options(fn):
-    fn = click.option("--json", "fmt", flag_value="json", default=True,
-                      help="machine readable output (default)")(fn)
-    fn = click.option("--table", "fmt", flag_value="table",
-                      help="human readable output")(fn)
-    fn = click.option("--ceiling", default=DEFAULT_WORD_CEILING, show_default=True,
-                      callback=_at_least(1000),
-                      help="largest free Lie basis the engine may enumerate")(fn)
-    return fn
+# (dest, option, lowest value), checked once parsing is done
+_BOUNDS = (("ceiling", "--ceiling", 1000), ("kmax", "--max", 1), ("depth", "--depth", 1))
+
+_FORMAT_OPTIONS = (
+    _int_option("--ceiling", DEFAULT_WORD_CEILING,
+                "largest free Lie basis the engine may enumerate"),
+    ("--json", dict(dest="fmt", action="store_const", const="json", default="json",
+                    help="machine readable output (default)")),
+    ("--table", dict(dest="fmt", action="store_const", const="table",
+                     help="human readable output")),
+)
+
+_SOURCE_OPTIONS = (("--file", dict(help="arrangement file (polynomial or JSON)")),
+                   ("--builtin", dict(help="catalog arrangement NAME[:params]")))
+
+_separated_option = ("--assert-separated", dict(
+    dest="separated", action="store_true",
+    help="assert the Alexander invariant is separated"))
+
+_cli = _Parser(prog="arr",
+               description="Exact invariants of central complex hyperplane arrangements.")
+_cli.add_argument("--version", action="version", version="arr, version " + __version__,
+                  help="show the version and exit")
+_subcommands = _cli.add_subparsers(metavar="COMMAND", required=True)
 
 
-def _max_option(default: int, help: str):
-    return click.option("--max", "kmax", default=default, show_default=True,
-                        callback=_at_least(1), help=help)
-
-
-def _depth_option(help: str):
-    return click.option("--depth", default=1, show_default=True,
-                        callback=_at_least(1), help=help)
-
-
-_separated_option = click.option(
-    "--assert-separated", "separated", is_flag=True,
-    help="assert the Alexander invariant is separated")
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="arr")
-def cli():
-    """Exact invariants of central complex hyperplane arrangements."""
+def _subcommand(name: str, run, doc: str, options) -> None:
+    parser = _subcommands.add_parser(name, help=doc, description=doc)
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(run=run)
 
 
 def _command(name: str, *extra_options):
     """Register ``compute`` as subcommand NAME, with the shared options
     ``--file``, ``--builtin``, ``--ceiling``, ``--table``/``--json``."""
     def register(compute):
-        def run(builtin_spec, file_path, fmt, ceiling, **options):
-            if builtin_spec and file_path:
+        def run(builtin, file, fmt, ceiling, **options):
+            if builtin and file:
                 raise DomainError("--builtin and --file are mutually exclusive")
-            if builtin_spec:
-                arr = from_spec(builtin_spec)
-            elif file_path:
-                with open(file_path, encoding="utf-8") as fh:
+            if builtin:
+                arr = from_spec(builtin)
+            elif file:
+                with open(file, encoding="utf-8") as fh:
                     arr = parse_arrangement(fh.read())
             else:
                 raise DomainError("one of --builtin or --file is required "
@@ -160,15 +157,9 @@ def _command(name: str, *extra_options):
             result, hypotheses = compute(arr, ceiling, **options)
             _emit(_report(arrangement_to_json(arr), result, hypotheses), fmt)
 
-        for option in reversed(extra_options):
-            run = option(run)
-        run = _format_options(run)
-        run = click.option("--builtin", "builtin_spec", default=None,
-                           help="catalog arrangement NAME[:params]")(run)
-        run = click.option("--file", "file_path", default=None,
-                           type=click.Path(exists=True, dir_okay=False),
-                           help="arrangement file (polynomial or JSON)")(run)
-        return cli.command(name, help=compute.__doc__)(run)
+        _subcommand(name, run, compute.__doc__,
+                    _SOURCE_OPTIONS + _FORMAT_OPTIONS + extra_options)
+        return compute
     return register
 
 
@@ -200,9 +191,14 @@ def betti_cmd(arr, ceiling):
     return {"b1": b1, "b2": b2}, {}
 
 
-@_command("holonomy", _max_option(3, "largest LCS degree to compute"))
+@_command("holonomy", _int_option("--max", 3, "largest LCS degree to compute", "kmax"))
 def holonomy(arr, ceiling, kmax):
     """Holonomy Lie algebra ranks phi_1..phi_max from the presentation."""
+    if kmax > MAX_FORMULA_DEGREE:
+        raise ResourceError("degree %d exceeds %d, the largest holonomy computes"
+                            % (kmax, MAX_FORMULA_DEGREE))
+    for k in range(2, kmax + 1):  # every basis, smallest first, before any rank
+        lyndon_basis(arr.n, k, ceiling)
     ranks = {str(k): holonomy_rank(arr, k, ceiling) for k in range(1, kmax + 1)}
     return {"kind": "lcs", "ranks": ranks, "route": "presentation"}, {}
 
@@ -221,7 +217,7 @@ def decomp(arr, ceiling):
     }, {}
 
 
-@_command("lcs", _max_option(5, "largest LCS degree to report"))
+@_command("lcs", _int_option("--max", 5, "largest LCS degree to report", "kmax"))
 def lcs(arr, ceiling, kmax):
     """LCS ranks from the product formula (decomposable arrangements)."""
     ranks = {str(k): v for k, v in lcs_ranks_decomposable(arr, kmax).values.items()}
@@ -229,7 +225,7 @@ def lcs(arr, ceiling, kmax):
             {"q_decomposable": True})
 
 
-@_command("chen", _max_option(4, "largest Chen degree to report"))
+@_command("chen", _int_option("--max", 4, "largest Chen degree to report", "kmax"))
 def chen(arr, ceiling, kmax):
     """Chen ranks theta_1..theta_max (decomposable arrangements)."""
     # top degree first: its refusals come before any rank is computed
@@ -249,14 +245,14 @@ def _components_json(arr, depth, comps):
     }
 
 
-@_command("resonance", _depth_option("resonance depth s"))
+@_command("resonance", _int_option("--depth", 1, "resonance depth s"))
 def resonance(arr, ceiling, depth):
     """Components of the depth-s resonance variety."""
     comps = resonance_components(arr, depth)
     return _components_json(arr, depth, comps), {"q_decomposable": True}
 
 
-@_command("charvar", _depth_option("characteristic variety depth s"),
+@_command("charvar", _int_option("--depth", 1, "characteristic variety depth s"),
           _separated_option)
 def charvar(arr, ceiling, depth, separated):
     """Subtorus components of the depth-s characteristic variety."""
@@ -265,9 +261,8 @@ def charvar(arr, ceiling, depth, separated):
 
 
 @_command("milnor",
-          click.option("--mult", "mult", default=None, callback=_parse_mult,
-                       help="comma separated multiplicities, one per hyperplane "
-                            "(default: all 1)"),
+          ("--mult", dict(help="comma separated multiplicities, one per hyperplane "
+                               "(default: all 1)")),
           _separated_option)
 def milnor(arr, ceiling, mult, separated):
     """Milnor fiber b1 and monodromy eigenvalue multiplicities."""
@@ -284,12 +279,6 @@ def milnor(arr, ceiling, mult, separated):
     }, dict(report.hypotheses))
 
 
-@cli.command()
-@click.option("--seed", default=0, show_default=True,
-              help="seed for the randomized cross checks")
-@click.option("--samples", default=10, show_default=True,
-              help="number of random arrangements")
-@_format_options
 def check(seed, samples, fmt, ceiling):
     """Cross-oracle consistency suite; nonzero exit on any mismatch."""
     results = run_all_checks(seed=seed, samples=samples)
@@ -304,31 +293,41 @@ def check(seed, samples, fmt, ceiling):
         raise SystemExit(1)
 
 
+_subcommand("check", check, check.__doc__, (
+    _int_option("--seed", 0, "seed for the randomized cross checks"),
+    _int_option("--samples", 10, "number of random arrangements"),
+) + _FORMAT_OPTIONS)
+
+
+def _parse(argv) -> tuple:
+    """The subcommand's runner and its options, bounds checked."""
+    options = vars(_cli.parse_args(argv))
+    for dest, flag, low in _BOUNDS:
+        if options.get(dest, low) < low:
+            raise DomainError("%s must be at least %d" % (flag, low))
+    if options.get("mult") is not None:
+        try:
+            options["mult"] = tuple(int(p) for p in options["mult"].split(","))
+        except ValueError:
+            raise DomainError("--mult wants integers like 1,2,1") from None
+    return options.pop("run"), options
+
+
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except (ParseError, CatalogError, DomainError) as exc:
-        click.echo("error: %s" % exc, err=True)
-        return 1
-    except click.UsageError as exc:
-        click.echo("error: %s" % exc.format_message(), err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    except click.exceptions.Abort:
+        run, options = _parse(argv)
+        run(**options)
+    except (ParseError, CatalogError, DomainError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 1
     except (HypothesisError, RefusalError) as exc:
-        click.echo("refused: %s" % exc, err=True)
+        print("refused: %s" % exc, file=sys.stderr)
         return 2
     except ResourceError as exc:
-        click.echo("resource ceiling: %s" % exc, err=True)
+        print("resource ceiling: %s" % exc, file=sys.stderr)
         return 3
     except SystemExit as exc:
         return int(exc.code or 0)
-    except OSError as exc:
-        click.echo("error: %s" % exc, err=True)
-        return 1
     return 0
 
 

@@ -10,8 +10,13 @@ with a = n - sum mu(X), by Mobius inversion:
 
     N * phi_N = sum_{d | N} mobius(d) * (a + sum_X mu(X)^{N/d}).
 
-The same kernel serves graphic arrangements of K4-free graphs; general
-graphs go through the explicit clique/Witt double sum instead.
+Graphic arrangements use the clique/Witt double sum instead, for every
+graph: with kappa_s the number of complete subgraphs on s+1 vertices,
+
+    phi_k = sum_{j=1}^{k} sum_{s=j}^{k} (-1)^(s-j) C(s, j) kappa_s witt(j, k).
+
+On K4-free graphs it agrees with the product formula, and the tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -142,24 +147,13 @@ def graphic_lcs(g: SimpleGraph, kmax: int) -> RankTable:
         raise DomainError("need kmax >= 1")
     kappa = clique_counts(g)
     values: dict[int, int] = {}
-    if len(kappa) < 4 or kappa[3] == 0:
-        # K4-free: the group decomposes, so the shared product-formula
-        # kernel applies.  Flats: one mu=2 flat per triangle, mu=1 for
-        # every edge pair not inside a triangle.
-        edges = kappa[1] if len(kappa) > 1 else 0
-        triangles = kappa[2] if len(kappa) > 2 else 0
-        mus = [2] * triangles + [1] * (comb(edges, 2) - 3 * triangles)
-        a = edges - sum(mus)
-        for k in range(1, kmax + 1):
-            values[k] = _phi_from_product(a, mus, k)
-    else:
-        for k in range(1, kmax + 1):
-            total = 0
-            for j in range(1, k + 1):
-                coeff = sum(
-                    (-1) ** (s - j) * comb(s, j) * kappa[s]
-                    for s in range(j, min(k, len(kappa) - 1) + 1)
-                )
-                total += coeff * witt_count(j, k)
-            values[k] = total
+    for k in range(1, kmax + 1):
+        total = 0
+        for j in range(1, k + 1):
+            coeff = sum(
+                (-1) ** (s - j) * comb(s, j) * kappa[s]
+                for s in range(j, min(k, len(kappa) - 1) + 1)
+            )
+            total += coeff * witt_count(j, k)
+        values[k] = total
     return RankTable("lcs", values, hypothesis="graphic")

@@ -172,7 +172,6 @@ def is_decomposable(arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING) -> di
     return {"rational": rational, "integral": rational and not report.torsion}
 
 
-@lru_cache(maxsize=None)
 def _derived_word_rows(n: int, j: int) -> tuple[Vector, ...]:
     """Brackets [u, v] of basis elements with deg u, deg v >= 2 summing to j."""
     out: list[Vector] = []
@@ -191,13 +190,6 @@ def _derived_word_rows(n: int, j: int) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _bk_rank(arr: Arrangement, basis: LyndonBasis) -> int:
-    j = basis.degree
-    rows = chain(_jk_word_rows(arr, j), _derived_word_rows(arr.n, j))
-    return rank(_int_rows(rows, basis), len(basis))
-
-
 def infinitesimal_alexander_dims(
     arr: Arrangement, kmax: int, ceiling: int = DEFAULT_WORD_CEILING
 ) -> list[int]:
@@ -210,6 +202,11 @@ def infinitesimal_alexander_dims(
     """
     if kmax < 0:
         raise DomainError("kmax must be nonnegative")
-    # every degree is checked, largest first, before any elimination
+    # every degree is checked, largest first, before any row is built
     bases = [lyndon_basis(arr.n, j, ceiling) for j in range(kmax + 2, 1, -1)]
-    return [witt_count(arr.n, b.degree) - _bk_rank(arr, b) for b in reversed(bases)]
+    dims = []
+    for basis in reversed(bases):
+        j = basis.degree
+        rows = chain(_jk_word_rows(arr, j), _derived_word_rows(arr.n, j))
+        dims.append(witt_count(arr.n, j) - rank(_int_rows(rows, basis), len(basis)))
+    return dims

@@ -201,6 +201,31 @@ def test_option_bounds(capsys, argv):
     assert err.startswith("error: " + argv[1] + " ")
 
 
+@pytest.mark.parametrize("argv", [
+    (),
+    ("no_such_command",),
+    ("betti", "--builtin", "x3", "--bogus"),
+    ("betti", "--builtin"),
+    ("holonomy", "--builtin", "x3", "--max", "x"),
+    ("betti", "--builtin", "x3", "--ceil", "5000"),
+], ids=["no-command", "unknown-command", "unknown-option", "missing-value",
+        "max-not-int", "abbreviation"])
+def test_usage_errors(capsys, argv):
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [()] + [(c[0],) for c in ARRANGEMENT_COMMANDS]
+                         + [("check",)], ids=lambda c: c[0] if c else "arr")
+def test_help(capsys, command):
+    rc, out = run(capsys, *command, "--help")
+    assert rc == 0
+    assert out.startswith("usage: arr")
+
+
 def test_modular_flag_surfaces_in_report(capsys):
     # every rank is exact; the key stays as a constant for old readers
     doc = run_json(capsys, "holonomy", "--builtin", "nonpappus", "--max", "4")
@@ -224,16 +249,17 @@ def test_check_subcommand(capsys):
 def test_version(capsys):
     rc, out = run(capsys, "--version")
     assert rc == 0
-    assert "0.1.0" in out
+    assert out == "arr, version 0.1.0\n"
 
 
 def test_cli_import_does_not_load_numpy():
     src = str(Path(arrinv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, arrinv.cli; print('numpy' in sys.modules)"
+    # the CLI runs on the standard library alone
+    code = "import sys, arrinv.cli; print('numpy' in sys.modules, 'click' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 def test_formula_degree_is_bounded(capsys, monkeypatch):
@@ -255,3 +281,32 @@ def test_formula_degree_is_bounded(capsys, monkeypatch):
         assert rc == 2
         doc = run_json(capsys, command, "--builtin", "x3", "--max", "1000")
         assert len(doc["result"]["ranks"]) == formulas.MAX_FORMULA_DEGREE == 1000
+
+
+def test_holonomy_degree_is_bounded(tmp_path, capsys, monkeypatch):
+    # every Lyndon basis up to --max is checked against the ceiling, and
+    # --max against MAX_FORMULA_DEGREE, before the first rank
+    from arrinv import cli, formulas
+
+    def no_rank(*args):
+        raise AssertionError("a rank was computed before a refusal")
+
+    one = tmp_path / "one.txt"
+    one.write_text("x\n")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "holonomy_rank", no_rank)
+        rc = main(["holonomy", "--builtin", "x3", "--max", "1000000000"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("resource ceiling: degree 1000000000")
+        rc = main(["holonomy", "--builtin", "x2", "--max", "6", "--ceiling", "19000"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "resource ceiling: degree-6 computation needs 19544 basis words, "
+            "above the ceiling of 19000\n")
+        rc = main(["holonomy", "--file", str(one), "--max", "1001"])
+        assert rc == 3
+    # one hyperplane: an empty basis in every degree >= 2
+    doc = run_json(capsys, "holonomy", "--file", str(one), "--max", "1000")
+    ranks = doc["result"]["ranks"]
+    assert len(ranks) == formulas.MAX_FORMULA_DEGREE
+    assert ranks["1"] == 1 and set(ranks.values()) == {0, 1}

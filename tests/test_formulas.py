@@ -155,24 +155,26 @@ def test_graphic_lcs_small():
 
 
 def test_graphic_lcs_agrees_with_decomposable_route():
-    # every K4-free graph is decomposable, so the two formulas must agree
+    # every K4-free graph is decomposable, so the clique/Witt double sum and
+    # the product formula must agree
     rng = random.Random(73)
-    found = 0
-    while found < 12:
-        v = rng.randrange(3, 6)
-        edges = tuple(
-            (a, b)
-            for a in range(v)
-            for b in range(a + 1, v)
-            if rng.random() < 0.5
-        )
-        g = SimpleGraph(v, edges)
-        kappa = clique_counts(g)
-        if not edges or (len(kappa) >= 4 and kappa[3]):
-            continue
-        found += 1
-        arr = graphic_arrangement(g)
-        assert graphic_lcs(g, 5).values == lcs_ranks_decomposable(arr, 5).values
+    for vertices, kmax, wanted in (((3, 6), 5, 12), ((6, 8), 6, 6)):
+        found = 0
+        while found < wanted:
+            v = rng.randrange(*vertices)
+            edges = tuple(
+                (a, b)
+                for a in range(v)
+                for b in range(a + 1, v)
+                if rng.random() < 0.5
+            )
+            g = SimpleGraph(v, edges)
+            kappa = clique_counts(g)
+            if not edges or (len(kappa) >= 4 and kappa[3]):
+                continue
+            found += 1
+            arr = graphic_arrangement(g)
+            assert graphic_lcs(g, kmax).values == lcs_ranks_decomposable(arr, kmax).values
 
 
 def test_graphic_lcs_k4_matches_holonomy():
