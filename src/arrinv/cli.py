@@ -220,7 +220,8 @@ def decomp(arr, ceiling):
 @_command("lcs", _int_option("--max", 5, "largest LCS degree to report", "kmax"))
 def lcs(arr, ceiling, kmax):
     """LCS ranks from the product formula (decomposable arrangements)."""
-    ranks = {str(k): v for k, v in lcs_ranks_decomposable(arr, kmax).values.items()}
+    table = lcs_ranks_decomposable(arr, kmax, ceiling=ceiling)
+    ranks = {str(k): v for k, v in table.values.items()}
     return ({"kind": "lcs", "ranks": ranks, "route": "product-formula"},
             {"q_decomposable": True})
 
@@ -229,7 +230,8 @@ def lcs(arr, ceiling, kmax):
 def chen(arr, ceiling, kmax):
     """Chen ranks theta_1..theta_max (decomposable arrangements)."""
     # top degree first: its refusals come before any rank is computed
-    ranks = {str(k): chen_ranks_decomposable(arr, k) for k in range(kmax, 0, -1)}
+    ranks = {str(k): chen_ranks_decomposable(arr, k, ceiling=ceiling)
+             for k in range(kmax, 0, -1)}
     return {"kind": "chen", "ranks": ranks}, {"q_decomposable": True}
 
 
@@ -248,7 +250,7 @@ def _components_json(arr, depth, comps):
 @_command("resonance", _int_option("--depth", 1, "resonance depth s"))
 def resonance(arr, ceiling, depth):
     """Components of the depth-s resonance variety."""
-    comps = resonance_components(arr, depth)
+    comps = resonance_components(arr, depth, ceiling=ceiling)
     return _components_json(arr, depth, comps), {"q_decomposable": True}
 
 
@@ -256,7 +258,8 @@ def resonance(arr, ceiling, depth):
           _separated_option)
 def charvar(arr, ceiling, depth, separated):
     """Subtorus components of the depth-s characteristic variety."""
-    report = characteristic_components(arr, depth, separated=separated)
+    report = characteristic_components(arr, depth, separated=separated,
+                                       ceiling=ceiling)
     return _components_json(arr, depth, report), dict(report.hypotheses)
 
 
@@ -267,7 +270,7 @@ def charvar(arr, ceiling, depth, separated):
 def milnor(arr, ceiling, mult, separated):
     """Milnor fiber b1 and monodromy eigenvalue multiplicities."""
     m = mult or (1,) * arr.n
-    report = milnor_b1(MultiArrangement(arr, m), separated=separated)
+    report = milnor_b1(MultiArrangement(arr, m), separated=separated, ceiling=ceiling)
     return ({
         "N": report.N,
         "multiplicities": list(m),

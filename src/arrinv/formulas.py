@@ -27,7 +27,7 @@ from math import comb
 from .arrangement import Arrangement, SimpleGraph, compute_l2
 from .errors import DomainError, HypothesisError, ResourceError
 from .holonomy import is_decomposable
-from .lyndon import divisors, number_mobius, witt_count
+from .lyndon import DEFAULT_WORD_CEILING, divisors, number_mobius, witt_count
 
 # largest degree the decomposable LCS and Chen formulas report; past it
 # they raise ResourceError, after the decomposability refusal
@@ -81,8 +81,8 @@ def chen_lower_bound(arr: Arrangement, k: int) -> int:
     return (k - 1) * sum(comb(f.mobius + k - 2, k) for f in lat.multiple_flats())
 
 
-def _require_formula_domain(arr: Arrangement, what: str, degree: int):
-    if not is_decomposable(arr)["rational"]:
+def _require_formula_domain(arr: Arrangement, what: str, degree: int, ceiling: int):
+    if not is_decomposable(arr, ceiling)["rational"]:
         raise HypothesisError(
             "%s assumes a rationally decomposable arrangement; "
             "is_decomposable reports rational=false" % (what,)
@@ -92,11 +92,13 @@ def _require_formula_domain(arr: Arrangement, what: str, degree: int):
                             "report" % (degree, MAX_FORMULA_DEGREE))
 
 
-def chen_ranks_decomposable(arr: Arrangement, k: int) -> int:
+def chen_ranks_decomposable(
+    arr: Arrangement, k: int, *, ceiling: int = DEFAULT_WORD_CEILING
+) -> int:
     """Chen rank theta_k under the decomposability hypothesis."""
     if k < 1:
         raise DomainError("Chen ranks are indexed by k >= 1")
-    _require_formula_domain(arr, "chen_ranks_decomposable", k)
+    _require_formula_domain(arr, "chen_ranks_decomposable", k, ceiling)
     if k == 1:
         return arr.n
     return chen_lower_bound(arr, k)
@@ -113,11 +115,13 @@ def _phi_from_product(a: int, mus, degree: int) -> int:
     return quot
 
 
-def lcs_ranks_decomposable(arr: Arrangement, kmax: int) -> RankTable:
+def lcs_ranks_decomposable(
+    arr: Arrangement, kmax: int, *, ceiling: int = DEFAULT_WORD_CEILING
+) -> RankTable:
     """LCS ranks phi_1..phi_kmax under the decomposability hypothesis."""
     if kmax < 1:
         raise DomainError("need kmax >= 1")
-    _require_formula_domain(arr, "lcs_ranks_decomposable", kmax)
+    _require_formula_domain(arr, "lcs_ranks_decomposable", kmax, ceiling)
     mus = [f.mobius for f in compute_l2(arr)]
     a = arr.n - sum(mus)
     values = {k: _phi_from_product(a, mus, k) for k in range(1, kmax + 1)}

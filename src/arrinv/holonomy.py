@@ -120,8 +120,9 @@ def _jk_word_rows(arr: Arrangement, k: int) -> tuple[Vector, ...]:
 
 
 def _int_rows(word_rows, basis) -> Iterator[dict[int, int]]:
-    # streamed: the kernels copy each row as they take it, so the integer
-    # rows are never all alive at once
+    # streamed: smith_diagonal frees each row that reduces to zero as it
+    # goes; rank_exact copies every row and sorts the copies, so it holds
+    # all of them at once
     return ({basis.index[w]: c for w, c in row} for row in word_rows)
 
 

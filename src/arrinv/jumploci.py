@@ -21,6 +21,7 @@ from .arrangement import Arrangement, compute_l2
 from .errors import DomainError, HypothesisError, RefusalError
 from .formulas import free_chen
 from .holonomy import is_decomposable
+from .lyndon import DEFAULT_WORD_CEILING
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,11 @@ def _deep_flats(arr: Arrangement, s: int):
     return [f for f in compute_l2(arr) if f.mobius > s]
 
 
-def resonance_components(arr: Arrangement, s: int) -> list[LinearComponent]:
+def resonance_components(
+    arr: Arrangement, s: int, *, ceiling: int = DEFAULT_WORD_CEILING
+) -> list[LinearComponent]:
     """Components of the depth-s resonance variety, one per flat with mu > s."""
-    if not is_decomposable(arr)["rational"]:
+    if not is_decomposable(arr, ceiling)["rational"]:
         raise HypothesisError(
             "the flat-by-flat description of the resonance variety assumes "
             "a rationally decomposable arrangement"
@@ -84,14 +87,18 @@ def resonance_components(arr: Arrangement, s: int) -> list[LinearComponent]:
 
 
 def characteristic_components(
-    arr: Arrangement, s: int, *, separated: bool = False
+    arr: Arrangement,
+    s: int,
+    *,
+    separated: bool = False,
+    ceiling: int = DEFAULT_WORD_CEILING,
 ) -> CharacteristicReport:
     """Subtorus components of the depth-s characteristic variety.
 
     Requires the caller to assert separatedness of the rationalized
     Alexander invariant; the assertion is echoed in the report.
     """
-    if not is_decomposable(arr)["rational"]:
+    if not is_decomposable(arr, ceiling)["rational"]:
         raise HypothesisError(
             "the subtorus description of the characteristic variety assumes "
             "a rationally decomposable arrangement"

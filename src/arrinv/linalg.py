@@ -2,11 +2,15 @@
 
 Matrices are given as iterables of sparse rows; a row maps column index
 to an integer or Fraction value.  Ranks over the rationals come from one
-kernel, fraction-free sparse elimination, at every width.  Smith normal
-form diagonals are computed exactly over the integers by a streaming
-unit-pivot front end, shaped like the rank kernel's dict of pivots, and a
-dense reduction of the small core it leaves; the number of invariant
-factors is the rank, so one pass gives both.
+kernel, fraction-free sparse elimination, at every width.  It takes
+integer copies of the rows sparsest first, to keep the fill-in of the
+pivots small, and reduces each copy in place; against a pivot led by +-1
+(almost all of them on holonomy matrices) that is r -= (a * lead) * p,
+with no scaling and no content division.  Smith normal form diagonals
+are computed exactly over the integers by a streaming unit-pivot front
+end, shaped like the rank kernel's dict of pivots, and a dense reduction
+of the small core it leaves; the number of invariant factors is the rank,
+so one pass gives both.
 
 These are the package's only elimination kernels: ``rank_exact`` (and
 ``rank``, which takes a column count and calls it) and ``smith_diagonal``.
@@ -48,28 +52,51 @@ def _normalize(row: dict[int, int]) -> dict[int, int]:
 
 
 def rank_exact(rows) -> int:
-    """Rank over Q by sparse fraction-free elimination."""
+    """Rank over Q by sparse fraction-free elimination.
+
+    The rows are made integral and taken sparsest first, which keeps the
+    fill-in of the pivot rows small (the Markowitz heuristic).  Each row
+    is reduced in place against the pivots found so far, its columns
+    taken in increasing order from a heap.  Against a pivot whose leading
+    entry is +-1 the update is r -= (a * lead) * p; otherwise r is scaled
+    by the lead first and then divided by its content.  The input rows
+    are never modified.
+    """
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        r = _normalize(_intify(row))
-        while r:
-            c = min(r)
+    for r in sorted(map(_intify, rows), key=len):
+        r = _normalize(r)
+        cols = list(r)
+        heapify(cols)
+        while cols:
+            c = heappop(cols)
+            a = r.get(c)
+            if a is None:
+                # a column that cancelled after it was queued
+                continue
             p = pivots.get(c)
             if p is None:
                 pivots[c] = r
                 break
-            a = r.pop(c)
+            del r[c]
             lead = p[c]
-            nr = {k: lead * v for k, v in r.items()}
+            unit = lead == 1 or lead == -1
+            if unit:
+                a *= lead
+            else:
+                for k in r:
+                    r[k] *= lead
             for k, v in p.items():
                 if k == c:
                     continue
-                w = nr.get(k, 0) - a * v
+                w = r.get(k, 0) - a * v
                 if w:
-                    nr[k] = w
+                    if k not in r:
+                        heappush(cols, k)
+                    r[k] = w
                 else:
-                    nr.pop(k, None)
-            r = _normalize(nr)
+                    del r[k]
+            if not unit:
+                r = _normalize(r)
     return len(pivots)
 
 

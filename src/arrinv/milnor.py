@@ -38,6 +38,7 @@ from math import gcd
 from .arrangement import Flat2, MultiArrangement, arrangement_rank, compute_l2
 from .errors import HypothesisError, RefusalError, ResourceError
 from .holonomy import is_decomposable
+from .lyndon import DEFAULT_WORD_CEILING
 
 # largest N = sum(m) for milnor_b1, whose report has one entry per residue
 MAX_MILNOR_TOTAL = 10**6
@@ -101,7 +102,12 @@ def local_b1_lower_bound(ma: MultiArrangement) -> int:
     )
 
 
-def milnor_b1(ma: MultiArrangement, *, separated: bool = False) -> MilnorReport:
+def milnor_b1(
+    ma: MultiArrangement,
+    *,
+    separated: bool = False,
+    ceiling: int = DEFAULT_WORD_CEILING,
+) -> MilnorReport:
     """First Betti number of the Milnor fiber of a multi-arrangement.
 
     Needs the arrangement rationally decomposable and the caller's
@@ -109,7 +115,7 @@ def milnor_b1(ma: MultiArrangement, *, separated: bool = False) -> MilnorReport:
     ResourceError when N exceeds ``MAX_MILNOR_TOTAL``.
     """
     arr = ma.arrangement
-    if not is_decomposable(arr)["rational"]:
+    if not is_decomposable(arr, ceiling)["rational"]:
         raise HypothesisError(
             "the character enumeration computes b1 only for rationally "
             "decomposable arrangements; this one is not "

@@ -154,6 +154,26 @@ def test_exit_code_resource(capsys):
     assert rc == 3
 
 
+K6 = "graphic:" + ",".join("%d-%d" % (a, b) for a in range(6) for b in range(a + 1, 6))
+
+
+@pytest.mark.parametrize("command", [
+    ("decomp",),
+    ("lcs",),
+    ("chen",),
+    ("resonance",),
+    ("charvar", "--assert-separated"),
+    ("milnor", "--assert-separated"),
+], ids=lambda c: c[0])
+def test_decomposability_test_honors_the_ceiling(capsys, command):
+    # K6 is not decomposable (exit 2 at the default ceiling), but its
+    # degree-3 basis of 1120 words is refused first
+    rc = main([command[0], "--builtin", K6, "--ceiling", "1000", *command[1:]])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "degree-3 computation needs 1120 basis words" in err
+
+
 def test_file_inputs(tmp_path, capsys):
     poly = tmp_path / "pencil.txt"
     poly.write_text("[x, y] x y (x+y)\n")

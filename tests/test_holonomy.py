@@ -8,6 +8,8 @@ from arrinv.catalog import builtin, from_spec
 from arrinv.checks import random_rank3_arrangement
 from arrinv.errors import DomainError, ResourceError
 from arrinv.holonomy import (
+    _int_rows,
+    _jk_word_rows,
     h3_group,
     holonomy_rank,
     holonomy_relators,
@@ -15,7 +17,8 @@ from arrinv.holonomy import (
     is_decomposable,
     local_h3_rank,
 )
-from arrinv.lyndon import DEFAULT_WORD_CEILING, witt_count
+from arrinv.linalg import rank_exact, smith_diagonal
+from arrinv.lyndon import DEFAULT_WORD_CEILING, lyndon_basis, witt_count
 
 from oracles import derived_subspace, holonomy_ideal_subspace
 from test_acceptance import budget
@@ -77,6 +80,17 @@ def test_wide_h3_groups_match_the_rank_route():
         assert h3_group(braid6).rank == 440
         assert local_h3_rank(braid6) == 160
         assert is_decomposable(braid6) == {"rational": False, "integral": False}
+
+
+def test_rank_kernel_matches_the_smith_length_on_deep_jk():
+    # x3 J_5 is 2556 x 1554; pappus J_4 is the one catalog matrix whose
+    # Smith form leaves a nonempty core after its unit pivots
+    with budget(5, "deep J_k ranks"):
+        for name, k, want in (("x3", 5, 1536), ("pappus", 4, 1590)):
+            arr = builtin(name)
+            basis = lyndon_basis(arr.n, k)
+            rows = list(_int_rows(_jk_word_rows(arr, k), basis))
+            assert rank_exact(rows) == len(smith_diagonal(rows, len(basis))) == want
 
 
 def test_local_h3_rank():

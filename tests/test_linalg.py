@@ -20,11 +20,20 @@ def random_sparse_rows(rng, nrows, ncols, density=0.4, lo=-5, hi=5):
 
 
 def test_rank_exact_matches_oracles():
+    # the kernel updates its working rows in place, so it must work on
+    # copies: callers reuse the rows they pass in
     rng = random.Random(11)
     for _ in range(40):
         ncols = rng.randrange(1, 10)
         rows = random_sparse_rows(rng, rng.randrange(0, 12), ncols)
-        assert rank_exact(rows) == sympy_rank(rows, ncols) == fraction_rank(rows, ncols)
+        before = [dict(r) for r in rows]
+        got = rank_exact(rows)
+        assert rows == before
+        assert got == sympy_rank(rows, ncols) == fraction_rank(rows, ncols)
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert rank_exact(shuffled) == got
+        assert rows == before
 
 
 def test_rank_exact_handles_fractions():
@@ -42,7 +51,7 @@ def test_rank_exact_edge_cases():
     assert rank_exact([{0: 7}]) == 1
 
 
-def test_rank_dispatch_records_modular_use():
+def test_rank_exact_at_widths_above_250():
     # matrices wider than 250 columns get the exact kernel too
     ncols = 260
     cycle = [{i: 1, (i + 1) % ncols: -1} for i in range(ncols)]
