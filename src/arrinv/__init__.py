@@ -49,6 +49,7 @@ from .formulas import (
 from .holonomy import (
     h3_group,
     holonomy_rank,
+    holonomy_ranks,
     holonomy_relators,
     infinitesimal_alexander_dims,
     is_decomposable,
@@ -109,6 +110,7 @@ __all__ = [
     "graphic_lcs",
     "h3_group",
     "holonomy_rank",
+    "holonomy_ranks",
     "holonomy_relators",
     "i2_basis",
     "infinitesimal_alexander_dims",

@@ -10,8 +10,6 @@ invariants here depend on.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .arrangement import Arrangement, SimpleGraph, graphic_arrangement
 from .errors import CatalogError
 from .parsing import parse_arrangement
@@ -73,20 +71,21 @@ def _edge_params(params) -> SimpleGraph:
         raise CatalogError("bad edge list: %s" % e) from None
 
 
-@lru_cache(maxsize=None)
-def _builtin_cached(name: str, params: tuple) -> Arrangement:
+def builtin(name: str, params=()) -> Arrangement:
+    """Look up a catalog arrangement by name and parameter list."""
+    if name == "graphic":
+        return graphic_arrangement(_edge_params(params))
+    params = _int_params(params)
     if name == "braid":
-        (n,) = params if len(params) == 1 else (None,)
-        if not isinstance(n, int) or n < 3:
+        if len(params) != 1 or params[0] < 3:
             raise CatalogError("braid takes one integer parameter n >= 3")
-        return parse_arrangement(_braid_polynomial(n))
+        return parse_arrangement(_braid_polynomial(params[0]))
     if name == "split_solvable":
-        ms = params
-        if not ms or any(m < 2 for m in ms):
+        if not params or any(m < 2 for m in params):
             raise CatalogError(
                 "split_solvable takes multiplicities m1..mr, each >= 2"
             )
-        return parse_arrangement(_split_solvable_polynomial(ms))
+        return parse_arrangement(_split_solvable_polynomial(params))
     if name in _POLYNOMIALS:
         if params:
             raise CatalogError("%s takes no parameters" % name)
@@ -94,13 +93,6 @@ def _builtin_cached(name: str, params: tuple) -> Arrangement:
     raise CatalogError(
         "unknown arrangement %r; known: %s" % (name, ", ".join(CATALOG_NAMES))
     )
-
-
-def builtin(name: str, params=()) -> Arrangement:
-    """Look up a catalog arrangement by name and parameter list."""
-    if name == "graphic":
-        return graphic_arrangement(_edge_params(params))
-    return _builtin_cached(name, _int_params(params))
 
 
 def from_spec(spec: str) -> Arrangement:

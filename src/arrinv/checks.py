@@ -22,8 +22,9 @@ from .arrangement import (
     make_arrangement,
 )
 from .catalog import from_spec
+from .errors import HypothesisError
 from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable
-from .holonomy import holonomy_rank, infinitesimal_alexander_dims, is_decomposable
+from .holonomy import holonomy_rank, holonomy_ranks, infinitesimal_alexander_dims
 from .jumploci import chen_ranks_from_resonance
 from .lyndon import lyndon_words, witt_count
 from .milnor import _local_spectrum
@@ -57,11 +58,6 @@ def random_multiplicities(rng: random.Random, n: int, top: int = 4) -> tuple[int
         m = tuple(rng.randrange(1, top + 1) for _ in range(n))
         if gcd(*m) == 1:
             return m
-
-
-def _catalog_samples() -> list[tuple[str, Arrangement]]:
-    specs = ("x3", "x2", "nonpappus", "pappus", "braid:3", "split_solvable:2,3")
-    return [(spec, from_spec(spec)) for spec in specs]
 
 
 def check_pair_cover(arrs) -> CheckResult:
@@ -102,31 +98,30 @@ def check_falk_vs_holonomy(arrs) -> CheckResult:
 def check_lcs_formula(arrs, kmax: int = 4) -> CheckResult:
     tried = 0
     for name, arr in arrs:
-        if not is_decomposable(arr)["rational"]:
+        try:
+            table = lcs_ranks_decomposable(arr, kmax)
+        except HypothesisError:
             continue
         tried += 1
-        table = lcs_ranks_decomposable(arr, kmax)
+        ranks = holonomy_ranks(arr, kmax)
         for k in range(2, kmax + 1):
-            got = holonomy_rank(arr, k)
-            if table[k] != got:
-                return CheckResult(
-                    "lcs-product-formula",
-                    False,
-                    "%s k=%d: formula %d, holonomy %d" % (name, k, table[k], got),
-                )
+            if table[k] != ranks[k - 1]:
+                return CheckResult("lcs-product-formula", False, "%s k=%d: formula %d, "
+                                   "holonomy %d" % (name, k, table[k], ranks[k - 1]))
     return CheckResult("lcs-product-formula", True, "%d decomposable" % tried)
 
 
 def check_chen_consistency(arrs, kmax: int = 4) -> CheckResult:
     tried = 0
     for name, arr in arrs:
-        if not is_decomposable(arr)["rational"]:
+        try:
+            table = chen_ranks_decomposable(arr, kmax)
+        except HypothesisError:
             continue
         tried += 1
         dims = infinitesimal_alexander_dims(arr, kmax - 2)
         for k in range(2, kmax + 1):
-            formula = chen_ranks_decomposable(arr, k)
-            resonance = chen_ranks_from_resonance(arr, k)
+            formula, resonance = table[k], chen_ranks_from_resonance(arr, k)
             if not (formula == resonance == dims[k - 2]):
                 return CheckResult(
                     "chen-three-ways",
@@ -152,9 +147,9 @@ def _per_character_spectrum(ma: MultiArrangement) -> dict[int, int]:
     return out
 
 
-def check_milnor_double_count(rng, cases: int = 8) -> CheckResult:
+def check_milnor_double_count(arrs, rng, cases: int = 8) -> CheckResult:
     names = ["x3", "nonpappus", "split_solvable:2,3"]
-    pool = [(n, a) for n, a in _catalog_samples() if n in names]
+    pool = [(n, a) for n, a in arrs if n in names]
     for _ in range(cases):
         name, arr = pool[rng.randrange(len(pool))]
         ma = MultiArrangement(arr, random_multiplicities(rng, arr.n))
@@ -179,7 +174,8 @@ def check_witt_identity(n_max: int = 6, k_max: int = 6) -> CheckResult:
 def run_all_checks(seed: int = 0, samples: int = 10) -> list[CheckResult]:
     """Run the full cross-oracle suite; every result carries a verdict."""
     rng = random.Random(seed)
-    arrs = _catalog_samples()
+    specs = ("x3", "x2", "nonpappus", "pappus", "braid:3", "split_solvable:2,3")
+    arrs = [(spec, from_spec(spec)) for spec in specs]
     arrs += [
         ("random-%d" % i, random_rank3_arrangement(rng)) for i in range(samples)
     ]
@@ -189,7 +185,7 @@ def run_all_checks(seed: int = 0, samples: int = 10) -> list[CheckResult]:
         check_falk_vs_holonomy(arrs),
         check_lcs_formula(arrs),
         check_chen_consistency([(n, a) for n, a in arrs if n in ("x3", "x2")]),
-        check_milnor_double_count(rng),
+        check_milnor_double_count(arrs, rng),
         check_witt_identity(),
     ]
     return results

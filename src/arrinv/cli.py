@@ -43,9 +43,9 @@ from .checks import run_all_checks
 from .errors import (CatalogError, DomainError, HypothesisError, ParseError, RefusalError,
                      ResourceError)
 from .formulas import MAX_FORMULA_DEGREE, chen_ranks_decomposable, lcs_ranks_decomposable
-from .holonomy import h3_group, holonomy_rank, is_decomposable, local_h3_rank
+from .holonomy import decomposability, h3_group, holonomy_ranks, local_h3_rank
 from .jumploci import characteristic_components, resonance_components
-from .lyndon import DEFAULT_WORD_CEILING, lyndon_basis
+from .lyndon import DEFAULT_WORD_CEILING
 from .milnor import milnor_b1
 from .parsing import parse_arrangement
 
@@ -150,7 +150,12 @@ def _command(name: str, *extra_options):
                 arr = from_spec(builtin)
             elif file:
                 with open(file, encoding="utf-8") as fh:
-                    arr = parse_arrangement(fh.read())
+                    try:
+                        text = fh.read()
+                    except UnicodeDecodeError as exc:
+                        raise ParseError("syntax", "%s is not UTF-8 text: %s"
+                                         % (file, exc)) from None
+                arr = parse_arrangement(text)
             else:
                 raise DomainError("one of --builtin or --file is required "
                                   "(builtins: %s)" % ", ".join(CATALOG_NAMES))
@@ -197,17 +202,16 @@ def holonomy(arr, ceiling, kmax):
     if kmax > MAX_FORMULA_DEGREE:
         raise ResourceError("degree %d exceeds %d, the largest holonomy computes"
                             % (kmax, MAX_FORMULA_DEGREE))
-    for k in range(2, kmax + 1):  # every basis, smallest first, before any rank
-        lyndon_basis(arr.n, k, ceiling)
-    ranks = {str(k): holonomy_rank(arr, k, ceiling) for k in range(1, kmax + 1)}
-    return {"kind": "lcs", "ranks": ranks, "route": "presentation"}, {}
+    ranks = holonomy_ranks(arr, kmax, ceiling)
+    return {"kind": "lcs", "ranks": {str(k): v for k, v in enumerate(ranks, 1)},
+            "route": "presentation"}, {}
 
 
 @_command("decomp")
 def decomp(arr, ceiling):
     """Decomposability over Q and Z, with degree-3 ranks and torsion."""
-    flags = is_decomposable(arr, ceiling)
     group = h3_group(arr, ceiling)
+    flags = decomposability(arr, group)
     return {
         "rational": flags["rational"],
         "integral": flags["integral"],
@@ -229,9 +233,8 @@ def lcs(arr, ceiling, kmax):
 @_command("chen", _int_option("--max", 4, "largest Chen degree to report", "kmax"))
 def chen(arr, ceiling, kmax):
     """Chen ranks theta_1..theta_max (decomposable arrangements)."""
-    # top degree first: its refusals come before any rank is computed
-    ranks = {str(k): chen_ranks_decomposable(arr, k, ceiling=ceiling)
-             for k in range(kmax, 0, -1)}
+    table = chen_ranks_decomposable(arr, kmax, ceiling=ceiling)
+    ranks = {str(k): v for k, v in table.values.items()}
     return {"kind": "chen", "ranks": ranks}, {"q_decomposable": True}
 
 

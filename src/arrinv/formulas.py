@@ -93,15 +93,15 @@ def _require_formula_domain(arr: Arrangement, what: str, degree: int, ceiling: i
 
 
 def chen_ranks_decomposable(
-    arr: Arrangement, k: int, *, ceiling: int = DEFAULT_WORD_CEILING
-) -> int:
-    """Chen rank theta_k under the decomposability hypothesis."""
-    if k < 1:
-        raise DomainError("Chen ranks are indexed by k >= 1")
-    _require_formula_domain(arr, "chen_ranks_decomposable", k, ceiling)
-    if k == 1:
-        return arr.n
-    return chen_lower_bound(arr, k)
+    arr: Arrangement, kmax: int, *, ceiling: int = DEFAULT_WORD_CEILING
+) -> RankTable:
+    """Chen ranks theta_1..theta_kmax under the decomposability hypothesis."""
+    if kmax < 1:
+        raise DomainError("need kmax >= 1")
+    _require_formula_domain(arr, "chen_ranks_decomposable", kmax, ceiling)
+    values = {1: arr.n}
+    values.update((k, chen_lower_bound(arr, k)) for k in range(2, kmax + 1))
+    return RankTable("chen", values, hypothesis="q_decomposable")
 
 
 def _phi_from_product(a: int, mus, degree: int) -> int:

@@ -13,17 +13,19 @@ ideal is generated in degree 2 and the ambient free Lie algebra in degree
 a raw generating set.  Rows are kept raw (no echelonization between
 degrees); rank is taken once per degree by exact sparse elimination.
 
+Each public function walks J_2, ..., J_kmax once per call, in one graded
+pass (`_graded_rows`), and keeps nothing after it returns.
+
 In degree 3 the integral quotient Lie_3 / J_3 comes from one Smith normal
 form of J_3 (`linalg.smith_diagonal`, a streaming unit-pivot pass plus a
 small dense core).  Its rank decides rational decomposability and its
-torsion integral decomposability, so `decomp` eliminates J_3 once.
-`holonomy_rank` keeps its own `rank_exact` route, and the tests compare
-the two.
+torsion integral decomposability (`decomposability`), so `decomp`
+eliminates J_3 once.  `holonomy_ranks` keeps its own `rank_exact` route,
+and the tests compare the two.
 
 Each public function gets its Lyndon bases from `lyndon.lyndon_basis`,
 the one check against the word ceiling, with its caller's ceiling and
-before any cached elimination.  A basis compares by (n, degree) alone, so
-the caches are keyed by the arrangement and the degree, never the ceiling.
+before any row is built.
 """
 
 from __future__ import annotations
@@ -39,12 +41,10 @@ from .errors import DomainError
 from .linalg import rank, smith_diagonal
 from .lyndon import (
     DEFAULT_WORD_CEILING,
-    LyndonBasis,
     Word,
     lyndon_basis,
     lyndon_product,
     lyndon_words,
-    witt_count,
 )
 
 Vector = tuple[tuple[Word, int], ...]
@@ -99,24 +99,28 @@ def holonomy_relators(arr: Arrangement) -> HolonomyPresentation:
     return HolonomyPresentation(arr.n, tuple(relators))
 
 
-@lru_cache(maxsize=None)
-def _jk_word_rows(arr: Arrangement, k: int) -> tuple[Vector, ...]:
-    """Raw generating rows of J_k, deduplicated, as degree-k basis vectors."""
-    if k == 2:
-        return tuple(r.vector for r in holonomy_relators(arr).relators)
+def _next_degree(arr: Arrangement, rows: tuple[Vector, ...]) -> tuple[Vector, ...]:
+    """Raw generating rows of J_{k+1} = [L_1, J_k], deduplicated.  Returning
+    frees the set of seen rows before J_{k+1} is eliminated."""
     out: list[Vector] = []
     seen: set[frozenset] = set()
-    for row in _jk_word_rows(arr, k - 1):
+    for row in rows:
         for i in range(arr.n):
             acc = _bracket_rows(row, i)
-            if not acc:
-                continue
             key = frozenset(acc.items())
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(tuple(sorted(acc.items())))
+            if acc and key not in seen:
+                seen.add(key)
+                out.append(tuple(sorted(acc.items())))
     return tuple(out)
+
+
+def _graded_rows(arr: Arrangement, kmax: int) -> Iterator[tuple[Vector, ...]]:
+    """Raw generating rows of J_2, ..., J_kmax, one degree at a time."""
+    rows = tuple(r.vector for r in holonomy_relators(arr).relators)
+    for k in range(2, kmax + 1):
+        if k > 2:
+            rows = _next_degree(arr, rows)
+        yield rows
 
 
 def _int_rows(word_rows, basis) -> Iterator[dict[int, int]]:
@@ -126,31 +130,31 @@ def _int_rows(word_rows, basis) -> Iterator[dict[int, int]]:
     return ({basis.index[w]: c for w, c in row} for row in word_rows)
 
 
-@lru_cache(maxsize=None)
-def _jk_rank(arr: Arrangement, basis: LyndonBasis) -> int:
-    rows = _jk_word_rows(arr, basis.degree)
-    return rank(_int_rows(rows, basis), len(basis))
+def holonomy_ranks(arr: Arrangement, kmax: int,
+                   ceiling: int = DEFAULT_WORD_CEILING) -> tuple[int, ...]:
+    """dims phi_1..phi_kmax of the holonomy Lie algebra over Q.
+
+    Every degree's basis is checked, smallest first, before any row is built.
+    """
+    if kmax < 1:
+        raise DomainError("degree must be positive")
+    bases = [lyndon_basis(arr.n, k, ceiling) for k in range(2, kmax + 1)]
+    ranks = [arr.n]
+    for basis, rows in zip(bases, _graded_rows(arr, kmax)):
+        ranks.append(len(basis) - rank(_int_rows(rows, basis), len(basis)))
+    return tuple(ranks)
 
 
 def holonomy_rank(arr: Arrangement, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> int:
     """dim of the degree-k piece of the holonomy Lie algebra over Q."""
-    if k < 1:
-        raise DomainError("degree must be positive")
-    if k == 1:
-        return arr.n
-    basis = lyndon_basis(arr.n, k, ceiling)
-    return witt_count(arr.n, k) - _jk_rank(arr, basis)
+    return holonomy_ranks(arr, k, ceiling)[-1]
 
 
 def h3_group(arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING) -> AbelianGroupReport:
     """The degree-3 piece of the integral holonomy Lie algebra."""
-    return _h3_group(arr, lyndon_basis(arr.n, 3, ceiling))
-
-
-@lru_cache(maxsize=None)
-def _h3_group(arr: Arrangement, basis: LyndonBasis) -> AbelianGroupReport:
-    rows = _int_rows(_jk_word_rows(arr, 3), basis)
-    diag = smith_diagonal(rows, len(basis))
+    basis = lyndon_basis(arr.n, 3, ceiling)
+    *_, rows = _graded_rows(arr, 3)
+    diag = smith_diagonal(_int_rows(rows, basis), len(basis))
     torsion = tuple(d for d in diag if d > 1)
     return AbelianGroupReport(len(basis) - len(diag), torsion)
 
@@ -160,17 +164,20 @@ def local_h3_rank(arr: Arrangement) -> int:
     return 2 * sum(comb(f.mobius + 1, 3) for f in compute_l2(arr))
 
 
-def is_decomposable(arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING) -> dict:
-    """Compare h_3 with its local part, rationally and integrally.
+def decomposability(arr: Arrangement, group: AbelianGroupReport) -> dict:
+    """Compare h_3, given as ``h3_group(arr)``, with its local part.
 
     The comparison map onto the local part is surjective, so rational
     decomposability is the rank equality, and integral decomposability
-    additionally needs the degree-3 group torsion-free.  Both come from
-    the one Smith normal form behind `h3_group`.
+    additionally needs the degree-3 group torsion-free.
     """
-    report = h3_group(arr, ceiling)
-    rational = report.rank == local_h3_rank(arr)
-    return {"rational": rational, "integral": rational and not report.torsion}
+    rational = group.rank == local_h3_rank(arr)
+    return {"rational": rational, "integral": rational and not group.torsion}
+
+
+def is_decomposable(arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING) -> dict:
+    """Rational and integral decomposability, from one Smith form of J_3."""
+    return decomposability(arr, h3_group(arr, ceiling))
 
 
 def _derived_word_rows(n: int, j: int) -> tuple[Vector, ...]:
@@ -206,8 +213,7 @@ def infinitesimal_alexander_dims(
     # every degree is checked, largest first, before any row is built
     bases = [lyndon_basis(arr.n, j, ceiling) for j in range(kmax + 2, 1, -1)]
     dims = []
-    for basis in reversed(bases):
-        j = basis.degree
-        rows = chain(_jk_word_rows(arr, j), _derived_word_rows(arr.n, j))
-        dims.append(witt_count(arr.n, j) - rank(_int_rows(rows, basis), len(basis)))
+    for basis, jrows in zip(reversed(bases), _graded_rows(arr, kmax + 2)):
+        rows = chain(jrows, _derived_word_rows(arr.n, basis.degree))
+        dims.append(len(basis) - rank(_int_rows(rows, basis), len(basis)))
     return dims

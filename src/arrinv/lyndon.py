@@ -151,8 +151,8 @@ def witt_count(n: int, k: int) -> int:
 class LyndonBasis:
     """The degree-k Lyndon basis over n generators, with index lookup.
 
-    The basis is determined by (n, degree), which is all that is compared
-    and hashed; the words and their index are built on first use.
+    The basis is determined by (n, degree); the words and their index
+    are built on first use.
     """
 
     n: int

@@ -1,0 +1,30 @@
+import importlib
+import pkgutil
+
+import arrinv
+
+# Every memo that lives as long as the process, and why it stays:
+KEPT_CACHES = {
+    # the rank-2 lattice is asked for by every stage of every command, and
+    # perfbench/tracer.py reads its cache_info()
+    "arrinv.arrangement.compute_l2",
+    # the degree-2 relators of an arrangement; perfbench/tracer.py reads its cache_info()
+    "arrinv.holonomy.holonomy_relators",
+    # bracket expansion of two Lyndon words, keyed by the words alone; the
+    # recursion revisits the same pairs, and perfbench/tracer.py reads its cache_info()
+    "arrinv.lyndon.lyndon_product",
+    # keyed by one word; without it x2 J_5 and braid:4 J_4 ran slower
+    "arrinv.lyndon.standard_factorization",
+}
+
+
+def test_only_the_named_functions_keep_a_cache():
+    # holonomy ranks, the degree-3 group and catalog lookups are computed
+    # once per call and kept by nobody afterwards
+    found = set()
+    for info in pkgutil.iter_modules(arrinv.__path__):
+        module = importlib.import_module("arrinv." + info.name)
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found.add("%s.%s" % (module.__name__, name))
+    assert found == KEPT_CACHES

@@ -97,16 +97,19 @@ def test_graphic_params():
 def test_from_spec():
     arr = from_spec("graphic:0-1,1-2")
     assert arr == builtin("graphic", [(0, 1), (1, 2)])
-    assert from_spec("split_solvable:2,3") is builtin("split_solvable", (2, 3))
+    assert from_spec("split_solvable:2,3") == builtin("split_solvable", (2, 3))
     with pytest.raises(CatalogError, match="integers"):
         from_spec("braid:x")
     with pytest.raises(CatalogError, match="0-x"):
         from_spec("graphic:0-x")
 
 
-def test_cache_returns_same_object():
-    assert builtin("x3") is builtin("x3")
-    assert builtin("braid", (3,)) is builtin("braid", (3,))
+def test_lookups_build_equal_arrangements():
+    # nothing is cached: each lookup parses afresh, and equal arrangements
+    # share the lattice cache of compute_l2
+    for name, params in (("x3", ()), ("braid", (3,))):
+        a, b = builtin(name, params), builtin(name, params)
+        assert a is not b and a == b and hash(a) == hash(b)
 
 
 def test_names_listing():

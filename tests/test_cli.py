@@ -187,6 +187,12 @@ def test_file_inputs(tmp_path, capsys):
     bad.write_text("x (x + 1)\n")
     rc, _ = run(capsys, "betti", "--file", str(bad))
     assert rc == 1
+    # a file that is not UTF-8 is an input error, not a traceback
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe(x)")
+    assert main(["info", "--file", str(binary)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: %s is not UTF-8 text" % binary)
 
 
 def test_input_sources_are_exclusive(tmp_path, capsys):
@@ -306,7 +312,7 @@ def test_formula_degree_is_bounded(capsys, monkeypatch):
 def test_holonomy_degree_is_bounded(tmp_path, capsys, monkeypatch):
     # every Lyndon basis up to --max is checked against the ceiling, and
     # --max against MAX_FORMULA_DEGREE, before the first rank
-    from arrinv import cli, formulas
+    from arrinv import formulas, holonomy
 
     def no_rank(*args):
         raise AssertionError("a rank was computed before a refusal")
@@ -314,7 +320,7 @@ def test_holonomy_degree_is_bounded(tmp_path, capsys, monkeypatch):
     one = tmp_path / "one.txt"
     one.write_text("x\n")
     with monkeypatch.context() as m:
-        m.setattr(cli, "holonomy_rank", no_rank)
+        m.setattr(holonomy, "rank", no_rank)
         rc = main(["holonomy", "--builtin", "x3", "--max", "1000000000"])
         assert rc == 3
         assert capsys.readouterr().err.startswith("resource ceiling: degree 1000000000")
@@ -330,3 +336,33 @@ def test_holonomy_degree_is_bounded(tmp_path, capsys, monkeypatch):
     ranks = doc["result"]["ranks"]
     assert len(ranks) == formulas.MAX_FORMULA_DEGREE
     assert ranks["1"] == 1 and set(ranks.values()) == {0, 1}
+
+
+def _count_eliminations(monkeypatch):
+    """Calls of the Smith form and of the rank kernel from holonomy."""
+    from arrinv import holonomy
+
+    calls = {"smith_diagonal": 0, "rank": 0}
+    for name in calls:
+        real = getattr(holonomy, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(holonomy, name, spy)
+    return calls
+
+
+def test_decomp_eliminates_j3_once(capsys, monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    doc = run_json(capsys, "decomp", "--builtin", "braid:5")
+    assert doc["result"]["rational"] is False
+    assert calls == {"smith_diagonal": 1, "rank": 0}
+
+
+def test_chen_tests_decomposability_once(capsys, monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    doc = run_json(capsys, "chen", "--builtin", "x3", "--max", "1000")
+    assert len(doc["result"]["ranks"]) == 1000
+    assert calls == {"smith_diagonal": 1, "rank": 0}

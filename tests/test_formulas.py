@@ -55,9 +55,10 @@ def test_chen_lower_bound():
 
 
 def test_chen_ranks_decomposable():
-    x3 = builtin("x3")
-    assert [chen_ranks_decomposable(x3, k) for k in range(1, 6)] == [6, 3, 6, 9, 12]
-    assert chen_ranks_decomposable(builtin("x2"), 3) == 10
+    table = chen_ranks_decomposable(builtin("x3"), 5)
+    assert table.kind == "chen" and table.hypothesis == "q_decomposable"
+    assert table.as_tuple() == (6, 3, 6, 9, 12)
+    assert chen_ranks_decomposable(builtin("x2"), 3)[3] == 10
     with pytest.raises(HypothesisError):
         chen_ranks_decomposable(builtin("braid", (3,)), 3)
     with pytest.raises(HypothesisError):

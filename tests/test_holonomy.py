@@ -3,15 +3,16 @@ from math import comb
 
 import pytest
 
-from arrinv.arrangement import betti, compute_l2, make_arrangement
+from arrinv.arrangement import betti, compute_l2
 from arrinv.catalog import builtin, from_spec
 from arrinv.checks import random_rank3_arrangement
 from arrinv.errors import DomainError, ResourceError
 from arrinv.holonomy import (
+    _graded_rows,
     _int_rows,
-    _jk_word_rows,
     h3_group,
     holonomy_rank,
+    holonomy_ranks,
     holonomy_relators,
     infinitesimal_alexander_dims,
     is_decomposable,
@@ -89,7 +90,8 @@ def test_rank_kernel_matches_the_smith_length_on_deep_jk():
         for name, k, want in (("x3", 5, 1536), ("pappus", 4, 1590)):
             arr = builtin(name)
             basis = lyndon_basis(arr.n, k)
-            rows = list(_int_rows(_jk_word_rows(arr, k), basis))
+            *_, jk = _graded_rows(arr, k)
+            rows = list(_int_rows(jk, basis))
             assert rank_exact(rows) == len(smith_diagonal(rows, len(basis))) == want
 
 
@@ -166,9 +168,7 @@ def test_every_basis_is_checked_against_the_callers_ceiling(monkeypatch):
         return real(n, k, ceiling)
 
     monkeypatch.setattr(holonomy, "lyndon_basis", spy)
-    # fresh labels make a new arrangement, so no cache answers for it
-    x3 = builtin("x3")
-    arr = make_arrangement(x3.normals, labels=["spy%d" % i for i in range(x3.n)])
+    arr = builtin("x3")
     assert holonomy_rank(arr, 4, ceiling=5000) == 9
     assert h3_group(arr, ceiling=5000).rank == 6
     assert infinitesimal_alexander_dims(arr, 2, ceiling=5000) == [3, 6, 9]
@@ -180,3 +180,24 @@ def test_every_basis_is_checked_against_the_callers_ceiling(monkeypatch):
     with pytest.raises(ResourceError, match="242970 basis words, above the ceiling of 242969"):
         h3_group(braid10, ceiling=242969)
     assert holonomy.lyndon_basis(braid10.n, 3, 300000).degree == 3
+
+
+def test_holonomy_ranks_is_one_graded_pass():
+    # braid:3 is the pure braid group P_4; holonomy_rank is the last entry
+    for name, want in (("braid", (6, 4, 10, 21)), ("x3", (6, 3, 6, 9, 18))):
+        arr = builtin(name, (3,)) if name == "braid" else builtin(name)
+        assert holonomy_ranks(arr, len(want)) == want
+        assert holonomy_rank(arr, len(want)) == want[-1]
+
+
+def test_every_basis_is_refused_before_any_rank(monkeypatch):
+    from arrinv import holonomy
+
+    def no_rank(*args):
+        raise AssertionError("a rank was computed before a refusal")
+
+    monkeypatch.setattr(holonomy, "rank", no_rank)
+    with pytest.raises(ResourceError, match="degree-6 computation needs 19544"):
+        holonomy_ranks(builtin("x2"), 6, ceiling=19000)
+    with pytest.raises(DomainError):
+        holonomy_ranks(builtin("x2"), 0)
