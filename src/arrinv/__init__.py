@@ -46,15 +46,7 @@ from .formulas import (
     graphic_lcs,
     lcs_ranks_decomposable,
 )
-from .holonomy import (
-    h3_group,
-    holonomy_rank,
-    holonomy_ranks,
-    holonomy_relators,
-    infinitesimal_alexander_dims,
-    is_decomposable,
-    local_h3_rank,
-)
+from .holonomy import Analysis, holonomy_rank, holonomy_relators, local_h3_rank
 from .jumploci import (
     CharacteristicReport,
     LinearComponent,
@@ -75,6 +67,7 @@ from .parsing import parse_arrangement, render_linear_form
 
 __all__ = [
     "__version__",
+    "Analysis",
     "Arrangement",
     "ArrangementError",
     "CATALOG_NAMES",
@@ -108,13 +101,9 @@ __all__ = [
     "free_chen",
     "graphic_arrangement",
     "graphic_lcs",
-    "h3_group",
     "holonomy_rank",
-    "holonomy_ranks",
     "holonomy_relators",
     "i2_basis",
-    "infinitesimal_alexander_dims",
-    "is_decomposable",
     "lcs_ranks_decomposable",
     "local_b1_lower_bound",
     "local_h3_rank",

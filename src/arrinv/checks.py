@@ -5,6 +5,10 @@ formulas against the Lie presentation ranks, the quadratic OS ideal
 against the degree-3 holonomy computation, per-flat against per-character
 Milnor accounting.  Randomized inputs are driven by a caller-supplied
 seed so failures reproduce.
+
+The per-arrangement checks run sample by sample, sharing one
+``holonomy.Analysis`` per sample, so each J_k of a sample is built once
+and its decomposability decided once, whichever checks ask.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .arrangement import (
 from .catalog import from_spec
 from .errors import HypothesisError
 from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable
-from .holonomy import holonomy_rank, holonomy_ranks, infinitesimal_alexander_dims
+from .holonomy import Analysis
 from .jumploci import chen_ranks_from_resonance
 from .lyndon import lyndon_words, witt_count
 from .milnor import _local_spectrum
@@ -60,76 +64,83 @@ def random_multiplicities(rng: random.Random, n: int, top: int = 4) -> tuple[int
             return m
 
 
-def check_pair_cover(arrs) -> CheckResult:
+def check_pair_cover(name: str, an: Analysis) -> str | None:
+    covered = sum(comb(len(f), 2) for f in compute_l2(an.arr))
+    if covered != comb(an.arr.n, 2):
+        return "%s misses pairs" % name
+    return None
+
+
+def check_degree2(name: str, an: Analysis) -> str | None:
+    lat = compute_l2(an.arr)
+    phi2 = an.ranks(2)[1]
+    local = sum(comb(f.mobius, 2) for f in lat)
+    ideal = i2_basis(lat).rank
+    b2 = sum(f.mobius for f in lat)
+    if not (phi2 == local == ideal and comb(an.arr.n, 2) - ideal == b2):
+        return "%s: phi2=%d local=%d ideal=%d b2=%d" % (name, phi2, local, ideal, b2)
+    return None
+
+
+def check_falk_vs_holonomy(name: str, an: Analysis) -> str | None:
+    a, b = falk_phi3(an.arr), an.ranks(3)[2]
+    if a != b:
+        return "%s: OS gives %d, Lie gives %d" % (name, a, b)
+    return None
+
+
+def check_lcs_formula(name: str, an: Analysis, kmax: int = 4) -> str | None:
+    table = lcs_ranks_decomposable(an, kmax)
+    ranks = an.ranks(kmax)
+    for k in range(2, kmax + 1):
+        if table[k] != ranks[k - 1]:
+            return "%s k=%d: formula %d, holonomy %d" % (name, k, table[k], ranks[k - 1])
+    return None
+
+
+def check_chen_consistency(name: str, an: Analysis, kmax: int = 4) -> str | None:
+    table = chen_ranks_decomposable(an, kmax)
+    dims = an.alexander_dims(kmax - 2)
+    for k in range(2, kmax + 1):
+        formula, resonance = table[k], chen_ranks_from_resonance(an, k)
+        if not (formula == resonance == dims[k - 2]):
+            return ("%s k=%d: formula %d, resonance %d, alexander %d"
+                    % (name, k, formula, resonance, dims[k - 2]))
+    return None
+
+
+# (name, what a passing verdict counts, check, the samples it sees or None
+# for all); a check returns its failure detail or None, and skips a sample
+# whose formula refuses it with HypothesisError
+_SAMPLE_CHECKS = (
+    ("pair-cover", "arrangements", check_pair_cover, None),
+    ("degree-2-chain", "arrangements", check_degree2, None),
+    ("falk-vs-holonomy", "arrangements", check_falk_vs_holonomy, None),
+    ("lcs-product-formula", "decomposable", check_lcs_formula, None),
+    ("chen-three-ways", "decomposable", check_chen_consistency, ("x3", "x2")),
+)
+
+
+def _run_sample_checks(arrs) -> list[CheckResult]:
+    """Each check on every sample until its first failure.  A sample's one
+    Analysis serves all its checks and is dropped after them, so one
+    sample's rows are alive at a time."""
+    tried = {n: 0 for n, *_ in _SAMPLE_CHECKS}
+    failures: dict[str, str] = {}
     for name, arr in arrs:
-        lat = compute_l2(arr)
-        covered = sum(comb(len(f), 2) for f in lat)
-        if covered != comb(arr.n, 2):
-            return CheckResult("pair-cover", False, "%s misses pairs" % name)
-    return CheckResult("pair-cover", True, "%d arrangements" % len(arrs))
-
-
-def check_degree2(arrs) -> CheckResult:
-    for name, arr in arrs:
-        lat = compute_l2(arr)
-        phi2 = holonomy_rank(arr, 2)
-        local = sum(comb(f.mobius, 2) for f in lat)
-        ideal = i2_basis(lat).rank
-        b2 = sum(f.mobius for f in lat)
-        if not (phi2 == local == ideal and comb(arr.n, 2) - ideal == b2):
-            return CheckResult(
-                "degree-2-chain",
-                False,
-                "%s: phi2=%d local=%d ideal=%d b2=%d" % (name, phi2, local, ideal, b2),
-            )
-    return CheckResult("degree-2-chain", True, "%d arrangements" % len(arrs))
-
-
-def check_falk_vs_holonomy(arrs) -> CheckResult:
-    for name, arr in arrs:
-        a, b = falk_phi3(arr), holonomy_rank(arr, 3)
-        if a != b:
-            return CheckResult(
-                "falk-vs-holonomy", False, "%s: OS gives %d, Lie gives %d" % (name, a, b)
-            )
-    return CheckResult("falk-vs-holonomy", True, "%d arrangements" % len(arrs))
-
-
-def check_lcs_formula(arrs, kmax: int = 4) -> CheckResult:
-    tried = 0
-    for name, arr in arrs:
-        try:
-            table = lcs_ranks_decomposable(arr, kmax)
-        except HypothesisError:
-            continue
-        tried += 1
-        ranks = holonomy_ranks(arr, kmax)
-        for k in range(2, kmax + 1):
-            if table[k] != ranks[k - 1]:
-                return CheckResult("lcs-product-formula", False, "%s k=%d: formula %d, "
-                                   "holonomy %d" % (name, k, table[k], ranks[k - 1]))
-    return CheckResult("lcs-product-formula", True, "%d decomposable" % tried)
-
-
-def check_chen_consistency(arrs, kmax: int = 4) -> CheckResult:
-    tried = 0
-    for name, arr in arrs:
-        try:
-            table = chen_ranks_decomposable(arr, kmax)
-        except HypothesisError:
-            continue
-        tried += 1
-        dims = infinitesimal_alexander_dims(arr, kmax - 2)
-        for k in range(2, kmax + 1):
-            formula, resonance = table[k], chen_ranks_from_resonance(arr, k)
-            if not (formula == resonance == dims[k - 2]):
-                return CheckResult(
-                    "chen-three-ways",
-                    False,
-                    "%s k=%d: formula %d, resonance %d, alexander %d"
-                    % (name, k, formula, resonance, dims[k - 2]),
-                )
-    return CheckResult("chen-three-ways", True, "%d decomposable" % tried)
+        an = Analysis(arr)
+        for check_name, _, check, only in _SAMPLE_CHECKS:
+            if check_name in failures or (only and name not in only):
+                continue
+            try:
+                failure = check(name, an)
+            except HypothesisError:
+                continue
+            tried[check_name] += 1
+            if failure:
+                failures[check_name] = failure
+    return [CheckResult(n, n not in failures, failures.get(n, "%d %s" % (tried[n], unit)))
+            for n, unit, _, _ in _SAMPLE_CHECKS]
 
 
 def _per_character_spectrum(ma: MultiArrangement) -> dict[int, int]:
@@ -179,13 +190,7 @@ def run_all_checks(seed: int = 0, samples: int = 10) -> list[CheckResult]:
     arrs += [
         ("random-%d" % i, random_rank3_arrangement(rng)) for i in range(samples)
     ]
-    results = [
-        check_pair_cover(arrs),
-        check_degree2(arrs),
-        check_falk_vs_holonomy(arrs),
-        check_lcs_formula(arrs),
-        check_chen_consistency([(n, a) for n, a in arrs if n in ("x3", "x2")]),
+    return _run_sample_checks(arrs) + [
         check_milnor_double_count(arrs, rng),
         check_witt_identity(),
     ]
-    return results

@@ -10,13 +10,16 @@ stable:
 Every rank is computed exactly, so ``verification.modular_only`` is always
 false; the key is kept for compatibility with existing readers.
 
-A subcommand is one compute function ``(arr, ceiling, **options) ->
-(result, hypotheses)``, whose docstring is its help, registered with
-``@_command(name, *extra_options)`` as an argparse subparser.  Compute
-functions call the library through module-level names at call time, so a
-tracer that rebinds them sees each call.  Parsing needs nothing beyond
-the standard library; usage errors raise DomainError, and option bounds
-are checked once, after parsing.
+A subcommand is one compute function ``(an, **options) -> (result,
+hypotheses)``, whose docstring is its help, registered with
+``@_command(name, *extra_options)`` as an argparse subparser.  ``an`` is
+the command's one ``holonomy.Analysis`` of its arrangement under
+``--ceiling``, so a command builds each J_k and tests decomposability at
+most once.  Compute functions call library functions through
+module-level names at call time, so a tracer that rebinds them sees each
+call; the analysis's methods are not rebound, but the kernels they call
+are.  Parsing needs nothing beyond the standard library; usage errors
+raise DomainError, and option bounds are checked once, after parsing.
 
 Exit codes: 0 success, 1 input or parse error, 2 hypothesis refusal,
 3 resource ceiling hit.
@@ -30,20 +33,14 @@ import sys
 from collections import Counter
 
 from . import __version__
-from .arrangement import (
-    MultiArrangement,
-    arrangement_rank,
-    arrangement_to_json,
-    betti,
-    compute_l2,
-    l2_to_json,
-)
+from .arrangement import (MultiArrangement, arrangement_rank, arrangement_to_json, betti,
+                          compute_l2, l2_to_json)
 from .catalog import CATALOG_NAMES, from_spec
 from .checks import run_all_checks
 from .errors import (CatalogError, DomainError, HypothesisError, ParseError, RefusalError,
                      ResourceError)
-from .formulas import MAX_FORMULA_DEGREE, chen_ranks_decomposable, lcs_ranks_decomposable
-from .holonomy import decomposability, h3_group, holonomy_ranks, local_h3_rank
+from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable
+from .holonomy import Analysis, local_h3_rank
 from .jumploci import characteristic_components, resonance_components
 from .lyndon import DEFAULT_WORD_CEILING
 from .milnor import milnor_b1
@@ -109,9 +106,10 @@ def _int_option(flag: str, default: int, help: str, dest: str | None = None):
 # (dest, option, lowest value), checked once parsing is done
 _BOUNDS = (("ceiling", "--ceiling", 1000), ("kmax", "--max", 1), ("depth", "--depth", 1))
 
+_CEILING_OPTION = _int_option("--ceiling", DEFAULT_WORD_CEILING,
+                              "largest free Lie basis the engine may enumerate")
+
 _FORMAT_OPTIONS = (
-    _int_option("--ceiling", DEFAULT_WORD_CEILING,
-                "largest free Lie basis the engine may enumerate"),
     ("--json", dict(dest="fmt", action="store_const", const="json", default="json",
                     help="machine readable output (default)")),
     ("--table", dict(dest="fmt", action="store_const", const="table",
@@ -141,7 +139,8 @@ def _subcommand(name: str, run, doc: str, options) -> None:
 
 def _command(name: str, *extra_options):
     """Register ``compute`` as subcommand NAME, with the shared options
-    ``--file``, ``--builtin``, ``--ceiling``, ``--table``/``--json``."""
+    ``--file``, ``--builtin``, ``--ceiling``, ``--table``/``--json``;
+    it gets one Analysis of the arrangement under ``--ceiling``."""
     def register(compute):
         def run(builtin, file, fmt, ceiling, **options):
             if builtin and file:
@@ -159,18 +158,19 @@ def _command(name: str, *extra_options):
             else:
                 raise DomainError("one of --builtin or --file is required "
                                   "(builtins: %s)" % ", ".join(CATALOG_NAMES))
-            result, hypotheses = compute(arr, ceiling, **options)
+            result, hypotheses = compute(Analysis(arr, ceiling), **options)
             _emit(_report(arrangement_to_json(arr), result, hypotheses), fmt)
 
-        _subcommand(name, run, compute.__doc__,
-                    _SOURCE_OPTIONS + _FORMAT_OPTIONS + extra_options)
+        options = _SOURCE_OPTIONS + (_CEILING_OPTION,) + _FORMAT_OPTIONS + extra_options
+        _subcommand(name, run, compute.__doc__, options)
         return compute
     return register
 
 
 @_command("info")
-def info(arr, ceiling):
+def info(an):
     """Basic facts: size, rank, Betti numbers, flat census."""
+    arr = an.arr
     b1, b2 = betti(arr)
     return {
         "n": arr.n,
@@ -184,56 +184,51 @@ def info(arr, ceiling):
 
 
 @_command("l2")
-def l2(arr, ceiling):
+def l2(an):
     """Rank-2 intersection lattice with Moebius values."""
-    return l2_to_json(arr), {}
+    return l2_to_json(an.arr), {}
 
 
 @_command("betti")
-def betti_cmd(arr, ceiling):
+def betti_cmd(an):
     """First and second Betti numbers of the complement."""
-    b1, b2 = betti(arr)
+    b1, b2 = betti(an.arr)
     return {"b1": b1, "b2": b2}, {}
 
 
 @_command("holonomy", _int_option("--max", 3, "largest LCS degree to compute", "kmax"))
-def holonomy(arr, ceiling, kmax):
+def holonomy(an, kmax):
     """Holonomy Lie algebra ranks phi_1..phi_max from the presentation."""
-    if kmax > MAX_FORMULA_DEGREE:
-        raise ResourceError("degree %d exceeds %d, the largest holonomy computes"
-                            % (kmax, MAX_FORMULA_DEGREE))
-    ranks = holonomy_ranks(arr, kmax, ceiling)
+    ranks = an.ranks(kmax)
     return {"kind": "lcs", "ranks": {str(k): v for k, v in enumerate(ranks, 1)},
             "route": "presentation"}, {}
 
 
 @_command("decomp")
-def decomp(arr, ceiling):
+def decomp(an):
     """Decomposability over Q and Z, with degree-3 ranks and torsion."""
-    group = h3_group(arr, ceiling)
-    flags = decomposability(arr, group)
     return {
-        "rational": flags["rational"],
-        "integral": flags["integral"],
-        "h3_rank": group.rank,
-        "local_rank": local_h3_rank(arr),
-        "torsion": list(group.torsion),
+        "rational": an.decomposable["rational"],
+        "integral": an.decomposable["integral"],
+        "h3_rank": an.h3.rank,
+        "local_rank": local_h3_rank(an.arr),
+        "torsion": list(an.h3.torsion),
     }, {}
 
 
 @_command("lcs", _int_option("--max", 5, "largest LCS degree to report", "kmax"))
-def lcs(arr, ceiling, kmax):
+def lcs(an, kmax):
     """LCS ranks from the product formula (decomposable arrangements)."""
-    table = lcs_ranks_decomposable(arr, kmax, ceiling=ceiling)
+    table = lcs_ranks_decomposable(an, kmax)
     ranks = {str(k): v for k, v in table.values.items()}
     return ({"kind": "lcs", "ranks": ranks, "route": "product-formula"},
             {"q_decomposable": True})
 
 
 @_command("chen", _int_option("--max", 4, "largest Chen degree to report", "kmax"))
-def chen(arr, ceiling, kmax):
+def chen(an, kmax):
     """Chen ranks theta_1..theta_max (decomposable arrangements)."""
-    table = chen_ranks_decomposable(arr, kmax, ceiling=ceiling)
+    table = chen_ranks_decomposable(an, kmax)
     ranks = {str(k): v for k, v in table.values.items()}
     return {"kind": "chen", "ranks": ranks}, {"q_decomposable": True}
 
@@ -251,29 +246,28 @@ def _components_json(arr, depth, comps):
 
 
 @_command("resonance", _int_option("--depth", 1, "resonance depth s"))
-def resonance(arr, ceiling, depth):
+def resonance(an, depth):
     """Components of the depth-s resonance variety."""
-    comps = resonance_components(arr, depth, ceiling=ceiling)
-    return _components_json(arr, depth, comps), {"q_decomposable": True}
+    comps = resonance_components(an, depth)
+    return _components_json(an.arr, depth, comps), {"q_decomposable": True}
 
 
 @_command("charvar", _int_option("--depth", 1, "characteristic variety depth s"),
           _separated_option)
-def charvar(arr, ceiling, depth, separated):
+def charvar(an, depth, separated):
     """Subtorus components of the depth-s characteristic variety."""
-    report = characteristic_components(arr, depth, separated=separated,
-                                       ceiling=ceiling)
-    return _components_json(arr, depth, report), dict(report.hypotheses)
+    report = characteristic_components(an, depth, separated=separated)
+    return _components_json(an.arr, depth, report), dict(report.hypotheses)
 
 
 @_command("milnor",
           ("--mult", dict(help="comma separated multiplicities, one per hyperplane "
                                "(default: all 1)")),
           _separated_option)
-def milnor(arr, ceiling, mult, separated):
+def milnor(an, mult, separated):
     """Milnor fiber b1 and monodromy eigenvalue multiplicities."""
-    m = mult or (1,) * arr.n
-    report = milnor_b1(MultiArrangement(arr, m), separated=separated, ceiling=ceiling)
+    m = mult or (1,) * an.arr.n
+    report = milnor_b1(MultiArrangement(an.arr, m), an, separated=separated)
     return ({
         "N": report.N,
         "multiplicities": list(m),
@@ -285,7 +279,7 @@ def milnor(arr, ceiling, mult, separated):
     }, dict(report.hypotheses))
 
 
-def check(seed, samples, fmt, ceiling):
+def check(seed, samples, fmt):
     """Cross-oracle consistency suite; nonzero exit on any mismatch."""
     results = run_all_checks(seed=seed, samples=samples)
     ok = all(r.ok for r in results)

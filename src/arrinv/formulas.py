@@ -26,12 +26,8 @@ from math import comb
 
 from .arrangement import Arrangement, SimpleGraph, compute_l2
 from .errors import DomainError, HypothesisError, ResourceError
-from .holonomy import is_decomposable
-from .lyndon import DEFAULT_WORD_CEILING, divisors, number_mobius, witt_count
-
-# largest degree the decomposable LCS and Chen formulas report; past it
-# they raise ResourceError, after the decomposability refusal
-MAX_FORMULA_DEGREE = 1000
+from .holonomy import MAX_FORMULA_DEGREE, Analysis
+from .lyndon import divisors, number_mobius, witt_count
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,9 @@ def chen_lower_bound(arr: Arrangement, k: int) -> int:
     return (k - 1) * sum(comb(f.mobius + k - 2, k) for f in lat.multiple_flats())
 
 
-def _require_formula_domain(arr: Arrangement, what: str, degree: int, ceiling: int):
-    if not is_decomposable(arr, ceiling)["rational"]:
+def _require_formula_domain(an: Analysis, what: str, degree: int):
+    # the degree bound comes after the decomposability refusal
+    if not an.decomposable["rational"]:
         raise HypothesisError(
             "%s assumes a rationally decomposable arrangement; "
             "is_decomposable reports rational=false" % (what,)
@@ -92,15 +89,13 @@ def _require_formula_domain(arr: Arrangement, what: str, degree: int, ceiling: i
                             "report" % (degree, MAX_FORMULA_DEGREE))
 
 
-def chen_ranks_decomposable(
-    arr: Arrangement, kmax: int, *, ceiling: int = DEFAULT_WORD_CEILING
-) -> RankTable:
+def chen_ranks_decomposable(an: Analysis, kmax: int) -> RankTable:
     """Chen ranks theta_1..theta_kmax under the decomposability hypothesis."""
     if kmax < 1:
         raise DomainError("need kmax >= 1")
-    _require_formula_domain(arr, "chen_ranks_decomposable", kmax, ceiling)
-    values = {1: arr.n}
-    values.update((k, chen_lower_bound(arr, k)) for k in range(2, kmax + 1))
+    _require_formula_domain(an, "chen_ranks_decomposable", kmax)
+    values = {1: an.arr.n}
+    values.update((k, chen_lower_bound(an.arr, k)) for k in range(2, kmax + 1))
     return RankTable("chen", values, hypothesis="q_decomposable")
 
 
@@ -115,15 +110,19 @@ def _phi_from_product(a: int, mus, degree: int) -> int:
     return quot
 
 
-def lcs_ranks_decomposable(
-    arr: Arrangement, kmax: int, *, ceiling: int = DEFAULT_WORD_CEILING
-) -> RankTable:
-    """LCS ranks phi_1..phi_kmax under the decomposability hypothesis."""
+def lcs_ranks_decomposable(an: Analysis, kmax: int) -> RankTable:
+    """LCS ranks phi_1..phi_kmax under the decomposability hypothesis.
+
+    An Arrangement is accepted in place of ``an`` and analysed for this
+    call alone; perfbench/expectations.py calls it that way.
+    """
     if kmax < 1:
         raise DomainError("need kmax >= 1")
-    _require_formula_domain(arr, "lcs_ranks_decomposable", kmax, ceiling)
-    mus = [f.mobius for f in compute_l2(arr)]
-    a = arr.n - sum(mus)
+    if isinstance(an, Arrangement):
+        an = Analysis(an)
+    _require_formula_domain(an, "lcs_ranks_decomposable", kmax)
+    mus = [f.mobius for f in compute_l2(an.arr)]
+    a = an.arr.n - sum(mus)
     values = {k: _phi_from_product(a, mus, k) for k in range(1, kmax + 1)}
     return RankTable("lcs", values, hypothesis="q_decomposable")
 

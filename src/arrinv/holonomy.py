@@ -13,34 +13,37 @@ ideal is generated in degree 2 and the ambient free Lie algebra in degree
 a raw generating set.  Rows are kept raw (no echelonization between
 degrees); rank is taken once per degree by exact sparse elimination.
 
-Each public function walks J_2, ..., J_kmax once per call, in one graded
-pass (`_graded_rows`), and keeps nothing after it returns.
+Everything one call computes about an arrangement lives in one
+`Analysis(arr, ceiling)`, built for that call and dropped after it.  It
+keeps the rows of one graded pass, J_2, J_3, ..., extended on demand, so
+no degree is built twice, and every computation over it reads the same
+rows.  Before any row is built it checks the degree against
+`MAX_FORMULA_DEGREE` and every Lyndon basis against its one ceiling
+(`lyndon.lyndon_basis` is the check).
 
 In degree 3 the integral quotient Lie_3 / J_3 comes from one Smith normal
-form of J_3 (`linalg.smith_diagonal`, a streaming unit-pivot pass plus a
-small dense core).  Its rank decides rational decomposability and its
-torsion integral decomposability (`decomposability`), so `decomp`
-eliminates J_3 once.  `holonomy_ranks` keeps its own `rank_exact` route,
-and the tests compare the two.
-
-Each public function gets its Lyndon bases from `lyndon.lyndon_basis`,
-the one check against the word ceiling, with its caller's ceiling and
-before any row is built.
+form of J_3 (`Analysis.h3`, by `linalg.smith_diagonal`, a streaming
+unit-pivot pass plus a small dense core).  Its rank decides rational
+decomposability and its torsion integral decomposability
+(`Analysis.decomposable`), so each analysis eliminates J_3 once for
+every hypothesis test it serves.  `Analysis.ranks` keeps its own
+`rank_exact` route, and the tests compare the two.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb
 
 from .arrangement import Arrangement, compute_l2
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .linalg import rank, smith_diagonal
 from .lyndon import (
     DEFAULT_WORD_CEILING,
+    LyndonBasis,
     Word,
     lyndon_basis,
     lyndon_product,
@@ -48,6 +51,10 @@ from .lyndon import (
 )
 
 Vector = tuple[tuple[Word, int], ...]
+
+# largest degree the graded pass builds and the decomposable LCS and Chen
+# formulas report; past it they raise ResourceError
+MAX_FORMULA_DEGREE = 1000
 
 
 @dataclass(frozen=True)
@@ -114,15 +121,6 @@ def _next_degree(arr: Arrangement, rows: tuple[Vector, ...]) -> tuple[Vector, ..
     return tuple(out)
 
 
-def _graded_rows(arr: Arrangement, kmax: int) -> Iterator[tuple[Vector, ...]]:
-    """Raw generating rows of J_2, ..., J_kmax, one degree at a time."""
-    rows = tuple(r.vector for r in holonomy_relators(arr).relators)
-    for k in range(2, kmax + 1):
-        if k > 2:
-            rows = _next_degree(arr, rows)
-        yield rows
-
-
 def _int_rows(word_rows, basis) -> Iterator[dict[int, int]]:
     # streamed: smith_diagonal frees each row that reduces to zero as it
     # goes; rank_exact copies every row and sorts the copies, so it holds
@@ -130,54 +128,9 @@ def _int_rows(word_rows, basis) -> Iterator[dict[int, int]]:
     return ({basis.index[w]: c for w, c in row} for row in word_rows)
 
 
-def holonomy_ranks(arr: Arrangement, kmax: int,
-                   ceiling: int = DEFAULT_WORD_CEILING) -> tuple[int, ...]:
-    """dims phi_1..phi_kmax of the holonomy Lie algebra over Q.
-
-    Every degree's basis is checked, smallest first, before any row is built.
-    """
-    if kmax < 1:
-        raise DomainError("degree must be positive")
-    bases = [lyndon_basis(arr.n, k, ceiling) for k in range(2, kmax + 1)]
-    ranks = [arr.n]
-    for basis, rows in zip(bases, _graded_rows(arr, kmax)):
-        ranks.append(len(basis) - rank(_int_rows(rows, basis), len(basis)))
-    return tuple(ranks)
-
-
-def holonomy_rank(arr: Arrangement, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> int:
-    """dim of the degree-k piece of the holonomy Lie algebra over Q."""
-    return holonomy_ranks(arr, k, ceiling)[-1]
-
-
-def h3_group(arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING) -> AbelianGroupReport:
-    """The degree-3 piece of the integral holonomy Lie algebra."""
-    basis = lyndon_basis(arr.n, 3, ceiling)
-    *_, rows = _graded_rows(arr, 3)
-    diag = smith_diagonal(_int_rows(rows, basis), len(basis))
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianGroupReport(len(basis) - len(diag), torsion)
-
-
 def local_h3_rank(arr: Arrangement) -> int:
     """Degree-3 rank contributed by the local pencils alone."""
     return 2 * sum(comb(f.mobius + 1, 3) for f in compute_l2(arr))
-
-
-def decomposability(arr: Arrangement, group: AbelianGroupReport) -> dict:
-    """Compare h_3, given as ``h3_group(arr)``, with its local part.
-
-    The comparison map onto the local part is surjective, so rational
-    decomposability is the rank equality, and integral decomposability
-    additionally needs the degree-3 group torsion-free.
-    """
-    rational = group.rank == local_h3_rank(arr)
-    return {"rational": rational, "integral": rational and not group.torsion}
-
-
-def is_decomposable(arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING) -> dict:
-    """Rational and integral decomposability, from one Smith form of J_3."""
-    return decomposability(arr, h3_group(arr, ceiling))
 
 
 def _derived_word_rows(n: int, j: int) -> tuple[Vector, ...]:
@@ -198,22 +151,87 @@ def _derived_word_rows(n: int, j: int) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-def infinitesimal_alexander_dims(
-    arr: Arrangement, kmax: int, ceiling: int = DEFAULT_WORD_CEILING
-) -> list[int]:
-    """Dimensions of the graded infinitesimal Alexander invariant, 0..kmax.
+class Analysis:
+    """What one call computes about ``arr`` under one word ceiling: the raw
+    rows of J_2, J_3, ... of one graded pass, each degree's rank over Q,
+    the degree-3 group and the decomposability verdict."""
 
-    The degree-k piece is Lie_{k+2} modulo the ideal together with all
-    brackets of two elements of degree >= 2 (the derived span), so its
-    dimension is dim Lie_{k+2} - rank(J_{k+2} + D_{k+2}).  The Chen rank
-    of the arrangement group in degree k is the (k-2)-nd entry.
-    """
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
-    # every degree is checked, largest first, before any row is built
-    bases = [lyndon_basis(arr.n, j, ceiling) for j in range(kmax + 2, 1, -1)]
-    dims = []
-    for basis, jrows in zip(reversed(bases), _graded_rows(arr, kmax + 2)):
-        rows = chain(jrows, _derived_word_rows(arr.n, basis.degree))
-        dims.append(len(basis) - rank(_int_rows(rows, basis), len(basis)))
-    return dims
+    def __init__(self, arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING):
+        self.arr = arr
+        self.ceiling = ceiling
+        self._rows: list[tuple[Vector, ...]] = []  # J_2, J_3, ... built so far
+        self._ranks = [arr.n]  # phi_1, phi_2, ... eliminated so far
+
+    def _bases(self, degrees: range) -> list[LyndonBasis]:
+        """The Lyndon bases of ``degrees``, in that order: the largest degree
+        is checked against the degree bound, then every basis against the
+        ceiling, before any row is built."""
+        top = max(degrees[0], degrees[-1]) if degrees else 0
+        if top > MAX_FORMULA_DEGREE:
+            raise ResourceError("degree %d exceeds %d, the largest holonomy computes"
+                                % (top, MAX_FORMULA_DEGREE))
+        return [lyndon_basis(self.arr.n, k, self.ceiling) for k in degrees]
+
+    def _jk(self, k: int) -> tuple[Vector, ...]:
+        """Raw generating rows of J_k, extending the pass up to degree k."""
+        rows = self._rows
+        if not rows:
+            rows.append(tuple(r.vector for r in holonomy_relators(self.arr).relators))
+        while len(rows) < k - 1:
+            rows.append(_next_degree(self.arr, rows[-1]))
+        return rows[k - 2]
+
+    def ranks(self, kmax: int) -> tuple[int, ...]:
+        """dims phi_1..phi_kmax of the holonomy Lie algebra over Q.
+
+        Every basis is checked, smallest first, before any row is built;
+        each degree is eliminated once per analysis.
+        """
+        if kmax < 1:
+            raise DomainError("degree must be positive")
+        for basis in self._bases(range(2, kmax + 1))[len(self._ranks) - 1:]:
+            rows = _int_rows(self._jk(basis.degree), basis)
+            self._ranks.append(len(basis) - rank(rows, len(basis)))
+        return tuple(self._ranks[:kmax])
+
+    @cached_property
+    def h3(self) -> AbelianGroupReport:
+        """The degree-3 piece of the integral holonomy Lie algebra, from one
+        Smith form of J_3."""
+        basis, = self._bases(range(3, 4))
+        diag = smith_diagonal(_int_rows(self._jk(3), basis), len(basis))
+        return AbelianGroupReport(len(basis) - len(diag), tuple(d for d in diag if d > 1))
+
+    @cached_property
+    def decomposable(self) -> dict:
+        """Rational and integral decomposability.
+
+        The comparison map of h_3 onto its local part is surjective, so
+        rational decomposability is the rank equality, and integral
+        decomposability additionally needs h_3 torsion-free.
+        """
+        rational = self.h3.rank == local_h3_rank(self.arr)
+        return {"rational": rational, "integral": rational and not self.h3.torsion}
+
+    def alexander_dims(self, kmax: int) -> list[int]:
+        """Dimensions of the graded infinitesimal Alexander invariant, 0..kmax.
+
+        The degree-k piece is Lie_{k+2} modulo the ideal together with all
+        brackets of two elements of degree >= 2 (the derived span), so its
+        dimension is dim Lie_{k+2} - rank(J_{k+2} + D_{k+2}).  The Chen rank
+        of the arrangement group in degree k is the (k-2)-nd entry.
+        """
+        if kmax < 0:
+            raise DomainError("kmax must be nonnegative")
+        # every degree is checked, largest first, before any row is built
+        dims = []
+        for basis in reversed(self._bases(range(kmax + 2, 1, -1))):
+            k = basis.degree
+            rows = chain(self._jk(k), _derived_word_rows(self.arr.n, k))
+            dims.append(len(basis) - rank(_int_rows(rows, basis), len(basis)))
+        return dims
+
+
+def holonomy_rank(arr: Arrangement, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> int:
+    """dim of the degree-k piece of the holonomy Lie algebra over Q."""
+    return Analysis(arr, ceiling).ranks(k)[-1]

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from .arrangement import Arrangement, compute_l2
 from .errors import DomainError, HypothesisError, RefusalError
 from .formulas import free_chen
-from .holonomy import is_decomposable
-from .lyndon import DEFAULT_WORD_CEILING
+from .holonomy import Analysis
 
 
 @dataclass(frozen=True)
@@ -74,31 +73,26 @@ def _deep_flats(arr: Arrangement, s: int):
     return [f for f in compute_l2(arr) if f.mobius > s]
 
 
-def resonance_components(
-    arr: Arrangement, s: int, *, ceiling: int = DEFAULT_WORD_CEILING
-) -> list[LinearComponent]:
+def resonance_components(an: Analysis, s: int) -> list[LinearComponent]:
     """Components of the depth-s resonance variety, one per flat with mu > s."""
-    if not is_decomposable(arr, ceiling)["rational"]:
+    if not an.decomposable["rational"]:
         raise HypothesisError(
             "the flat-by-flat description of the resonance variety assumes "
             "a rationally decomposable arrangement"
         )
-    return [LinearComponent(f.members, len(f.members) - 1) for f in _deep_flats(arr, s)]
+    flats = _deep_flats(an.arr, s)
+    return [LinearComponent(f.members, len(f.members) - 1) for f in flats]
 
 
 def characteristic_components(
-    arr: Arrangement,
-    s: int,
-    *,
-    separated: bool = False,
-    ceiling: int = DEFAULT_WORD_CEILING,
+    an: Analysis, s: int, *, separated: bool = False
 ) -> CharacteristicReport:
     """Subtorus components of the depth-s characteristic variety.
 
     Requires the caller to assert separatedness of the rationalized
     Alexander invariant; the assertion is echoed in the report.
     """
-    if not is_decomposable(arr, ceiling)["rational"]:
+    if not an.decomposable["rational"]:
         raise HypothesisError(
             "the subtorus description of the characteristic variety assumes "
             "a rationally decomposable arrangement"
@@ -110,18 +104,18 @@ def characteristic_components(
             "pass separated=True (--assert-separated) to assert it"
         )
     comps = tuple(
-        TorusComponent(f.members, len(f.members) - 1) for f in _deep_flats(arr, s)
+        TorusComponent(f.members, len(f.members) - 1) for f in _deep_flats(an.arr, s)
     )
     return CharacteristicReport(
         comps, hypotheses={"q_decomposable": True, "separated": "asserted"}
     )
 
 
-def chen_ranks_from_resonance(arr: Arrangement, k: int) -> int:
+def chen_ranks_from_resonance(an: Analysis, k: int) -> int:
     """Chen rank theta_k summed over depth-1 resonance components."""
     if k < 2:
         raise DomainError("the resonance formula for Chen ranks needs k >= 2")
     total = 0
-    for comp in resonance_components(arr, 1):
+    for comp in resonance_components(an, 1):
         total += free_chen(comp.dimension, k)
     return total

@@ -36,9 +36,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arrangement import Flat2, MultiArrangement, arrangement_rank, compute_l2
-from .errors import HypothesisError, RefusalError, ResourceError
-from .holonomy import is_decomposable
-from .lyndon import DEFAULT_WORD_CEILING
+from .errors import DomainError, HypothesisError, RefusalError, ResourceError
+from .holonomy import Analysis
 
 # largest N = sum(m) for milnor_b1, whose report has one entry per residue
 MAX_MILNOR_TOTAL = 10**6
@@ -102,20 +101,19 @@ def local_b1_lower_bound(ma: MultiArrangement) -> int:
     )
 
 
-def milnor_b1(
-    ma: MultiArrangement,
-    *,
-    separated: bool = False,
-    ceiling: int = DEFAULT_WORD_CEILING,
-) -> MilnorReport:
+def milnor_b1(ma: MultiArrangement, an: Analysis, *,
+              separated: bool = False) -> MilnorReport:
     """First Betti number of the Milnor fiber of a multi-arrangement.
 
-    Needs the arrangement rationally decomposable and the caller's
-    assertion that the Alexander invariant is separated.  Raises
-    ResourceError when N exceeds ``MAX_MILNOR_TOTAL``.
+    ``an`` is the analysis of its arrangement, which decides
+    decomposability.  Needs the arrangement rationally decomposable and
+    the caller's assertion that the Alexander invariant is separated.
+    Raises ResourceError when N exceeds ``MAX_MILNOR_TOTAL``.
     """
     arr = ma.arrangement
-    if not is_decomposable(arr, ceiling)["rational"]:
+    if an.arr != arr:
+        raise DomainError("the analysis is of another arrangement")
+    if not an.decomposable["rational"]:
         raise HypothesisError(
             "the character enumeration computes b1 only for rationally "
             "decomposable arrangements; this one is not "
@@ -142,7 +140,7 @@ def milnor_b1(
     )
 
 
-def monodromy_trivial_criterion(ma: MultiArrangement) -> bool:
+def monodromy_trivial_criterion(ma: MultiArrangement, an: Analysis) -> bool:
     """Checkable hypotheses under which the algebraic monodromy is trivial.
 
     True when the arrangement has rank at least 3, is rationally
@@ -153,11 +151,13 @@ def monodromy_trivial_criterion(ma: MultiArrangement) -> bool:
     last condition is a certainty: the local subtori lie in the
     characteristic variety whether or not the Alexander invariant is
     separated, so the monodromy is then nontrivial.  The cost is one gcd
-    per multiple flat, independent of N.
+    per multiple flat, independent of N.  ``an`` is the analysis of the
+    arrangement.
     """
-    arr = ma.arrangement
+    if an.arr != ma.arrangement:
+        raise DomainError("the analysis is of another arrangement")
     return (
-        arrangement_rank(arr) >= 3
-        and is_decomposable(arr)["rational"]
+        arrangement_rank(an.arr) >= 3
+        and an.decomposable["rational"]
         and all(d == 1 for _, d in _local_orders(ma))
     )

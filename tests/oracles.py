@@ -21,7 +21,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from arrinv.errors import DomainError
-from arrinv.holonomy import _derived_word_rows, _graded_rows, _int_rows
+from arrinv.holonomy import Analysis, _derived_word_rows, _int_rows
 from arrinv.lyndon import DEFAULT_WORD_CEILING, lyndon_basis
 
 
@@ -284,8 +284,7 @@ def holonomy_ideal_subspace(
     if k < 2:
         raise DomainError("the ideal starts in degree 2")
     basis = lyndon_basis(arr.n, k, ceiling)
-    *_, rows = _graded_rows(arr, k)
-    return _echelon_subspace(rows, basis)
+    return _echelon_subspace(Analysis(arr, ceiling)._jk(k), basis)
 
 
 def derived_subspace(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> GradedSubspace:

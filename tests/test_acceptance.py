@@ -29,14 +29,7 @@ from arrinv.formulas import (
     graphic_lcs,
     lcs_ranks_decomposable,
 )
-from arrinv.holonomy import (
-    h3_group,
-    holonomy_rank,
-    holonomy_ranks,
-    infinitesimal_alexander_dims,
-    is_decomposable,
-    local_h3_rank,
-)
+from arrinv.holonomy import Analysis, holonomy_rank, local_h3_rank
 from arrinv.jumploci import chen_ranks_from_resonance, resonance_components
 from arrinv.lyndon import lyndon_words, witt_count
 from arrinv.milnor import milnor_b1, monodromy_trivial_criterion
@@ -76,17 +69,16 @@ def test_criterion_01_braid_h3():
         arr = builtin("braid", (3,))
         assert holonomy_rank(arr, 3) == 10
         assert local_h3_rank(arr) == 8
-        assert is_decomposable(arr) == {"rational": False, "integral": False}
+        assert Analysis(arr).decomposable == {"rational": False, "integral": False}
 
 
 def test_criterion_02_catalog_decomposability():
     with budget(5, "criterion 2"):
         for name, rank3 in (("x3", 6), ("x2", 10), ("nonpappus", 18)):
-            arr = builtin(name)
-            report = h3_group(arr)
-            assert report.rank == rank3
-            assert report.torsion == ()
-            assert is_decomposable(arr) == {"rational": True, "integral": True}
+            an = Analysis(builtin(name))
+            assert an.h3.rank == rank3
+            assert an.h3.torsion == ()
+            assert an.decomposable == {"rational": True, "integral": True}
 
 
 def test_criterion_03_falk_equals_holonomy():
@@ -125,7 +117,7 @@ def test_criterion_05_graphic_decomposability_is_k4_freeness():
                 for q in combinations(range(g.vertices), 4)
             )
             arr = graphic_arrangement(g)
-            assert is_decomposable(arr)["rational"] == k4_free, g
+            assert Analysis(arr).decomposable["rational"] == k4_free, g
             checked += 1
         assert checked == 1094
 
@@ -133,13 +125,13 @@ def test_criterion_05_graphic_decomposability_is_k4_freeness():
 def test_criterion_06_graphic_lcs_matches_holonomy():
     for g in all_graphs_upto_5():
         arr = graphic_arrangement(g)
-        assert graphic_lcs(g, 4).as_tuple() == holonomy_ranks(arr, 4), g
+        assert graphic_lcs(g, 4).as_tuple() == Analysis(arr).ranks(4), g
 
 
 def test_criterion_07_x3_lcs_product_formula():
     with budget(30, "criterion 7"):
         arr = builtin("x3")
-        table = lcs_ranks_decomposable(arr, 5)
+        table = lcs_ranks_decomposable(Analysis(arr), 5)
         assert table.as_tuple() == (6, 3, 6, 9, 18)
         for k in range(2, 6):
             assert table[k] == holonomy_rank(arr, k)
@@ -148,16 +140,16 @@ def test_criterion_07_x3_lcs_product_formula():
 def test_criterion_08_chen_ranks_two_routes():
     with budget(180, "criterion 8"):
         for name, kmax in (("x3", 5), ("x2", 5), ("nonpappus", 4)):
-            arr = builtin(name)
-            dims = infinitesimal_alexander_dims(arr, kmax - 2)
-            table = chen_ranks_decomposable(arr, kmax)
+            an = Analysis(builtin(name))
+            dims = an.alexander_dims(kmax - 2)
+            table = chen_ranks_decomposable(an, kmax)
             for k in range(2, kmax + 1):
                 assert dims[k - 2] == table[k], (name, k)
 
 
 def test_criterion_09_chen_lower_bound_braid():
     arr = builtin("braid", (3,))
-    dims = infinitesimal_alexander_dims(arr, 2)
+    dims = Analysis(arr).alexander_dims(2)
     bounds = [chen_lower_bound(arr, k) for k in (2, 3, 4)]
     # equality is forced in degree 2
     assert dims[0] == bounds[0] == 4
@@ -167,20 +159,20 @@ def test_criterion_09_chen_lower_bound_braid():
 
 
 def test_criterion_10_resonance_census():
-    comps = resonance_components(builtin("nonpappus"), 1)
+    comps = resonance_components(Analysis(builtin("nonpappus")), 1)
     assert len(comps) == 9
     assert all(c.dimension == 2 for c in comps)
     for name in ("x3", "x2", "nonpappus"):
-        arr = builtin(name)
-        table = chen_ranks_decomposable(arr, 5)
+        an = Analysis(builtin(name))
+        table = chen_ranks_decomposable(an, 5)
         for k in range(2, 6):
-            assert chen_ranks_from_resonance(arr, k) == table[k]
+            assert chen_ranks_from_resonance(an, k) == table[k]
 
 
 def test_criterion_11_milnor_fiber(capsys):
     with budget(1, "criterion 11"):
         arr = builtin("nonpappus")
-        report = milnor_b1(MultiArrangement(arr, (1,) * 9), separated=True)
+        report = milnor_b1(MultiArrangement(arr, (1,) * 9), Analysis(arr), separated=True)
         assert report.b1 == 8
         assert report.trivial_monodromy
         rc = main(["milnor", "--builtin", "pappus", "--assert-separated"])
@@ -188,14 +180,15 @@ def test_criterion_11_milnor_fiber(capsys):
         assert "decomposable" in capsys.readouterr().err
 
 
-def _check_weighted_milnor(name, params, arr, flats, m):
+def _check_weighted_milnor(name, params, an, flats, m):
     """Assert the multiplicity contract for one weight vector.
 
     Returns whether every multiple flat X has gcd(N, {m_H : H outside X})
     = 1, the condition under which b1 = n - 1, and the report.
     """
+    arr = an.arr
     ma = MultiArrangement(arr, m)
-    report = milnor_b1(ma, separated=True)
+    report = milnor_b1(ma, an, separated=True)
     N = sum(m)
     trivial = all(
         gcd(N, *(m[h] for h in range(arr.n) if h not in members)) == 1
@@ -207,7 +200,7 @@ def _check_weighted_milnor(name, params, arr, flats, m):
         assert report.eigen_multiplicities[j] == oracle[j], (name, m, j)
     if name == "split_solvable":
         assert report.b1 == kunneth_split_solvable_b1(params, m), (name, m)
-    assert monodromy_trivial_criterion(ma) == report.trivial_monodromy, (name, m)
+    assert monodromy_trivial_criterion(ma, an) == report.trivial_monodromy, (name, m)
     return trivial, report
 
 
@@ -229,24 +222,26 @@ def test_criterion_12_multiplicity_invariance():
             ("split_solvable", (2, 3)),
         ):
             arr = builtin(name, params)
+            # one analysis per arrangement: decomposability is decided once
+            an = Analysis(arr)
             flats = [
                 (f.members, f.mobius)
                 for f in compute_l2(arr).multiple_flats()
             ]
             trivial, report = _check_weighted_milnor(
-                name, params, arr, flats, (1,) * arr.n
+                name, params, an, flats, (1,) * arr.n
             )
             assert trivial and report.b1 == arr.n - 1
             for _ in range(50):
                 m = random_multiplicities(rng, arr.n)
-                trivial, _ = _check_weighted_milnor(name, params, arr, flats, m)
+                trivial, _ = _check_weighted_milnor(name, params, an, flats, m)
                 sides[trivial] += 1
             for members, mobius in flats:
                 m = [1 if h in members else 2 for h in range(arr.n)]
                 if len(members) % 2:
                     m[members[0]] = 2
                 trivial, report = _check_weighted_milnor(
-                    name, params, arr, flats, tuple(m)
+                    name, params, an, flats, tuple(m)
                 )
                 assert not trivial and report.b1 == arr.n + mobius - 2
         # the sample reaches both sides of the condition

@@ -16,7 +16,7 @@ from arrinv.formulas import (
     graphic_lcs,
     lcs_ranks_decomposable,
 )
-from arrinv.holonomy import holonomy_rank
+from arrinv.holonomy import Analysis, holonomy_rank
 from arrinv.lyndon import lyndon_words, witt_count
 
 from oracles import hilbert_theta
@@ -55,34 +55,36 @@ def test_chen_lower_bound():
 
 
 def test_chen_ranks_decomposable():
-    table = chen_ranks_decomposable(builtin("x3"), 5)
+    table = chen_ranks_decomposable(Analysis(builtin("x3")), 5)
     assert table.kind == "chen" and table.hypothesis == "q_decomposable"
     assert table.as_tuple() == (6, 3, 6, 9, 12)
-    assert chen_ranks_decomposable(builtin("x2"), 3)[3] == 10
+    assert chen_ranks_decomposable(Analysis(builtin("x2")), 3)[3] == 10
     with pytest.raises(HypothesisError):
-        chen_ranks_decomposable(builtin("braid", (3,)), 3)
+        chen_ranks_decomposable(Analysis(builtin("braid", (3,))), 3)
     with pytest.raises(HypothesisError):
-        chen_ranks_decomposable(builtin("pappus"), 3)
+        chen_ranks_decomposable(Analysis(builtin("pappus")), 3)
     with pytest.raises(DomainError):
-        chen_ranks_decomposable(builtin("x3"), 0)
+        chen_ranks_decomposable(Analysis(builtin("x3")), 0)
 
 
 def test_lcs_ranks_decomposable():
-    table = lcs_ranks_decomposable(builtin("x3"), 5)
+    table = lcs_ranks_decomposable(Analysis(builtin("x3")), 5)
     assert table.kind == "lcs"
     assert table.as_tuple() == (6, 3, 6, 9, 18)
-    ss = lcs_ranks_decomposable(builtin("split_solvable", (2, 3)), 6)
+    ss = lcs_ranks_decomposable(Analysis(builtin("split_solvable", (2, 3))), 6)
     for k in range(2, 7):
         assert ss[k] == witt_count(2, k) + witt_count(3, k)
     with pytest.raises(HypothesisError):
-        lcs_ranks_decomposable(builtin("braid", (3,)), 4)
+        lcs_ranks_decomposable(Analysis(builtin("braid", (3,))), 4)
+    # an Arrangement is analysed for the one call
+    assert lcs_ranks_decomposable(builtin("x3"), 5) == table
 
 
 def test_lcs_pencil_is_free_times_line():
     # a pencil deletes one free generator: phi_k agrees with the free
     # Lie algebra on mu letters for k >= 2
     pencil = make_arrangement([(1, 0), (0, 1), (1, 1), (1, 2)])
-    table = lcs_ranks_decomposable(pencil, 6)
+    table = lcs_ranks_decomposable(Analysis(pencil), 6)
     assert table[1] == 4
     for k in range(2, 7):
         assert table[k] == witt_count(3, k)
@@ -91,7 +93,7 @@ def test_lcs_pencil_is_free_times_line():
 def test_lcs_matches_holonomy():
     for name in ("x3", "x2", "nonpappus"):
         arr = builtin(name)
-        table = lcs_ranks_decomposable(arr, 4)
+        table = lcs_ranks_decomposable(Analysis(arr), 4)
         for k in range(1, 5):
             assert table[k] == holonomy_rank(arr, k)
 
@@ -174,8 +176,8 @@ def test_graphic_lcs_agrees_with_decomposable_route():
             if not edges or (len(kappa) >= 4 and kappa[3]):
                 continue
             found += 1
-            arr = graphic_arrangement(g)
-            assert graphic_lcs(g, kmax).values == lcs_ranks_decomposable(arr, kmax).values
+            an = Analysis(graphic_arrangement(g))
+            assert graphic_lcs(g, kmax).values == lcs_ranks_decomposable(an, kmax).values
 
 
 def test_graphic_lcs_k4_matches_holonomy():

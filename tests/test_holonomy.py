@@ -3,21 +3,18 @@ from math import comb
 
 import pytest
 
-from arrinv.arrangement import betti, compute_l2
+from arrinv.arrangement import MultiArrangement, betti, compute_l2, make_arrangement
 from arrinv.catalog import builtin, from_spec
-from arrinv.checks import random_rank3_arrangement
+from arrinv.checks import random_multiplicities, random_rank3_arrangement, run_all_checks
 from arrinv.errors import DomainError, ResourceError
 from arrinv.holonomy import (
-    _graded_rows,
+    Analysis,
     _int_rows,
-    h3_group,
     holonomy_rank,
-    holonomy_ranks,
     holonomy_relators,
-    infinitesimal_alexander_dims,
-    is_decomposable,
     local_h3_rank,
 )
+from arrinv.milnor import monodromy_trivial_criterion
 from arrinv.linalg import rank_exact, smith_diagonal
 from arrinv.lyndon import DEFAULT_WORD_CEILING, lyndon_basis, witt_count
 
@@ -61,7 +58,7 @@ def test_braid_low_degrees():
 def test_h3_groups_are_free():
     for name, expected in (("braid", 10), ("x3", 6), ("x2", 10), ("nonpappus", 18)):
         arr = builtin(name, (3,)) if name == "braid" else builtin(name)
-        report = h3_group(arr)
+        report = Analysis(arr).h3
         assert report.rank == expected
         assert report.torsion == ()
 
@@ -73,14 +70,14 @@ def test_wide_h3_groups_match_the_rank_route():
     with budget(3, "wide degree-3 groups"):
         for spec in ("braid:6", "graphic:" + k7):
             arr = from_spec(spec)
-            report = h3_group(arr)
-            assert report.rank == holonomy_rank(arr, 3), spec
-            assert report.torsion == (), spec
-            assert not is_decomposable(arr)["rational"], spec
-        braid6 = builtin("braid", (6,))
-        assert h3_group(braid6).rank == 440
-        assert local_h3_rank(braid6) == 160
-        assert is_decomposable(braid6) == {"rational": False, "integral": False}
+            an = Analysis(arr)
+            assert an.h3.rank == holonomy_rank(arr, 3), spec
+            assert an.h3.torsion == (), spec
+            assert not an.decomposable["rational"], spec
+        braid6 = Analysis(builtin("braid", (6,)))
+        assert braid6.h3.rank == 440
+        assert local_h3_rank(braid6.arr) == 160
+        assert braid6.decomposable == {"rational": False, "integral": False}
 
 
 def test_rank_kernel_matches_the_smith_length_on_deep_jk():
@@ -90,7 +87,7 @@ def test_rank_kernel_matches_the_smith_length_on_deep_jk():
         for name, k, want in (("x3", 5, 1536), ("pappus", 4, 1590)):
             arr = builtin(name)
             basis = lyndon_basis(arr.n, k)
-            *_, jk = _graded_rows(arr, k)
+            jk = Analysis(arr)._jk(k)
             rows = list(_int_rows(jk, basis))
             assert rank_exact(rows) == len(smith_diagonal(rows, len(basis))) == want
 
@@ -103,27 +100,27 @@ def test_local_h3_rank():
 
 
 def test_decomposability_flags():
-    assert is_decomposable(builtin("braid", (3,))) == {
+    assert Analysis(builtin("braid", (3,))).decomposable == {
         "rational": False,
         "integral": False,
     }
-    assert is_decomposable(builtin("x3")) == {"rational": True, "integral": True}
-    assert is_decomposable(builtin("x2")) == {"rational": True, "integral": True}
-    assert is_decomposable(builtin("nonpappus")) == {
+    assert Analysis(builtin("x3")).decomposable == {"rational": True, "integral": True}
+    assert Analysis(builtin("x2")).decomposable == {"rational": True, "integral": True}
+    assert Analysis(builtin("nonpappus")).decomposable == {
         "rational": True,
         "integral": True,
     }
-    assert is_decomposable(builtin("pappus")) == {
+    assert Analysis(builtin("pappus")).decomposable == {
         "rational": False,
         "integral": False,
     }
 
 
 def test_infinitesimal_alexander_dims():
-    assert infinitesimal_alexander_dims(builtin("x3"), 3) == [3, 6, 9, 12]
-    assert infinitesimal_alexander_dims(builtin("braid", (3,)), 0) == [4]
+    assert Analysis(builtin("x3")).alexander_dims(3) == [3, 6, 9, 12]
+    assert Analysis(builtin("braid", (3,))).alexander_dims(0) == [4]
     with pytest.raises(DomainError):
-        infinitesimal_alexander_dims(builtin("x3"), -1)
+        Analysis(builtin("x3")).alexander_dims(-1)
 
 
 def test_subspace_dims():
@@ -154,7 +151,7 @@ def test_resource_ceiling():
     with pytest.raises(ResourceError):
         holonomy_rank(builtin("braid", (4,)), 6, ceiling=1000)
     with pytest.raises(ResourceError):
-        infinitesimal_alexander_dims(builtin("nonpappus"), 6, ceiling=2000)
+        Analysis(builtin("nonpappus"), 2000).alexander_dims(6)
 
 
 def test_every_basis_is_checked_against_the_callers_ceiling(monkeypatch):
@@ -170,15 +167,15 @@ def test_every_basis_is_checked_against_the_callers_ceiling(monkeypatch):
     monkeypatch.setattr(holonomy, "lyndon_basis", spy)
     arr = builtin("x3")
     assert holonomy_rank(arr, 4, ceiling=5000) == 9
-    assert h3_group(arr, ceiling=5000).rank == 6
-    assert infinitesimal_alexander_dims(arr, 2, ceiling=5000) == [3, 6, 9]
+    assert Analysis(arr, 5000).h3.rank == 6
+    assert Analysis(arr, 5000).alexander_dims(2) == [3, 6, 9]
     assert seen and set(seen) == {5000}
     with pytest.raises(ResourceError, match="7735 basis words, above the ceiling of 5000"):
         holonomy_rank(arr, 6, ceiling=5000)
     # a refusal names the caller's ceiling, above the default as well
     braid10 = from_spec("braid:10")
     with pytest.raises(ResourceError, match="242970 basis words, above the ceiling of 242969"):
-        h3_group(braid10, ceiling=242969)
+        Analysis(braid10, 242969).h3
     assert holonomy.lyndon_basis(braid10.n, 3, 300000).degree == 3
 
 
@@ -186,7 +183,7 @@ def test_holonomy_ranks_is_one_graded_pass():
     # braid:3 is the pure braid group P_4; holonomy_rank is the last entry
     for name, want in (("braid", (6, 4, 10, 21)), ("x3", (6, 3, 6, 9, 18))):
         arr = builtin(name, (3,)) if name == "braid" else builtin(name)
-        assert holonomy_ranks(arr, len(want)) == want
+        assert Analysis(arr).ranks(len(want)) == want
         assert holonomy_rank(arr, len(want)) == want[-1]
 
 
@@ -198,6 +195,55 @@ def test_every_basis_is_refused_before_any_rank(monkeypatch):
 
     monkeypatch.setattr(holonomy, "rank", no_rank)
     with pytest.raises(ResourceError, match="degree-6 computation needs 19544"):
-        holonomy_ranks(builtin("x2"), 6, ceiling=19000)
+        Analysis(builtin("x2"), 19000).ranks(6)
     with pytest.raises(DomainError):
-        holonomy_ranks(builtin("x2"), 0)
+        Analysis(builtin("x2")).ranks(0)
+
+
+def test_library_degree_is_bounded():
+    # one hyperplane: every basis above degree 1 is empty, but witt_count's
+    # divisor loop makes each degree cost more, so the pass stops at 1000
+    one = make_arrangement([(1, 0)])
+    with pytest.raises(ResourceError, match="degree 1001 exceeds 1000"):
+        holonomy_rank(one, 1001)
+    with pytest.raises(ResourceError, match="degree 1001 exceeds 1000"):
+        Analysis(one).alexander_dims(999)
+    with budget(5, "one hyperplane to degree 1000"):
+        assert holonomy_rank(one, 1000) == 0
+
+
+def _count_holonomy_calls(monkeypatch, names):
+    from arrinv import holonomy
+
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(holonomy, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(holonomy, name, spy)
+    return calls
+
+
+def test_one_analysis_serves_many_questions(monkeypatch):
+    calls = _count_holonomy_calls(monkeypatch, ("_next_degree", "rank", "smith_diagonal"))
+    an = Analysis(builtin("x3"))
+    assert an.ranks(5) == (6, 3, 6, 9, 18)
+    assert an.ranks(3) == (6, 3, 6)
+    assert an.h3.rank == 6
+    rng = random.Random(5)
+    for _ in range(50):
+        m = random_multiplicities(rng, an.arr.n)
+        monodromy_trivial_criterion(MultiArrangement(an.arr, m), an)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "_next_degree": 3, "rank": 4, "smith_diagonal": 1}
+
+
+def test_check_suite_builds_each_degree_once_per_sample(monkeypatch):
+    # 16 samples, 14 of them decomposable: J_3 of each, J_4 of those
+    calls = _count_holonomy_calls(monkeypatch, ("_next_degree",))["_next_degree"]
+    assert all(r.ok for r in run_all_checks(seed=12022, samples=10))
+    built = [(id(arr), len(rows[0][0][0]) + 1) for arr, rows in calls]
+    assert len(built) == len(set(built)) == 30

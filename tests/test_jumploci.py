@@ -6,6 +6,7 @@ from arrinv.arrangement import compute_l2
 from arrinv.catalog import builtin
 from arrinv.errors import DomainError, HypothesisError, RefusalError
 from arrinv.formulas import chen_ranks_decomposable
+from arrinv.holonomy import Analysis
 from arrinv.jumploci import (
     LinearComponent,
     TorusComponent,
@@ -16,7 +17,7 @@ from arrinv.jumploci import (
 
 
 def test_nonpappus_resonance_depth1():
-    comps = resonance_components(builtin("nonpappus"), 1)
+    comps = resonance_components(Analysis(builtin("nonpappus")), 1)
     assert len(comps) == 9
     for c in comps:
         assert isinstance(c, LinearComponent)
@@ -31,43 +32,43 @@ def test_nonpappus_resonance_depth1():
 
 
 def test_depth_filtration():
-    assert resonance_components(builtin("nonpappus"), 2) == []
-    assert resonance_components(builtin("x3"), 2) == []
-    ss = resonance_components(builtin("split_solvable", (2, 3)), 2)
+    assert resonance_components(Analysis(builtin("nonpappus")), 2) == []
+    assert resonance_components(Analysis(builtin("x3")), 2) == []
+    ss = resonance_components(Analysis(builtin("split_solvable", (2, 3))), 2)
     assert [c.dimension for c in ss] == [3]
-    shallow = resonance_components(builtin("split_solvable", (2, 3)), 1)
+    shallow = resonance_components(Analysis(builtin("split_solvable", (2, 3))), 1)
     assert {c.support for c in ss} <= {c.support for c in shallow}
 
 
 def test_components_overlap_in_at_most_one_coordinate():
-    comps = resonance_components(builtin("nonpappus"), 1)
+    comps = resonance_components(Analysis(builtin("nonpappus")), 1)
     for a, b in combinations(comps, 2):
         assert len(set(a.support) & set(b.support)) <= 1
 
 
 def test_resonance_domain_and_hypothesis():
     with pytest.raises(DomainError):
-        resonance_components(builtin("x3"), 0)
+        resonance_components(Analysis(builtin("x3")), 0)
     with pytest.raises(HypothesisError):
-        resonance_components(builtin("braid", (3,)), 1)
+        resonance_components(Analysis(builtin("braid", (3,))), 1)
     with pytest.raises(HypothesisError):
-        resonance_components(builtin("pappus"), 1)
+        resonance_components(Analysis(builtin("pappus")), 1)
 
 
 def test_characteristic_needs_assertion():
     # the hypothesis check comes before the refusal: pappus fails on
     # decomposability even without the flag
     with pytest.raises(HypothesisError):
-        characteristic_components(builtin("pappus"), 1)
+        characteristic_components(Analysis(builtin("pappus")), 1)
     with pytest.raises(RefusalError, match="assert-separated"):
-        characteristic_components(builtin("nonpappus"), 1)
+        characteristic_components(Analysis(builtin("nonpappus")), 1)
 
 
 def test_characteristic_report():
-    report = characteristic_components(builtin("nonpappus"), 1, separated=True)
+    report = characteristic_components(Analysis(builtin("nonpappus")), 1, separated=True)
     assert len(report) == 9
     assert report.hypotheses == {"q_decomposable": True, "separated": "asserted"}
-    lin = resonance_components(builtin("nonpappus"), 1)
+    lin = resonance_components(Analysis(builtin("nonpappus")), 1)
     for tor, exp in zip(report, lin):
         assert isinstance(tor, TorusComponent)
         assert tor.support == exp.support
@@ -88,18 +89,18 @@ def test_component_validation():
 
 
 def test_chen_ranks_from_resonance():
-    assert chen_ranks_from_resonance(builtin("nonpappus"), 2) == 9
-    assert chen_ranks_from_resonance(builtin("x2"), 3) == 10
-    assert chen_ranks_from_resonance(builtin("x3"), 5) == 12
+    assert chen_ranks_from_resonance(Analysis(builtin("nonpappus")), 2) == 9
+    assert chen_ranks_from_resonance(Analysis(builtin("x2")), 3) == 10
+    assert chen_ranks_from_resonance(Analysis(builtin("x3")), 5) == 12
     with pytest.raises(DomainError):
-        chen_ranks_from_resonance(builtin("x3"), 1)
+        chen_ranks_from_resonance(Analysis(builtin("x3")), 1)
     with pytest.raises(HypothesisError):
-        chen_ranks_from_resonance(builtin("braid", (3,)), 2)
+        chen_ranks_from_resonance(Analysis(builtin("braid", (3,))), 2)
 
 
 def test_two_chen_routes_agree():
     for name in ("x3", "x2", "nonpappus"):
-        arr = builtin(name)
-        table = chen_ranks_decomposable(arr, 6)
+        an = Analysis(builtin(name))
+        table = chen_ranks_decomposable(an, 6)
         for k in range(2, 7):
-            assert chen_ranks_from_resonance(arr, k) == table[k]
+            assert chen_ranks_from_resonance(an, k) == table[k]
