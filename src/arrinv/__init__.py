@@ -24,7 +24,6 @@ from .arrangement import (
     graphic_arrangement,
     localization,
     make_arrangement,
-    mobius2,
     product,
 )
 from .catalog import CATALOG_NAMES, builtin
@@ -48,7 +47,6 @@ from .formulas import (
 )
 from .holonomy import Analysis, holonomy_rank, holonomy_relators, local_h3_rank
 from .jumploci import (
-    CharacteristicReport,
     LinearComponent,
     TorusComponent,
     characteristic_components,
@@ -72,7 +70,6 @@ __all__ = [
     "ArrangementError",
     "CATALOG_NAMES",
     "CatalogError",
-    "CharacteristicReport",
     "DomainError",
     "Flat2",
     "HypothesisError",
@@ -112,7 +109,6 @@ __all__ = [
     "lyndon_words",
     "make_arrangement",
     "milnor_b1",
-    "mobius2",
     "monodromy_trivial_criterion",
     "parse_arrangement",
     "product",

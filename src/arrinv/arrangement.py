@@ -188,11 +188,6 @@ def compute_l2(arr: Arrangement) -> L2Lattice:
     return lat
 
 
-def mobius2(f: Flat2) -> int:
-    """Moebius value of a rank-2 flat: one less than its member count."""
-    return f.mobius
-
-
 def arrangement_rank(arr: Arrangement) -> int:
     """Rank of the arrangement: codimension of the common intersection."""
     return rank_exact([dict(enumerate(r)) for r in arr.normals])

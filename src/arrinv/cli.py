@@ -15,11 +15,14 @@ hypotheses)``, whose docstring is its help, registered with
 ``@_command(name, *extra_options)`` as an argparse subparser.  ``an`` is
 the command's one ``holonomy.Analysis`` of its arrangement under
 ``--ceiling``, so a command builds each J_k and tests decomposability at
-most once.  Compute functions call library functions through
-module-level names at call time, so a tracer that rebinds them sees each
-call; the analysis's methods are not rebound, but the kernels they call
-are.  Parsing needs nothing beyond the standard library; usage errors
-raise DomainError, and option bounds are checked once, after parsing.
+most once.  A command resting on the paper's hypotheses reports
+``an.require(...)``, called after its library call, so a refusal comes
+from the library with its own advisory.  Compute functions call library
+functions through module-level names at call time, so a tracer that
+rebinds them sees each call; the analysis's methods are not rebound, but
+the kernels they call are.  Parsing needs nothing beyond the standard
+library; usage errors raise DomainError, and option bounds are checked
+once, after parsing.
 
 Exit codes: 0 success, 1 input or parse error, 2 hypothesis refusal,
 3 resource ceiling hit.
@@ -221,8 +224,7 @@ def lcs(an, kmax):
     """LCS ranks from the product formula (decomposable arrangements)."""
     table = lcs_ranks_decomposable(an, kmax)
     ranks = {str(k): v for k, v in table.values.items()}
-    return ({"kind": "lcs", "ranks": ranks, "route": "product-formula"},
-            {"q_decomposable": True})
+    return {"kind": "lcs", "ranks": ranks, "route": "product-formula"}, an.require()
 
 
 @_command("chen", _int_option("--max", 4, "largest Chen degree to report", "kmax"))
@@ -230,7 +232,7 @@ def chen(an, kmax):
     """Chen ranks theta_1..theta_max (decomposable arrangements)."""
     table = chen_ranks_decomposable(an, kmax)
     ranks = {str(k): v for k, v in table.values.items()}
-    return {"kind": "chen", "ranks": ranks}, {"q_decomposable": True}
+    return {"kind": "chen", "ranks": ranks}, an.require()
 
 
 def _components_json(arr, depth, comps):
@@ -249,15 +251,15 @@ def _components_json(arr, depth, comps):
 def resonance(an, depth):
     """Components of the depth-s resonance variety."""
     comps = resonance_components(an, depth)
-    return _components_json(an.arr, depth, comps), {"q_decomposable": True}
+    return _components_json(an.arr, depth, comps), an.require()
 
 
 @_command("charvar", _int_option("--depth", 1, "characteristic variety depth s"),
           _separated_option)
 def charvar(an, depth, separated):
     """Subtorus components of the depth-s characteristic variety."""
-    report = characteristic_components(an, depth, separated=separated)
-    return _components_json(an.arr, depth, report), dict(report.hypotheses)
+    comps = characteristic_components(an, depth, separated=separated)
+    return _components_json(an.arr, depth, comps), an.require(separated)
 
 
 @_command("milnor",
@@ -276,7 +278,7 @@ def milnor(an, mult, separated):
             str(j): v for j, v in report.eigen_multiplicities.items()
         },
         "trivial_monodromy": report.trivial_monodromy,
-    }, dict(report.hypotheses))
+    }, an.require(separated))
 
 
 def check(seed, samples, fmt):

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .arrangement import Arrangement, SimpleGraph, compute_l2
-from .errors import DomainError, HypothesisError, ResourceError
-from .holonomy import MAX_FORMULA_DEGREE, Analysis
+from .errors import DomainError
+from .holonomy import Analysis, check_degree
 from .lyndon import divisors, number_mobius, witt_count
 
 
@@ -36,13 +36,10 @@ class RankTable:
 
     kind: str  # "lcs" or "chen"
     values: dict[int, int]
-    hypothesis: str = "none"
 
     def __post_init__(self):
         if self.kind not in ("lcs", "chen"):
             raise ValueError("unknown table kind %r" % (self.kind,))
-        if self.hypothesis not in ("none", "q_decomposable", "graphic"):
-            raise ValueError("unknown hypothesis %r" % (self.hypothesis,))
         degrees = sorted(self.values)
         if degrees != list(range(1, len(degrees) + 1)):
             raise ValueError("degrees must be contiguous from 1")
@@ -77,26 +74,15 @@ def chen_lower_bound(arr: Arrangement, k: int) -> int:
     return (k - 1) * sum(comb(f.mobius + k - 2, k) for f in lat.multiple_flats())
 
 
-def _require_formula_domain(an: Analysis, what: str, degree: int):
-    # the degree bound comes after the decomposability refusal
-    if not an.decomposable["rational"]:
-        raise HypothesisError(
-            "%s assumes a rationally decomposable arrangement; "
-            "is_decomposable reports rational=false" % (what,)
-        )
-    if degree > MAX_FORMULA_DEGREE:
-        raise ResourceError("degree %d exceeds %d, the largest the formulas "
-                            "report" % (degree, MAX_FORMULA_DEGREE))
-
-
 def chen_ranks_decomposable(an: Analysis, kmax: int) -> RankTable:
     """Chen ranks theta_1..theta_kmax under the decomposability hypothesis."""
     if kmax < 1:
         raise DomainError("need kmax >= 1")
-    _require_formula_domain(an, "chen_ranks_decomposable", kmax)
+    an.require()
+    check_degree(kmax)
     values = {1: an.arr.n}
     values.update((k, chen_lower_bound(an.arr, k)) for k in range(2, kmax + 1))
-    return RankTable("chen", values, hypothesis="q_decomposable")
+    return RankTable("chen", values)
 
 
 def _phi_from_product(a: int, mus, degree: int) -> int:
@@ -120,11 +106,12 @@ def lcs_ranks_decomposable(an: Analysis, kmax: int) -> RankTable:
         raise DomainError("need kmax >= 1")
     if isinstance(an, Arrangement):
         an = Analysis(an)
-    _require_formula_domain(an, "lcs_ranks_decomposable", kmax)
+    an.require()
+    check_degree(kmax)
     mus = [f.mobius for f in compute_l2(an.arr)]
     a = an.arr.n - sum(mus)
     values = {k: _phi_from_product(a, mus, k) for k in range(1, kmax + 1)}
-    return RankTable("lcs", values, hypothesis="q_decomposable")
+    return RankTable("lcs", values)
 
 
 def clique_counts(g: SimpleGraph) -> list[int]:
@@ -159,4 +146,4 @@ def graphic_lcs(g: SimpleGraph, kmax: int) -> RankTable:
             )
             total += coeff * witt_count(j, k)
         values[k] = total
-    return RankTable("lcs", values, hypothesis="graphic")
+    return RankTable("lcs", values)

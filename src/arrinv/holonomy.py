@@ -18,16 +18,20 @@ Everything one call computes about an arrangement lives in one
 keeps the rows of one graded pass, J_2, J_3, ..., extended on demand, so
 no degree is built twice, and every computation over it reads the same
 rows.  Before any row is built it checks the degree against
-`MAX_FORMULA_DEGREE` and every Lyndon basis against its one ceiling
-(`lyndon.lyndon_basis` is the check).
+`MAX_FORMULA_DEGREE` (`check_degree`, which the formulas share) and every
+Lyndon basis against its one ceiling (`lyndon.lyndon_basis` is the check).
 
 In degree 3 the integral quotient Lie_3 / J_3 comes from one Smith normal
 form of J_3 (`Analysis.h3`, by `linalg.smith_diagonal`, a streaming
-unit-pivot pass plus a small dense core).  Its rank decides rational
-decomposability and its torsion integral decomposability
-(`Analysis.decomposable`), so each analysis eliminates J_3 once for
-every hypothesis test it serves.  `Analysis.ranks` keeps its own
-`rank_exact` route, and the tests compare the two.
+unit-pivot pass plus a small dense core).  Its rank is phi_3 in
+`Analysis.ranks` and decides rational decomposability, and its torsion
+decides integral decomposability (`Analysis.decomposable`), so each
+analysis eliminates J_3 once.
+
+The paper's results rest on two hypotheses: rational decomposability,
+decided here, and separatedness of the Alexander invariant, which only
+the caller can assert.  `Analysis.require` is the one place both are
+checked and refused, and it returns the hypotheses a report prints.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from itertools import chain
 from math import comb
 
 from .arrangement import Arrangement, compute_l2
-from .errors import DomainError, ResourceError
+from .errors import DomainError, HypothesisError, RefusalError, ResourceError
 from .linalg import rank, smith_diagonal
 from .lyndon import (
     DEFAULT_WORD_CEILING,
@@ -55,6 +59,13 @@ Vector = tuple[tuple[Word, int], ...]
 # largest degree the graded pass builds and the decomposable LCS and Chen
 # formulas report; past it they raise ResourceError
 MAX_FORMULA_DEGREE = 1000
+
+
+def check_degree(k: int) -> None:
+    """Refuse a degree above ``MAX_FORMULA_DEGREE``."""
+    if k > MAX_FORMULA_DEGREE:
+        raise ResourceError("degree %d exceeds %d, the largest holonomy computes"
+                            % (k, MAX_FORMULA_DEGREE))
 
 
 @dataclass(frozen=True)
@@ -166,10 +177,7 @@ class Analysis:
         """The Lyndon bases of ``degrees``, in that order: the largest degree
         is checked against the degree bound, then every basis against the
         ceiling, before any row is built."""
-        top = max(degrees[0], degrees[-1]) if degrees else 0
-        if top > MAX_FORMULA_DEGREE:
-            raise ResourceError("degree %d exceeds %d, the largest holonomy computes"
-                                % (top, MAX_FORMULA_DEGREE))
+        check_degree(max(degrees[0], degrees[-1]) if degrees else 0)
         return [lyndon_basis(self.arr.n, k, self.ceiling) for k in degrees]
 
     def _jk(self, k: int) -> tuple[Vector, ...]:
@@ -185,11 +193,15 @@ class Analysis:
         """dims phi_1..phi_kmax of the holonomy Lie algebra over Q.
 
         Every basis is checked, smallest first, before any row is built;
-        each degree is eliminated once per analysis.
+        each degree is eliminated once per analysis, degree 3 by the Smith
+        form of ``h3``.
         """
         if kmax < 1:
             raise DomainError("degree must be positive")
         for basis in self._bases(range(2, kmax + 1))[len(self._ranks) - 1:]:
+            if basis.degree == 3:
+                self._ranks.append(self.h3.rank)
+                continue
             rows = _int_rows(self._jk(basis.degree), basis)
             self._ranks.append(len(basis) - rank(rows, len(basis)))
         return tuple(self._ranks[:kmax])
@@ -212,6 +224,28 @@ class Analysis:
         """
         rational = self.h3.rank == local_h3_rank(self.arr)
         return {"rational": rational, "integral": rational and not self.h3.torsion}
+
+    def require(self, separated: bool | None = None) -> dict:
+        """The hypotheses a result under the paper's theorems rests on.
+
+        Raises HypothesisError unless the arrangement is rationally
+        decomposable and, when ``separated`` is not None, RefusalError
+        unless the caller asserts separatedness with it.  Returns the
+        hypotheses dict a report prints.
+        """
+        if not self.decomposable["rational"]:
+            raise HypothesisError(
+                "the computation needs a rationally decomposable arrangement; "
+                "this one is not (h3_rank %d > local_rank %d)"
+                % (self.h3.rank, local_h3_rank(self.arr)))
+        if separated is None:
+            return {"q_decomposable": True}
+        if not separated:
+            raise RefusalError(
+                "the computation needs the Alexander invariant separated, which "
+                "cannot be checked from the input; pass separated=True "
+                "(--assert-separated) to assert it")
+        return {"q_decomposable": True, "separated": "asserted"}
 
     def alexander_dims(self, kmax: int) -> list[int]:
         """Dimensions of the graded infinitesimal Alexander invariant, 0..kmax.

@@ -9,16 +9,17 @@ drops the dimension to |support| - 1.
 
 The subtorus description of the characteristic variety additionally needs
 the rationalized Alexander invariant to be separated, which is not
-decidable from the input data.  Callers must assert it explicitly and the
-assertion is recorded in the output.
+decidable from the input data.  Callers must assert it explicitly;
+`Analysis.require` checks both hypotheses and returns what a report
+records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arrangement import Arrangement, compute_l2
-from .errors import DomainError, HypothesisError, RefusalError
+from .errors import DomainError
 from .formulas import free_chen
 from .holonomy import Analysis
 
@@ -50,23 +51,6 @@ def _check_support(support, dimension):
         raise ValueError("dimension must be |support| - 1")
 
 
-@dataclass(frozen=True)
-class CharacteristicReport:
-    """Sequence of subtorus components plus the hypotheses they rely on."""
-
-    components: tuple[TorusComponent, ...]
-    hypotheses: dict = field(default_factory=dict)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-
 def _deep_flats(arr: Arrangement, s: int):
     if s < 1:
         raise DomainError("jump locus depth must be >= 1")
@@ -75,39 +59,22 @@ def _deep_flats(arr: Arrangement, s: int):
 
 def resonance_components(an: Analysis, s: int) -> list[LinearComponent]:
     """Components of the depth-s resonance variety, one per flat with mu > s."""
-    if not an.decomposable["rational"]:
-        raise HypothesisError(
-            "the flat-by-flat description of the resonance variety assumes "
-            "a rationally decomposable arrangement"
-        )
+    an.require()
     flats = _deep_flats(an.arr, s)
     return [LinearComponent(f.members, len(f.members) - 1) for f in flats]
 
 
 def characteristic_components(
     an: Analysis, s: int, *, separated: bool = False
-) -> CharacteristicReport:
+) -> tuple[TorusComponent, ...]:
     """Subtorus components of the depth-s characteristic variety.
 
     Requires the caller to assert separatedness of the rationalized
-    Alexander invariant; the assertion is echoed in the report.
+    Alexander invariant.
     """
-    if not an.decomposable["rational"]:
-        raise HypothesisError(
-            "the subtorus description of the characteristic variety assumes "
-            "a rationally decomposable arrangement"
-        )
-    if not separated:
-        raise RefusalError(
-            "refusing to enumerate characteristic components: separatedness "
-            "of the Alexander invariant cannot be checked from the input; "
-            "pass separated=True (--assert-separated) to assert it"
-        )
-    comps = tuple(
+    an.require(separated)
+    return tuple(
         TorusComponent(f.members, len(f.members) - 1) for f in _deep_flats(an.arr, s)
-    )
-    return CharacteristicReport(
-        comps, hypotheses={"q_decomposable": True, "separated": "asserted"}
     )
 
 

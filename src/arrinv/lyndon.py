@@ -92,34 +92,6 @@ def lyndon_product(u: Word, v: Word) -> dict[Word, int]:
     return acc
 
 
-def expand_bracket(expr, n: int, k: int) -> dict[Word, int]:
-    """Expand a nested bracket expression over the degree-k Lyndon basis.
-
-    Leaves are generator indices; pairs are brackets.  The expression must
-    involve exactly k leaves, each below n.
-    """
-
-    def walk(e) -> tuple[dict[Word, int], int]:
-        if isinstance(e, int):
-            if not 0 <= e < n:
-                raise DomainError("generator index %d out of range" % e)
-            return {(e,): 1}, 1
-        if not (isinstance(e, tuple) and len(e) == 2):
-            raise DomainError("bracket expression must be an int or a pair")
-        left, dl = walk(e[0])
-        right, dr = walk(e[1])
-        acc: dict[Word, int] = {}
-        for wu, cu in left.items():
-            for wv, cv in right.items():
-                _add_into(acc, lyndon_product(wu, wv), cu * cv)
-        return acc, dl + dr
-
-    coords, deg = walk(expr)
-    if deg != k:
-        raise DomainError("expression has degree %d, expected %d" % (deg, k))
-    return coords
-
-
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -168,12 +140,6 @@ class LyndonBasis:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def bracketing(self, w: Word):
-        """Standard factorization tree of a basis word."""
-        if w not in self.index:
-            raise DomainError("%r is not a degree-%d basis word" % (w, self.degree))
-        return standard_bracketing(w)
 
 
 def lyndon_basis(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> LyndonBasis:

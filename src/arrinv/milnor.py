@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arrangement import Flat2, MultiArrangement, arrangement_rank, compute_l2
-from .errors import DomainError, HypothesisError, RefusalError, ResourceError
+from .errors import DomainError, HypothesisError, ResourceError
 from .holonomy import Analysis
 
 # largest N = sum(m) for milnor_b1, whose report has one entry per residue
@@ -49,7 +49,6 @@ class MilnorReport:
     b1: int
     eigen_multiplicities: dict[int, int]
     trivial_monodromy: bool
-    hypotheses: dict
 
     def __post_init__(self):
         assert self.b1 == sum(self.eigen_multiplicities.values())
@@ -113,18 +112,11 @@ def milnor_b1(ma: MultiArrangement, an: Analysis, *,
     arr = ma.arrangement
     if an.arr != arr:
         raise DomainError("the analysis is of another arrangement")
-    if not an.decomposable["rational"]:
-        raise HypothesisError(
-            "the character enumeration computes b1 only for rationally "
-            "decomposable arrangements; this one is not "
-            "(advisory: local subtori give b1 >= %d)" % local_b1_lower_bound(ma)
-        )
-    if not separated:
-        raise RefusalError(
-            "refusing to compute b1: separatedness of the Alexander "
-            "invariant cannot be checked from the input; pass "
-            "separated=True (--assert-separated) to assert it"
-        )
+    try:
+        an.require(separated)
+    except HypothesisError as exc:
+        raise HypothesisError("%s; advisory: local subtori give b1 >= %d"
+                              % (exc, local_b1_lower_bound(ma))) from None
     N = ma.total
     if N > MAX_MILNOR_TOTAL:
         raise ResourceError("multiplicity total N = %d exceeds %d; the report "
@@ -136,7 +128,6 @@ def milnor_b1(ma: MultiArrangement, an: Analysis, *,
         b1=sum(eigen.values()),
         eigen_multiplicities=eigen,
         trivial_monodromy=all(eigen[j] == 0 for j in range(1, N)),
-        hypotheses={"q_decomposable": True, "separated": "asserted"},
     )
 
 

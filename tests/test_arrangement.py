@@ -17,7 +17,6 @@ from arrinv.arrangement import (
     line_key,
     localization,
     make_arrangement,
-    mobius2,
     plane_key,
     product,
 )
@@ -148,9 +147,9 @@ def test_flat_members_sorted_and_mobius():
     lat = compute_l2(builtin("x3"))
     for f in lat:
         assert list(f.members) == sorted(f.members)
-        assert mobius2(f) == len(f) - 1
-        assert mobius2(f) >= 1
-    assert sorted(mobius2(f) for f in lat.multiple_flats()) == [2, 2, 2]
+        assert f.mobius == len(f) - 1
+        assert f.mobius >= 1
+    assert sorted(f.mobius for f in lat.multiple_flats()) == [2, 2, 2]
 
 
 def test_arrangement_rank():

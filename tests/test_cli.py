@@ -125,6 +125,52 @@ def test_exit_code_refusal(capsys):
     assert rc == 2
 
 
+def test_one_hypothesis_gate(capsys):
+    # every gated entry point refuses with the gate's one sentence per
+    # hypothesis, and every command reports the gate's dict
+    from arrinv import (Analysis, HypothesisError, MultiArrangement, RefusalError,
+                        builtin, characteristic_components, chen_ranks_decomposable,
+                        chen_ranks_from_resonance, lcs_ranks_decomposable, milnor_b1,
+                        resonance_components)
+
+    not_decomposable = ("the computation needs a rationally decomposable arrangement; "
+                        "this one is not (h3_rank 20 > local_rank 18)")
+    not_asserted = ("the computation needs the Alexander invariant separated, which "
+                    "cannot be checked from the input; pass separated=True "
+                    "(--assert-separated) to assert it")
+    entry_points = {
+        "lcs": lambda an: lcs_ranks_decomposable(an, 3),
+        "chen": lambda an: chen_ranks_decomposable(an, 3),
+        "resonance": lambda an: resonance_components(an, 1),
+        "charvar": lambda an: characteristic_components(an, 1),
+        "milnor": lambda an: milnor_b1(MultiArrangement(an.arr, (1,) * an.arr.n), an),
+        "chen_from_resonance": lambda an: chen_ranks_from_resonance(an, 2),
+    }
+    for name, call in entry_points.items():
+        with pytest.raises(HypothesisError) as exc:
+            call(Analysis(builtin("pappus")))
+        advisory = "; advisory: local subtori give b1 >= 8" if name == "milnor" else ""
+        assert str(exc.value) == not_decomposable + advisory, name
+        if name in ("charvar", "milnor"):
+            with pytest.raises(RefusalError) as exc:
+                call(Analysis(builtin("x3")))
+            assert str(exc.value) == not_asserted, name
+        else:
+            call(Analysis(builtin("x3")))
+    x3 = Analysis(builtin("x3"))
+    assert x3.require() == {"q_decomposable": True}
+    assert list(x3.require(True).items()) == [("q_decomposable", True),
+                                              ("separated", "asserted")]
+    for command in ("lcs", "chen", "resonance", "charvar", "milnor"):
+        separated = ("--assert-separated",) if command in ("charvar", "milnor") else ()
+        rc, out = run(capsys, command, "--builtin", "x3", "--table", *separated)
+        assert rc == 0
+        assert out.splitlines()[-1] == "hypotheses: q_decomposable=True" + (
+            ", separated=asserted" if separated else "")
+        assert main([command, "--builtin", "pappus", *separated]) == 2
+        assert capsys.readouterr().err.startswith("refused: " + not_decomposable)
+
+
 def test_exit_code_usage(capsys):
     rc, _ = run(capsys, "betti", "--builtin", "no_such_entry")
     assert rc == 1
@@ -292,7 +338,7 @@ def test_cli_import_does_not_load_numpy():
 def test_formula_degree_is_bounded(capsys, monkeypatch):
     # past MAX_FORMULA_DEGREE, lcs and chen refuse before computing a rank,
     # and after the exit-2 decomposability refusal
-    from arrinv import formulas
+    from arrinv import formulas, holonomy
 
     def no_rank(*args):
         raise AssertionError("a rank was computed past the degree bound")
@@ -307,13 +353,13 @@ def test_formula_degree_is_bounded(capsys, monkeypatch):
         rc = main([command, "--builtin", "braid:3", "--max", "1000001"])
         assert rc == 2
         doc = run_json(capsys, command, "--builtin", "x3", "--max", "1000")
-        assert len(doc["result"]["ranks"]) == formulas.MAX_FORMULA_DEGREE == 1000
+        assert len(doc["result"]["ranks"]) == holonomy.MAX_FORMULA_DEGREE == 1000
 
 
 def test_holonomy_degree_is_bounded(tmp_path, capsys, monkeypatch):
     # every Lyndon basis up to --max is checked against the ceiling, and
     # --max against MAX_FORMULA_DEGREE, before the first rank
-    from arrinv import formulas, holonomy
+    from arrinv import holonomy
 
     def no_rank(*args):
         raise AssertionError("a rank was computed before a refusal")
@@ -335,7 +381,7 @@ def test_holonomy_degree_is_bounded(tmp_path, capsys, monkeypatch):
     # one hyperplane: an empty basis in every degree >= 2
     doc = run_json(capsys, "holonomy", "--file", str(one), "--max", "1000")
     ranks = doc["result"]["ranks"]
-    assert len(ranks) == formulas.MAX_FORMULA_DEGREE
+    assert len(ranks) == holonomy.MAX_FORMULA_DEGREE
     assert ranks["1"] == 1 and set(ranks.values()) == {0, 1}
 
 

@@ -66,8 +66,7 @@ def test_characteristic_needs_assertion():
 
 def test_characteristic_report():
     report = characteristic_components(Analysis(builtin("nonpappus")), 1, separated=True)
-    assert len(report) == 9
-    assert report.hypotheses == {"q_decomposable": True, "separated": "asserted"}
+    assert isinstance(report, tuple) and len(report) == 9
     lin = resonance_components(Analysis(builtin("nonpappus")), 1)
     for tor, exp in zip(report, lin):
         assert isinstance(tor, TorusComponent)

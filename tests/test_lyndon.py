@@ -3,9 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from arrinv.errors import DomainError, ResourceError
+from arrinv.errors import ResourceError
 from arrinv.lyndon import (
-    expand_bracket,
     lyndon_basis,
     lyndon_product,
     lyndon_words,
@@ -87,31 +86,13 @@ def test_lyndon_product_antisymmetry_and_self():
     assert lyndon_product(b, b) == {}
 
 
-def test_expand_bracket_degree_and_letters():
-    assert expand_bracket((0, 1), 2, 2) == {(0, 1): 1}
-    with pytest.raises(DomainError):
-        expand_bracket((0, 1), 2, 3)
-    with pytest.raises(DomainError):
-        expand_bracket((0, 5), 2, 2)
-
-
-def test_expand_bracket_jacobi_combination():
-    # [[x0,x1],x2] + cyclic = 0
-    total = {}
-    for expr in (((0, 1), 2), ((1, 2), 0), ((2, 0), 1)):
-        for w, c in expand_bracket(expr, 3, 3).items():
-            total[w] = total.get(w, 0) + c
-    assert all(c == 0 for c in total.values())
-
-
 def test_lyndon_basis_index_and_bracketing():
     basis = lyndon_basis(3, 3)
     assert len(basis) == witt_count(3, 3) == 8
     for i, w in enumerate(basis.words):
         assert basis.index[w] == i
-    assert basis.bracketing((0, 1, 2)) == standard_bracketing((0, 1, 2))
-    with pytest.raises(DomainError):
-        basis.bracketing((1, 0, 2))
+    assert standard_bracketing((0, 1, 2)) == (0, (1, 2))
+    assert (1, 0, 2) not in basis.index
 
 
 def test_lyndon_basis_ceiling():

@@ -45,7 +45,6 @@ def test_unit_multiplicity_catalog():
     assert all(report.eigen_multiplicities[j] == 0 for j in range(1, 9))
     report = b1_report(unit(builtin("x3")), separated=True)
     assert (report.N, report.b1, report.trivial_monodromy) == (6, 5, True)
-    assert report.hypotheses == {"q_decomposable": True, "separated": "asserted"}
 
 
 def test_pencil_has_nontrivial_monodromy():
