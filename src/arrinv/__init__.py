@@ -10,109 +10,42 @@ Closed-form formulas are always cross-checkable against independent
 linear-algebra routes; nothing is ever evaluated in floating point.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .arrangement import (
-    Arrangement,
-    Flat2,
-    L2Lattice,
-    MultiArrangement,
-    SimpleGraph,
-    arrangement_rank,
-    betti,
-    compute_l2,
-    graphic_arrangement,
-    localization,
-    make_arrangement,
-    product,
-)
-from .catalog import CATALOG_NAMES, builtin
-from .errors import (
-    ArrangementError,
-    CatalogError,
-    DomainError,
-    HypothesisError,
-    ParseError,
-    RefusalError,
-    ResourceError,
-)
-from .formulas import (
-    RankTable,
-    chen_lower_bound,
-    chen_ranks_decomposable,
-    clique_counts,
-    free_chen,
-    graphic_lcs,
-    lcs_ranks_decomposable,
-)
-from .holonomy import Analysis, holonomy_rank, holonomy_relators, local_h3_rank
-from .jumploci import (
-    LinearComponent,
-    TorusComponent,
-    characteristic_components,
-    chen_ranks_from_resonance,
-    resonance_components,
-)
-from .lyndon import LyndonBasis, lyndon_basis, lyndon_words, witt_count
-from .milnor import (
-    MilnorReport,
-    local_b1_lower_bound,
-    milnor_b1,
-    monodromy_trivial_criterion,
-)
-from .osalgebra import OSQuadraticIdeal, falk_phi3, i2_basis
-from .parsing import parse_arrangement, render_linear_form
+# The public names, by the module that defines them.  A name is imported
+# with its module on first access (PEP 562), so importing the package, or
+# running ``python -m arrinv.cli``, loads no module it does not use.
+_EXPORTS = {
+    "arrangement": ("Arrangement", "Flat2", "L2Lattice", "MultiArrangement", "SimpleGraph",
+                    "arrangement_rank", "betti", "compute_l2", "graphic_arrangement",
+                    "localization", "make_arrangement", "product"),
+    "catalog": ("CATALOG_NAMES", "builtin"),
+    "errors": ("ArrangementError", "CatalogError", "DomainError", "HypothesisError",
+               "ParseError", "RefusalError", "ResourceError"),
+    "formulas": ("RankTable", "chen_lower_bound", "chen_ranks_decomposable", "clique_counts",
+                 "free_chen", "graphic_lcs", "lcs_ranks_decomposable"),
+    "holonomy": ("Analysis", "holonomy_rank", "holonomy_relators", "local_h3_rank"),
+    "jumploci": ("LinearComponent", "TorusComponent", "characteristic_components",
+                 "chen_ranks_from_resonance", "resonance_components"),
+    "lyndon": ("LyndonBasis", "lyndon_basis", "lyndon_words", "witt_count"),
+    "milnor": ("MilnorReport", "local_b1_lower_bound", "milnor_b1",
+               "monodromy_trivial_criterion"),
+    "osalgebra": ("OSQuadraticIdeal", "falk_phi3", "i2_basis"),
+    "parsing": ("parse_arrangement", "render_linear_form"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Analysis",
-    "Arrangement",
-    "ArrangementError",
-    "CATALOG_NAMES",
-    "CatalogError",
-    "DomainError",
-    "Flat2",
-    "HypothesisError",
-    "L2Lattice",
-    "LinearComponent",
-    "LyndonBasis",
-    "MilnorReport",
-    "MultiArrangement",
-    "OSQuadraticIdeal",
-    "ParseError",
-    "RankTable",
-    "RefusalError",
-    "ResourceError",
-    "SimpleGraph",
-    "TorusComponent",
-    "arrangement_rank",
-    "betti",
-    "builtin",
-    "characteristic_components",
-    "chen_lower_bound",
-    "chen_ranks_decomposable",
-    "chen_ranks_from_resonance",
-    "clique_counts",
-    "compute_l2",
-    "falk_phi3",
-    "free_chen",
-    "graphic_arrangement",
-    "graphic_lcs",
-    "holonomy_rank",
-    "holonomy_relators",
-    "i2_basis",
-    "lcs_ranks_decomposable",
-    "local_b1_lower_bound",
-    "local_h3_rank",
-    "localization",
-    "lyndon_basis",
-    "lyndon_words",
-    "make_arrangement",
-    "milnor_b1",
-    "monodromy_trivial_criterion",
-    "parse_arrangement",
-    "product",
-    "render_linear_form",
-    "resonance_components",
-    "witt_count",
-]
+__all__ = ["__version__", *sorted(_HOME)]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + module, __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -15,12 +15,12 @@ primitive vector of its 2x2 minors, its Pluecker coordinates
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
+from ._record import record
 from .errors import DomainError
 from .linalg import rank_exact
 
@@ -35,7 +35,7 @@ def _coerce_scalar(v) -> Fraction:
     raise DomainError("coefficients must be integers, fractions or 'p/q' strings")
 
 
-@dataclass(frozen=True)
+@record
 class Arrangement:
     """A central arrangement, as an ordered tuple of normal vectors."""
 
@@ -130,7 +130,7 @@ def first_duplicate(rows):
     return min((tuple(g[:2]) for g in lines.values() if len(g) > 1), default=None)
 
 
-@dataclass(frozen=True)
+@record
 class Flat2:
     """A rank-2 flat: the set of hyperplanes containing a codim-2 subspace."""
 
@@ -144,7 +144,7 @@ class Flat2:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@record
 class L2Lattice:
     """All rank-2 flats of an arrangement, ordered by member tuple."""
 
@@ -226,7 +226,7 @@ def localization(arr: Arrangement, f) -> Arrangement:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SimpleGraph:
     """A simple graph on vertices 0..v-1, edges as sorted pairs."""
 
@@ -261,7 +261,7 @@ def graphic_arrangement(graph: SimpleGraph) -> Arrangement:
     return Arrangement(graph.vertices, tuple(normals), tuple(labels))
 
 
-@dataclass(frozen=True)
+@record
 class MultiArrangement:
     """An arrangement with a positive integer multiplicity per hyperplane."""
 

@@ -14,9 +14,9 @@ and its decomposability decided once, whichever checks ask.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb, gcd
 
+from ._record import record
 from .arrangement import (
     Arrangement,
     MultiArrangement,
@@ -35,7 +35,7 @@ from .milnor import _local_spectrum
 from .osalgebra import falk_phi3, i2_basis
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     ok: bool

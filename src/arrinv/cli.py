@@ -17,12 +17,15 @@ the command's one ``holonomy.Analysis`` of its arrangement under
 ``--ceiling``, so a command builds each J_k and tests decomposability at
 most once.  A command resting on the paper's hypotheses reports
 ``an.require(...)``, called after its library call, so a refusal comes
-from the library with its own advisory.  Compute functions call library
-functions through module-level names at call time, so a tracer that
-rebinds them sees each call; the analysis's methods are not rebound, but
-the kernels they call are.  Parsing needs nothing beyond the standard
-library; usage errors raise DomainError, and option bounds are checked
-once, after parsing.
+from the library with its own advisory.  The modules every command
+needs are imported at the top; ``formulas``, ``jumploci``, ``milnor`` and
+``checks`` are imported inside the compute function that uses them, at
+call time, so a command loads only the modules it runs.  Either way a
+library function is looked up when it is called, so a tracer that
+rebinds the names of its defining module sees each call; the analysis's
+methods are not rebound, but the kernels they call are.  Parsing needs
+nothing beyond the standard library; usage errors raise DomainError, and
+option bounds are checked once, after parsing.
 
 Exit codes: 0 success, 1 input or parse error, 2 hypothesis refusal,
 3 resource ceiling hit.
@@ -39,14 +42,10 @@ from . import __version__
 from .arrangement import (MultiArrangement, arrangement_rank, arrangement_to_json, betti,
                           compute_l2, l2_to_json)
 from .catalog import CATALOG_NAMES, from_spec
-from .checks import run_all_checks
 from .errors import (CatalogError, DomainError, HypothesisError, ParseError, RefusalError,
                      ResourceError)
-from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable
 from .holonomy import Analysis, local_h3_rank
-from .jumploci import characteristic_components, resonance_components
 from .lyndon import DEFAULT_WORD_CEILING
-from .milnor import milnor_b1
 from .parsing import parse_arrangement
 
 
@@ -222,6 +221,7 @@ def decomp(an):
 @_command("lcs", _int_option("--max", 5, "largest LCS degree to report", "kmax"))
 def lcs(an, kmax):
     """LCS ranks from the product formula (decomposable arrangements)."""
+    from .formulas import lcs_ranks_decomposable
     table = lcs_ranks_decomposable(an, kmax)
     ranks = {str(k): v for k, v in table.values.items()}
     return {"kind": "lcs", "ranks": ranks, "route": "product-formula"}, an.require()
@@ -230,6 +230,7 @@ def lcs(an, kmax):
 @_command("chen", _int_option("--max", 4, "largest Chen degree to report", "kmax"))
 def chen(an, kmax):
     """Chen ranks theta_1..theta_max (decomposable arrangements)."""
+    from .formulas import chen_ranks_decomposable
     table = chen_ranks_decomposable(an, kmax)
     ranks = {str(k): v for k, v in table.values.items()}
     return {"kind": "chen", "ranks": ranks}, an.require()
@@ -250,6 +251,7 @@ def _components_json(arr, depth, comps):
 @_command("resonance", _int_option("--depth", 1, "resonance depth s"))
 def resonance(an, depth):
     """Components of the depth-s resonance variety."""
+    from .jumploci import resonance_components
     comps = resonance_components(an, depth)
     return _components_json(an.arr, depth, comps), an.require()
 
@@ -258,6 +260,7 @@ def resonance(an, depth):
           _separated_option)
 def charvar(an, depth, separated):
     """Subtorus components of the depth-s characteristic variety."""
+    from .jumploci import characteristic_components
     comps = characteristic_components(an, depth, separated=separated)
     return _components_json(an.arr, depth, comps), an.require(separated)
 
@@ -268,6 +271,7 @@ def charvar(an, depth, separated):
           _separated_option)
 def milnor(an, mult, separated):
     """Milnor fiber b1 and monodromy eigenvalue multiplicities."""
+    from .milnor import milnor_b1
     m = mult or (1,) * an.arr.n
     report = milnor_b1(MultiArrangement(an.arr, m), an, separated=separated)
     return ({
@@ -283,6 +287,7 @@ def milnor(an, mult, separated):
 
 def check(seed, samples, fmt):
     """Cross-oracle consistency suite; nonzero exit on any mismatch."""
+    from .checks import run_all_checks
     results = run_all_checks(seed=seed, samples=samples)
     ok = all(r.ok for r in results)
     _emit(_report(None, {

@@ -21,16 +21,16 @@ compare the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from ._record import record
 from .arrangement import Arrangement, SimpleGraph, compute_l2
 from .errors import DomainError
 from .holonomy import Analysis, check_degree
 from .lyndon import divisors, number_mobius, witt_count
 
 
-@dataclass(frozen=True)
+@record
 class RankTable:
     """Integer rank table indexed by degree, starting at 1."""
 

@@ -37,11 +37,11 @@ checked and refused, and it returns the hypotheses a report prints.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb
 
+from ._record import record
 from .arrangement import Arrangement, compute_l2
 from .errors import DomainError, HypothesisError, RefusalError, ResourceError
 from .linalg import rank, smith_diagonal
@@ -68,7 +68,7 @@ def check_degree(k: int) -> None:
                             % (k, MAX_FORMULA_DEGREE))
 
 
-@dataclass(frozen=True)
+@record
 class Relator:
     """[x_h, sum of x_k over the flat], expanded in the degree-2 basis."""
 
@@ -77,13 +77,13 @@ class Relator:
     vector: Vector
 
 
-@dataclass(frozen=True)
+@record
 class HolonomyPresentation:
     n: int
     relators: tuple[Relator, ...]
 
 
-@dataclass(frozen=True)
+@record
 class AbelianGroupReport:
     """Rank and invariant-factor torsion of a finitely generated group."""
 

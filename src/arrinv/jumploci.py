@@ -16,15 +16,14 @@ records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .arrangement import Arrangement, compute_l2
 from .errors import DomainError
 from .formulas import free_chen
 from .holonomy import Analysis
 
 
-@dataclass(frozen=True)
+@record
 class LinearComponent:
     support: tuple[int, ...]
     dimension: int
@@ -33,7 +32,7 @@ class LinearComponent:
         _check_support(self.support, self.dimension)
 
 
-@dataclass(frozen=True)
+@record
 class TorusComponent:
     support: tuple[int, ...]
     dimension: int

@@ -11,9 +11,9 @@ reduced by the Jacobi identity through the standard factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from ._record import record
 from .errors import DomainError, ResourceError
 
 Word = tuple[int, ...]
@@ -119,7 +119,7 @@ def witt_count(n: int, k: int) -> int:
     return total // k
 
 
-@dataclass(frozen=True)
+@record
 class LyndonBasis:
     """The degree-k Lyndon basis over n generators, with index lookup.
 

@@ -32,9 +32,9 @@ lower bound and is reported as an advisory, never as b1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import record
 from .arrangement import Flat2, MultiArrangement, arrangement_rank, compute_l2
 from .errors import DomainError, HypothesisError, ResourceError
 from .holonomy import Analysis
@@ -43,7 +43,7 @@ from .holonomy import Analysis
 MAX_MILNOR_TOTAL = 10**6
 
 
-@dataclass(frozen=True)
+@record
 class MilnorReport:
     N: int
     b1: int

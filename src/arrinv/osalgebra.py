@@ -13,9 +13,9 @@ and the only elimination is an exact rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import record
 from .arrangement import Arrangement, L2Lattice, compute_l2
 from .linalg import rank, rank_exact
 
@@ -36,7 +36,7 @@ def triple_index(n: int):
     return idx
 
 
-@dataclass(frozen=True)
+@record
 class OSQuadraticIdeal:
     """Degree-2 piece of the Orlik-Solomon ideal, as sparse Lambda^2 rows."""
 
