@@ -190,7 +190,7 @@ def compute_l2(arr: Arrangement) -> L2Lattice:
 
 def arrangement_rank(arr: Arrangement) -> int:
     """Rank of the arrangement: codimension of the common intersection."""
-    return rank_exact([dict(enumerate(r)) for r in arr.normals])
+    return rank_exact([dict(enumerate(line_key(r))) for r in arr.normals])
 
 
 def betti(arr: Arrangement) -> tuple[int, int]:

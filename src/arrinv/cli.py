@@ -106,7 +106,8 @@ def _int_option(flag: str, default: int, help: str, dest: str | None = None):
 
 
 # (dest, option, lowest value), checked once parsing is done
-_BOUNDS = (("ceiling", "--ceiling", 1000), ("kmax", "--max", 1), ("depth", "--depth", 1))
+_BOUNDS = (("ceiling", "--ceiling", 1000), ("kmax", "--max", 1), ("depth", "--depth", 1),
+           ("samples", "--samples", 0))
 
 _CEILING_OPTION = _int_option("--ceiling", DEFAULT_WORD_CEILING,
                               "largest free Lie basis the engine may enumerate")

@@ -22,11 +22,11 @@ rows.  Before any row is built it checks the degree against
 Lyndon basis against its one ceiling (`lyndon.lyndon_basis` is the check).
 
 In degree 3 the integral quotient Lie_3 / J_3 comes from one Smith normal
-form of J_3 (`Analysis.h3`, by `linalg.smith_diagonal`, a streaming
-unit-pivot pass plus a small dense core).  Its rank is phi_3 in
-`Analysis.ranks` and decides rational decomposability, and its torsion
-decides integral decomposability (`Analysis.decomposable`), so each
-analysis eliminates J_3 once.
+form of J_3 (`Analysis.h3`, by `linalg.smith_diagonal`: the rank's
+elimination loop with unit pivots only, plus a small dense core).  Its
+rank is phi_3 in `Analysis.ranks` and decides rational decomposability,
+and its torsion decides integral decomposability
+(`Analysis.decomposable`), so each analysis eliminates J_3 once.
 
 The paper's results rest on two hypotheses: rational decomposability,
 decided here, and separatedness of the Alexander invariant, which only
@@ -133,9 +133,8 @@ def _next_degree(arr: Arrangement, rows: tuple[Vector, ...]) -> tuple[Vector, ..
 
 
 def _int_rows(word_rows, basis) -> Iterator[dict[int, int]]:
-    # streamed: smith_diagonal frees each row that reduces to zero as it
-    # goes; rank_exact copies every row and sorts the copies, so it holds
-    # all of them at once
+    # a generator, but both kernels copy every row and sort the copies,
+    # so they hold all of them at once
     return ({basis.index[w]: c for w, c in row} for row in word_rows)
 
 

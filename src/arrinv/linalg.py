@@ -1,42 +1,43 @@
 """Exact linear algebra kernels.
 
-Matrices are given as iterables of sparse rows; a row maps column index
-to an integer or Fraction value.  Ranks over the rationals come from one
-kernel, fraction-free sparse elimination, at every width.  It takes
-integer copies of the rows sparsest first, to keep the fill-in of the
-pivots small, and reduces each copy in place; against a pivot led by +-1
-(almost all of them on holonomy matrices) that is r -= (a * lead) * p,
-with no scaling and no content division.  Smith normal form diagonals
-are computed exactly over the integers by a streaming unit-pivot front
-end, shaped like the rank kernel's dict of pivots, and a dense reduction
-of the small core it leaves; the number of invariant factors is the rank,
-so one pass gives both.
+Matrices are given as iterables of sparse integer rows, each mapping a
+column index to a value; a non-integer entry is refused.  One loop,
+`_eliminate`, does all sparse elimination.  It takes integer copies of
+the rows sparsest first, to keep the fill-in of the pivots small, and
+reduces each copy in place against a dict of pivots, its columns in
+increasing order; against a pivot led by +-1 (almost all of them on
+holonomy matrices) the update is r -= (a * lead) * p, with no scaling and
+no content division.  The two kernels differ only in which lead may
+become a pivot:
 
-These are the package's only elimination kernels: ``rank_exact`` (and
-``rank``, which takes a column count and calls it) and ``smith_diagonal``.
+- ``rank_exact`` (and ``rank``, which takes a column count and calls it):
+  any lead, and the rank over Q is the number of pivots;
+- ``smith_diagonal``: only a +-1 lead, so every update is unimodular.  A
+  row whose lead is another value is set aside; the set-aside rows are
+  cleared on every pivot column and passed again until no pivot appears,
+  and what is left goes through a dense integer reduction.  The number of
+  invariant factors is the rank, so one pass gives rank and torsion.
+
 Spans of normals are compared by integer keys in ``arrangement`` and need
 no echelon form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 
-def _intify(row) -> dict[int, int]:
-    """Clear denominators and drop zeros; returns an integer row."""
-    den = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            den = lcm(den, v.denominator)
-    out = {}
+def _integer_row(row) -> dict[int, int]:
+    # the one intake: a fresh copy, since the loop updates its rows in place
+    r = {}
     for c, v in row.items():
-        iv = int(v * den)
+        iv = int(v)
+        if iv != v:
+            raise ValueError("elimination requires integer entries")
         if iv:
-            out[c] = iv
-    return out
+            r[c] = iv
+    return r
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:
@@ -51,22 +52,26 @@ def _normalize(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def rank_exact(rows) -> int:
-    """Rank over Q by sparse fraction-free elimination.
+def _eliminate(rows, pivots: dict[int, dict[int, int]],
+               unit_leads: bool = False) -> list[dict[int, int]]:
+    """Reduce integer rows in place, sparsest first, adding to ``pivots``.
 
-    The rows are made integral and taken sparsest first, which keeps the
-    fill-in of the pivot rows small (the Markowitz heuristic).  Each row
-    is reduced in place against the pivots found so far, its columns
-    taken in increasing order from a heap.  Against a pivot whose leading
-    entry is +-1 the update is r -= (a * lead) * p; otherwise r is scaled
-    by the lead first and then divided by its content.  The input rows
-    are never modified.
+    Each row is reduced on its columns in increasing order, taken from a
+    heap, and becomes the pivot of its first free column (its lead).  With
+    ``unit_leads`` only a +-1 lead may: any other row is set aside and
+    still cleared on the pivot columns after its lead.  Against a pivot
+    led by +-1 the update is r -= (a * lead) * p; otherwise r is scaled by
+    the lead first and then divided by its content.  Rows that reduce to
+    zero are dropped.  Every pivot is zero to the left of its column.
+    Returns the set-aside rows.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for r in sorted(map(_intify, rows), key=len):
-        r = _normalize(r)
+    aside = []
+    for r in sorted(rows, key=len):
+        if not unit_leads:
+            r = _normalize(r)
         cols = list(r)
         heapify(cols)
+        set_aside = False
         while cols:
             c = heappop(cols)
             a = r.get(c)
@@ -75,8 +80,12 @@ def rank_exact(rows) -> int:
                 continue
             p = pivots.get(c)
             if p is None:
-                pivots[c] = r
-                break
+                if not set_aside and (not unit_leads or a == 1 or a == -1):
+                    pivots[c] = r
+                    break
+                # a set-aside row is still cleared on the pivots after its lead
+                set_aside = True
+                continue
             del r[c]
             lead = p[c]
             unit = lead == 1 or lead == -1
@@ -97,6 +106,19 @@ def rank_exact(rows) -> int:
                     del r[k]
             if not unit:
                 r = _normalize(r)
+        if set_aside:
+            aside.append(r)
+    return aside
+
+
+def rank_exact(rows) -> int:
+    """Rank over Q of integer rows by sparse fraction-free elimination.
+
+    The input rows are never modified; a non-integer entry raises
+    ValueError.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    _eliminate(map(_integer_row, rows), pivots)
     return len(pivots)
 
 
@@ -108,83 +130,27 @@ def rank(rows, ncols: int) -> int:
 def smith_diagonal(rows, ncols: int) -> list[int]:
     """Invariant factors of an integer matrix, positive, each dividing the next.
 
-    Always exact.  A streaming front end splits off unit pivots: each row
-    is reduced against the pivots found so far, in the order they were
-    created, and becomes a pivot itself if a +-1 entry is left; otherwise
-    it is set aside.  The set-aside rows are passed through again until no
-    new pivot appears.  Every pivot contributes invariant factor 1, and
-    the set-aside rows, now zero on every pivot column, form the core that
-    goes through dense integer reduction.  The length of the result is the
-    rank over Q, so rank and torsion come from one pass.
+    Always exact.  The unit-lead pivots are in echelon form and each gives
+    invariant factor 1.  A set-aside row is cleared only on the pivots
+    found before it, so the set-aside rows are passed again until a pass
+    finds no pivot; then they are zero on every pivot column and form the
+    core that goes through dense integer reduction.  The length of the
+    result is the rank over Q.
     """
-    # unit pivot rows in creation order, and the column of each unit; a
-    # pivot is zero on the columns of every pivot created before it
-    prows: list[dict[int, int]] = []
-    pivot_of: dict[int, int] = {}
-    # the first pass streams the input, so rows that reduce to zero are
-    # freed at once
-    pending = map(_integer_row, rows)
+    pivots: dict[int, dict[int, int]] = {}
+    core = map(_integer_row, rows)
     while True:
-        found = len(prows)
-        core = []
-        for r in pending:
-            r = _reduce_units(r, prows, pivot_of)
-            if not r:
-                continue
-            unit = min((c for c, v in r.items() if v == 1 or v == -1), default=None)
-            if unit is None:
-                core.append(r)
-            else:
-                pivot_of[unit] = len(prows)
-                prows.append(r)
-        pending = core
-        if len(prows) == found:
+        found = len(pivots)
+        core = _eliminate(core, pivots, unit_leads=True)
+        if len(pivots) == found:
             break
-    units = len(prows)
+    units = len(pivots)
     if not core:
         return [1] * units
     used = sorted({c for r in core for c in r})
     remap = {c: i for i, c in enumerate(used)}
     core = [{remap[c]: v for c, v in r.items()} for r in core]
     return [1] * units + _smith_dense(core, len(used))
-
-
-def _integer_row(row) -> dict[int, int]:
-    r = {}
-    for c, v in row.items():
-        iv = int(v)
-        if iv != v:
-            raise ValueError("smith_diagonal requires integer entries")
-        if iv:
-            r[c] = iv
-    return r
-
-
-def _reduce_units(r: dict[int, int], prows, pivot_of) -> dict[int, int]:
-    # clear the pivot columns of r, earliest pivot first: a pivot is zero on
-    # the columns of earlier pivots, so a cleared column never comes back
-    hits = [(pivot_of[c], c) for c in r if c in pivot_of]
-    if not hits:
-        return r
-    heapify(hits)
-    while hits:
-        i, c = heappop(hits)
-        coef = r.pop(c, 0)
-        if not coef:
-            continue
-        prow = prows[i]
-        scale = coef * prow[c]
-        for k, v in prow.items():
-            if k == c:
-                continue
-            w = r.get(k, 0) - scale * v
-            if w:
-                if k not in r and k in pivot_of:
-                    heappush(hits, (pivot_of[k], k))
-                r[k] = w
-            else:
-                r.pop(k, None)
-    return r
 
 
 def _smith_dense(rows, ncols: int) -> list[int]:

@@ -25,7 +25,7 @@ from arrinv.checks import random_rank3_arrangement
 from arrinv.errors import DomainError
 from arrinv.parsing import parse_arrangement
 
-from oracles import brute_l2_flats, fraction_rank, whitney_betti2
+from oracles import brute_l2_flats, fraction_rank, sympy_rank, whitney_betti2
 
 
 def test_make_arrangement_basic():
@@ -156,6 +156,15 @@ def test_arrangement_rank():
     assert arrangement_rank(builtin("x3")) == 3
     pencil = make_arrangement([(1, 0), (0, 1), (1, 1)])
     assert arrangement_rank(pencil) == 2
+    # fractional normals: each row is scaled to its integer line key, which
+    # spans the same line, so the rank is the rational one
+    for normals in ([(Fraction(1, 2), Fraction(1, 3), 0), (Fraction(3, 4), 1, 0),
+                     (Fraction(1, 5), 0, 0)],
+                    [(Fraction(1, 2), Fraction(1, 3), 1), (Fraction(-3, 4), 1, 0),
+                     (Fraction(1, 4), Fraction(4, 3), 1), (0, 0, Fraction(5, 9))]):
+        arr = make_arrangement(normals)
+        want = sympy_rank([dict(enumerate(r)) for r in arr.normals], 3)
+        assert arrangement_rank(arr) == want
 
 
 def test_localization():

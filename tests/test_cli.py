@@ -281,8 +281,9 @@ def test_option_bounds(capsys, argv):
     ("holonomy", "--builtin", "x3", "--max", "x"),
     ("betti", "--builtin", "x3", "--ceil", "5000"),
     ("check", "--ceiling", "5000"),
+    ("check", "--samples", "-3"),
 ], ids=["no-command", "unknown-command", "unknown-option", "missing-value",
-        "max-not-int", "abbreviation", "check-has-no-ceiling"])
+        "max-not-int", "abbreviation", "check-has-no-ceiling", "negative-samples"])
 def test_usage_errors(capsys, argv):
     rc = main(list(argv))
     captured = capsys.readouterr()

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from arrinv.linalg import rank, rank_exact, smith_diagonal
 
 from oracles import fraction_rank, sympy_invariant_factors, sympy_rank
@@ -36,13 +38,15 @@ def test_rank_exact_matches_oracles():
         assert rows == before
 
 
-def test_rank_exact_handles_fractions():
-    rows = [
-        {0: Fraction(1, 2), 1: Fraction(1, 3)},
-        {0: Fraction(3, 2), 1: Fraction(1, 1)},
-        {0: Fraction(2), 1: Fraction(4, 3)},
-    ]
-    assert rank_exact(rows) == sympy_rank(rows, 2)
+def test_kernels_refuse_non_integer_entries():
+    # callers clear denominators first; a Fraction never reaches a kernel
+    rows = [{0: 1, 1: Fraction(1, 2)}]
+    with pytest.raises(ValueError):
+        rank_exact(rows)
+    with pytest.raises(ValueError):
+        smith_diagonal(rows, 2)
+    # an integral Fraction is an integer entry
+    assert rank_exact([{0: Fraction(4, 2)}]) == 1
 
 
 def test_rank_exact_edge_cases():
