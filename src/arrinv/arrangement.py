@@ -162,7 +162,13 @@ class L2Lattice:
         return tuple(f for f in self.flats if len(f) >= 3)
 
 
-@lru_cache(maxsize=None)
+# arrangements whose lattice (and, in ``holonomy``, relators) stay cached:
+# a command asks about one arrangement and ``check`` at its default 10
+# samples about 16, so a long run keeps no more than these
+CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def compute_l2(arr: Arrangement) -> L2Lattice:
     """Group the hyperplane pairs of ``arr`` into maximal rank-2 flats.
 

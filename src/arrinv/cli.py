@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -323,8 +324,18 @@ def _parse(argv) -> tuple:
 
 def main(argv=None) -> int:
     try:
-        run, options = _parse(argv)
-        run(**options)
+        try:
+            run, options = _parse(argv)
+            run(**options)
+        finally:
+            # a closed stdout shows here, not at interpreter exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early: nothing to report, but the output was cut,
+        # so the status stays nonzero; stdout goes to devnull so that the
+        # interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, CatalogError, DomainError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -23,10 +23,11 @@ Lyndon basis against its one ceiling (`lyndon.lyndon_basis` is the check).
 
 In degree 3 the integral quotient Lie_3 / J_3 comes from one Smith normal
 form of J_3 (`Analysis.h3`, by `linalg.smith_diagonal`: the rank's
-elimination loop with unit pivots only, plus a small dense core).  Its
-rank is phi_3 in `Analysis.ranks` and decides rational decomposability,
-and its torsion decides integral decomposability
-(`Analysis.decomposable`), so each analysis eliminates J_3 once.
+elimination loop with unit pivots only, then a sparse reduction of the
+rows it sets aside).  Its rank is phi_3 in `Analysis.ranks` and decides
+rational decomposability, and its torsion decides integral
+decomposability (`Analysis.decomposable`), so each analysis eliminates
+J_3 once.
 
 The paper's results rest on two hypotheses: rational decomposability,
 decided here, and separatedness of the Alexander invariant, which only
@@ -42,7 +43,7 @@ from itertools import chain
 from math import comb
 
 from ._record import record
-from .arrangement import Arrangement, compute_l2
+from .arrangement import CACHE_SIZE, Arrangement, compute_l2
 from .errors import DomainError, HypothesisError, RefusalError, ResourceError
 from .linalg import rank, smith_diagonal
 from .lyndon import (
@@ -104,7 +105,7 @@ def _bracket_rows(row: Vector, i: int) -> dict[Word, int]:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def holonomy_relators(arr: Arrangement) -> HolonomyPresentation:
     """One expanded relator per (hyperplane, flat) pair, largest index dropped."""
     relators = []

@@ -14,9 +14,11 @@ become a pivot:
   any lead, and the rank over Q is the number of pivots;
 - ``smith_diagonal``: only a +-1 lead, so every update is unimodular.  A
   row whose lead is another value is set aside; the set-aside rows are
-  cleared on every pivot column and passed again until no pivot appears,
-  and what is left goes through a dense integer reduction.  The number of
-  invariant factors is the rank, so one pass gives rank and torsion.
+  cleared on every pivot column and passed again until no pivot appears.
+  The rest, the core, stays in the same sparse rows: ``_smith_core``
+  pivots on an entry of least absolute value and clears its row and
+  column, and pairwise gcd/lcm turns that diagonal into invariant
+  factors.  Their number is the rank, so one pass gives rank and torsion.
 
 Spans of normals are compared by integer keys in ``arrangement`` and need
 no echelon form.
@@ -130,12 +132,11 @@ def rank(rows, ncols: int) -> int:
 def smith_diagonal(rows, ncols: int) -> list[int]:
     """Invariant factors of an integer matrix, positive, each dividing the next.
 
-    Always exact.  The unit-lead pivots are in echelon form and each gives
-    invariant factor 1.  A set-aside row is cleared only on the pivots
-    found before it, so the set-aside rows are passed again until a pass
-    finds no pivot; then they are zero on every pivot column and form the
-    core that goes through dense integer reduction.  The length of the
-    result is the rank over Q.
+    The unit-lead pivots are in echelon form and each gives invariant
+    factor 1.  A set-aside row is cleared only on the pivots found before
+    it, so the set-aside rows are passed again until a pass finds no
+    pivot; then they are zero on every pivot column and form the core.
+    The length of the result is the rank over Q.
     """
     pivots: dict[int, dict[int, int]] = {}
     core = map(_integer_row, rows)
@@ -144,102 +145,60 @@ def smith_diagonal(rows, ncols: int) -> list[int]:
         core = _eliminate(core, pivots, unit_leads=True)
         if len(pivots) == found:
             break
-    units = len(pivots)
-    if not core:
-        return [1] * units
-    used = sorted({c for r in core for c in r})
-    remap = {c: i for i, c in enumerate(used)}
-    core = [{remap[c]: v for c, v in r.items()} for r in core]
-    return [1] * units + _smith_dense(core, len(used))
+    d = sorted(_smith_core(core))
+    # pairwise gcd/lcm turns the diagonal into a divisibility chain
+    for i in range(d.count(1), len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            if g != d[i]:
+                d[i], d[j] = g, d[i] // g * d[j]
+    return [1] * len(pivots) + d
 
 
-def _smith_dense(rows, ncols: int) -> list[int]:
-    mat: list[list[int]] = []
-    for row in rows:
-        dense = [0] * ncols
-        for c, v in row.items():
-            dense[c] = v
-        mat.append(dense)
-    R = len(mat)
-    d: list[int] = []
-    t = 0
-    while t < R and t < ncols:
-        # locate the smallest-magnitude nonzero entry of the trailing block
+def _smith_core(core: list[dict[int, int]]) -> list[int]:
+    """A diagonal equivalent to the sparse rows ``core``, not yet normalized.
+
+    Pivots on an entry b of least absolute value, clears its column by the
+    row operations r -= (a // b) * p and its row by the matching column
+    operations.  Every remainder left is smaller than |b|, so the pivot
+    magnitude falls until the pivot is alone in its row and column; then
+    |b| is a diagonal entry and its row leaves the core.
+    """
+    diagonal = []
+    while core:
         best = None
-        for i in range(t, R):
-            mi = mat[i]
-            for j in range(t, ncols):
-                v = mi[j]
-                if v:
-                    a = -v if v < 0 else v
-                    if best is None or a < best[0]:
-                        best = (a, i, j)
-                        if a == 1:
-                            break
-            if best is not None and best[0] == 1:
+        for r in core:
+            for c, v in r.items():
+                if best is None or abs(v) < best[0]:
+                    best = (abs(v), r, c)
+            if best[0] == 1:
                 break
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            mat[t], mat[pi] = mat[pi], mat[t]
-        if pj != t:
-            for rowv in mat:
-                rowv[t], rowv[pj] = rowv[pj], rowv[t]
-        while True:
-            # clear column t by row operations (gcd descent via remainders)
-            moved = False
-            while True:
-                piv = mat[t][t]
-                swapped = False
-                for i in range(t + 1, R):
-                    if mat[i][t] == 0:
-                        continue
-                    q = mat[i][t] // piv
-                    if q:
-                        mi, mt = mat[i], mat[t]
-                        for j in range(t, ncols):
-                            mi[j] -= q * mt[j]
-                    if mat[i][t]:
-                        mat[t], mat[i] = mat[i], mat[t]
-                        swapped = True
-                        break
-                if not swapped:
-                    break
-                moved = True
-            # clear row t by column operations; column t is clean below t,
-            # so each column op only changes the row-t entry
-            piv = mat[t][t]
-            for j in range(t + 1, ncols):
-                v = mat[t][j]
-                if v == 0:
-                    continue
-                q = v // piv
-                if q:
-                    mat[t][j] -= q * piv
-                if mat[t][j]:
-                    for rowv in mat:
-                        rowv[t], rowv[j] = rowv[j], rowv[t]
-                    moved = True
-                    break
-            if moved:
+        _, p, c = best
+        b = p[c]
+        # clear column c by row operations
+        for r in core:
+            a = r.get(c)
+            if a is None or r is p:
                 continue
-            # pivot must divide the rest of the block
-            piv = abs(mat[t][t])
-            bad = None
-            for i in range(t + 1, R):
-                mi = mat[i]
-                for j in range(t + 1, ncols):
-                    if mi[j] % piv:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            mb, mt = mat[bad], mat[t]
-            for j in range(t, ncols):
-                mt[j] += mb[j]
-        d.append(abs(mat[t][t]))
-        t += 1
-    return d
+            q = a // b
+            for k, v in p.items():
+                w = r.get(k, 0) - q * v
+                if w:
+                    r[k] = w
+                else:
+                    del r[k]
+        core = [r for r in core if r]
+        # clear row p by column operations: column k -= q * column c
+        column = [(r, r[c]) for r in core if c in r]
+        for k in [k for k in p if k != c]:
+            q = p[k] // b
+            for r, a in column:
+                w = r.get(k, 0) - q * a
+                if w:
+                    r[k] = w
+                else:
+                    del r[k]
+        if len(p) == 1 and len(column) == 1:
+            diagonal.append(abs(b))
+            core.remove(p)
+    return diagonal

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import comb
+from math import comb, gcd
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
@@ -108,6 +108,57 @@ def sympy_invariant_factors(rows, ncols: int) -> list[int]:
     m = smith_normal_form(sympy.Matrix(dense))
     diag = [abs(m[i, i]) for i in range(min(m.shape))]
     return [int(d) for d in diag if d != 0]
+
+
+def rank_mod_p(rows, ncols: int, p: int) -> int:
+    """Rank over F_p by dense Gaussian elimination."""
+    dense = [[r.get(c, 0) % p for c in range(ncols)] for r in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(dense)) if dense[i][col]), None)
+        if pivot is None:
+            continue
+        dense[rank], dense[pivot] = dense[pivot], dense[rank]
+        inv = pow(dense[rank][col], -1, p)
+        top = dense[rank] = [x * inv % p for x in dense[rank]]
+        for i, row in enumerate(dense):
+            if i != rank and row[col]:
+                f = row[col]
+                dense[i] = [(x - f * y) % p for x, y in zip(row, top)]
+        rank += 1
+    return rank
+
+
+def sympy_factor_product(rows, ncols: int) -> int:
+    """Product of the invariant factors, from one Bareiss determinant.
+
+    The nonzero rows must be independent and number ncols or ncols - 1.
+    The product is the gcd of the maximal minors: for a square matrix its
+    |det|; for one row fewer, the signed maximal minors are g * k for the
+    primitive kernel vector k, so it is |minor_j| / |k_j| for any k_j != 0,
+    where minor_j leaves out column j.
+    """
+    m = sympy.Matrix([[int(r.get(c, 0)) for c in range(ncols)] for r in rows if r])
+    if m.rows == ncols:
+        return abs(int(m.det(method="bareiss")))
+    assert m.rows == ncols - 1
+    kernel, = m.nullspace()
+    k = [int(x) for x in kernel * sympy.ilcm(*[x.q for x in kernel])]
+    j = next(i for i, x in enumerate(k) if x)
+    content = gcd(*k)
+    minor = m[:, [c for c in range(ncols) if c != j]].det(method="bareiss")
+    return abs(int(minor)) * content // abs(k[j])
+
+
+def diagonal_invariant_factors(diagonal) -> list[int]:
+    """Invariant factors of a diagonal matrix, prime by prime: the i-th
+    smallest exponent of each prime goes to the i-th factor."""
+    diagonal = [abs(d) for d in diagonal if d]
+    factors = [1] * len(diagonal)
+    for p in {p for d in diagonal for p in sympy.factorint(d)}:
+        for i, e in enumerate(sorted(sympy.multiplicity(p, d) for d in diagonal)):
+            factors[i] *= p ** e
+    return factors
 
 
 # ------------------------------------------------------------- lattice

@@ -414,3 +414,21 @@ def test_chen_tests_decomposability_once(capsys, monkeypatch):
     doc = run_json(capsys, "chen", "--builtin", "x3", "--max", "1000")
     assert len(doc["result"]["ranks"]) == 1000
     assert calls == {"smith_diagonal": 1, "rank": 0}
+
+
+def test_closed_stdout_is_not_reported_as_an_error():
+    # a reader that stops early is no input error: nothing on stderr, not
+    # even the interpreter's own report of a failed last flush, and exit 1
+    # so that `set -o pipefail` still sees the output was cut
+    src = str(Path(arrinv.__file__).resolve().parents[1])
+    for buffered in (True, False):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        child = subprocess.Popen([sys.executable, "-m", "arrinv.cli", "check", "--samples", "0"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(), err) == (1, b"")

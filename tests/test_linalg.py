@@ -1,11 +1,14 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from arrinv.linalg import rank, rank_exact, smith_diagonal
 
-from oracles import fraction_rank, sympy_invariant_factors, sympy_rank
+from oracles import (diagonal_invariant_factors, fraction_rank, rank_mod_p,
+                     sympy_factor_product, sympy_invariant_factors, sympy_rank)
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.4, lo=-5, hi=5):
@@ -126,3 +129,46 @@ def test_smith_unit_pivot_found_on_a_second_pass():
     assert sympy_invariant_factors(rows, 2) == [1, 1]
     assert smith_diagonal(rows, 2) == [1, 1]
 
+
+def test_smith_diagonal_dense_cores():
+    # dense cores: each takes well under 0.1 s, so 5 s is a generous budget;
+    # the product of the factors is the gcd of the maximal minors, and the
+    # factors prime to p number the rank mod p
+    for n, density in ((40, 1.0), (60, 0.1)):
+        rows = random_sparse_rows(random.Random(3), n, n, density=density, lo=-3, hi=3)
+        start = time.perf_counter()
+        got = smith_diagonal(rows, n)
+        assert time.perf_counter() - start < 5
+        assert len(got) == rank_exact(rows)
+        assert math.prod(got) == sympy_factor_product(rows, n)
+        for p in (2, 3, 5, 7, 11, 13):
+            assert sum(d % p != 0 for d in got) == rank_mod_p(rows, n, p)
+
+
+def unimodular_mix(rng, diagonal, nrows, ncols):
+    """U * D * V for D with the given diagonal, U and V products of random
+    elementary integer operations."""
+    m = [[0] * ncols for _ in range(nrows)]
+    for i, d in enumerate(diagonal):
+        m[i][i] = d
+    for _ in range(2 * (nrows + ncols)):
+        i, j = rng.sample(range(nrows), 2)
+        q = rng.choice((-2, -1, 1, 2, 3))
+        m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+        i, j = rng.sample(range(ncols), 2)
+        q = rng.choice((-2, -1, 1, 2, 3))
+        for row in m:
+            row[i] += q * row[j]
+    rng.shuffle(m)
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
+
+
+def test_smith_diagonal_known_answers():
+    # sizes past the sympy oracle's reach, whose cores take many pivot steps
+    rng = random.Random(15)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(2, 21), rng.randrange(2, 26)
+        diagonal = [rng.choice((0, 1, 1, 2, 3, 4, 6, 9, 12, 25, 30, 36))
+                    for _ in range(min(nrows, ncols))]
+        rows = unimodular_mix(rng, diagonal, nrows, ncols)
+        assert smith_diagonal(rows, ncols) == diagonal_invariant_factors(diagonal), rows
