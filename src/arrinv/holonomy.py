@@ -9,25 +9,30 @@ coefficients).
 
 Degree-k ranks come from the ideal propagation J_{k+1} = [L_1, J_k]: the
 ideal is generated in degree 2 and the ambient free Lie algebra in degree
-1, so left-bracketing a raw generating set by the generators again yields
-a raw generating set.  Rows are kept raw (no echelonization between
-degrees); rank is taken once per degree by exact sparse elimination.
+1, so left-bracketing a generating set of J_k over Z by the generators
+yields one of J_{k+1}.  Each degree gets one unit pass
+(`linalg.unit_pass`), the unimodular first stage of the Smith form: its
+pivots and set-aside rows span J_k over Z, so they serve both that
+degree's rank and torsion and, bracketed, the next degree's rows, which
+are fewer and sparser than raw rows bracketed again.  Rows are
+numbered by the columns of the Lyndon basis, and `_next_degree` maps
+each column back to its word.
 
 Everything one call computes about an arrangement lives in one
 `Analysis(arr, ceiling)`, built for that call and dropped after it.  It
-keeps the rows of one graded pass, J_2, J_3, ..., extended on demand, so
-no degree is built twice, and every computation over it reads the same
-rows.  Before any row is built it checks the degree against
-`MAX_FORMULA_DEGREE` (`check_degree`, which the formulas share) and every
-Lyndon basis against its one ceiling (`lyndon.lyndon_basis` is the check).
+keeps one Lyndon basis and one unit pass per degree of one graded pass,
+J_2, J_3, ..., extended on demand, so no degree is built or passed
+twice, and every computation over it reads the same rows.  Before any
+row is built it checks the degree against `MAX_FORMULA_DEGREE`
+(`check_degree`, which the formulas share) and every Lyndon basis
+against its one ceiling (`lyndon.lyndon_basis` is the check).
 
-In degree 3 the integral quotient Lie_3 / J_3 comes from one Smith normal
-form of J_3 (`Analysis.h3`, by `linalg.smith_diagonal`: the rank's
-elimination loop with unit pivots only, then a sparse reduction of the
-rows it sets aside).  Its rank is phi_3 in `Analysis.ranks` and decides
-rational decomposability, and its torsion decides integral
-decomposability (`Analysis.decomposable`), so each analysis eliminates
-J_3 once.
+phi_k is the basis size less the number of pivots and the rank of the
+set-aside rows.  In degree 3 the integral quotient Lie_3 / J_3 is a unit
+factor per pivot plus the Smith form of the set-aside rows
+(`Analysis.h3`, by `linalg.smith_diagonal`); its rank decides rational
+decomposability and its torsion integral decomposability
+(`Analysis.decomposable`), so each analysis eliminates J_3 once.
 
 The paper's results rest on two hypotheses: rational decomposability,
 decided here, and separatedness of the Alexander invariant, which only
@@ -37,7 +42,7 @@ checked and refused, and it returns the hypotheses a report prints.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb
@@ -45,17 +50,18 @@ from math import comb
 from ._record import record
 from .arrangement import CACHE_SIZE, Arrangement, compute_l2
 from .errors import DomainError, HypothesisError, RefusalError, ResourceError
-from .linalg import rank, smith_diagonal
+from .linalg import rank, smith_diagonal, unit_pass
 from .lyndon import (
     DEFAULT_WORD_CEILING,
     LyndonBasis,
     Word,
     lyndon_basis,
     lyndon_product,
-    lyndon_words,
 )
 
 Vector = tuple[tuple[Word, int], ...]
+# a row over the column numbers of a Lyndon basis, as (column, value) pairs
+Row = tuple[tuple[int, int], ...]
 
 # largest degree the graded pass builds and the decomposable LCS and Chen
 # formulas report; past it they raise ResourceError
@@ -118,25 +124,24 @@ def holonomy_relators(arr: Arrangement) -> HolonomyPresentation:
     return HolonomyPresentation(arr.n, tuple(relators))
 
 
-def _next_degree(arr: Arrangement, rows: tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """Raw generating rows of J_{k+1} = [L_1, J_k], deduplicated.  Returning
-    frees the set of seen rows before J_{k+1} is eliminated."""
-    out: list[Vector] = []
-    seen: set[frozenset] = set()
+def _next_degree(n: int, rows: Iterable[Row], words: tuple[Word, ...],
+                 index: dict[Word, int]) -> Iterator[dict[int, int]]:
+    """Rows of J_{k+1} = [L_1, J_k]: [x_i, row] for every row of J_k and
+    every generator x_i.  ``words`` names the columns of the rows of J_k
+    and ``index`` numbers the words of degree k + 1."""
     for row in rows:
-        for i in range(arr.n):
-            acc = _bracket_rows(row, i)
-            key = frozenset(acc.items())
-            if acc and key not in seen:
-                seen.add(key)
-                out.append(tuple(sorted(acc.items())))
-    return tuple(out)
-
-
-def _int_rows(word_rows, basis) -> Iterator[dict[int, int]]:
-    # a generator, but both kernels copy every row and sort the copies,
-    # so they hold all of them at once
-    return ({basis.index[w]: c for w, c in row} for row in word_rows)
+        for i in range(n):
+            acc: dict[int, int] = {}
+            for c, v in row:
+                for w, x in lyndon_product((i,), words[c]).items():
+                    j = index[w]
+                    y = acc.get(j, 0) + v * x
+                    if y:
+                        acc[j] = y
+                    else:
+                        del acc[j]
+            if acc:
+                yield acc
 
 
 def local_h3_rank(arr: Arrangement) -> int:
@@ -144,74 +149,88 @@ def local_h3_rank(arr: Arrangement) -> int:
     return 2 * sum(comb(f.mobius + 1, 3) for f in compute_l2(arr))
 
 
-def _derived_word_rows(n: int, j: int) -> tuple[Vector, ...]:
-    """Brackets [u, v] of basis elements with deg u, deg v >= 2 summing to j."""
-    out: list[Vector] = []
-    for p in range(2, j - 1):
-        q = j - p
-        if p > q:
-            break
-        us = lyndon_words(n, p)
-        vs = lyndon_words(n, q) if q != p else us
+def _derived_rows(bases: dict[int, LyndonBasis], k: int) -> Iterator[dict[int, int]]:
+    """Brackets [u, v] of basis elements with deg u, deg v >= 2 summing to k,
+    over the degree-k basis; ``bases`` holds degrees 2..k."""
+    index = bases[k].index
+    for p in range(2, k // 2 + 1):
+        us = bases[p].words
+        vs = bases[k - p].words
         for ui, u in enumerate(us):
-            start = ui + 1 if p == q else 0
-            for v in vs[start:]:
+            for v in vs[ui + 1 if 2 * p == k else 0:]:
                 acc = lyndon_product(u, v)
                 if acc:
-                    out.append(tuple(sorted(acc.items())))
-    return tuple(out)
+                    yield {index[w]: c for w, c in acc.items()}
 
 
 class Analysis:
-    """What one call computes about ``arr`` under one word ceiling: the raw
-    rows of J_2, J_3, ... of one graded pass, each degree's rank over Q,
-    the degree-3 group and the decomposability verdict."""
+    """What one call computes about ``arr`` under one word ceiling: the
+    Lyndon basis and the unit pass of J_k in each degree of one graded
+    pass, each degree's rank over Q, the degree-3 group and the
+    decomposability verdict."""
 
     def __init__(self, arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING):
         self.arr = arr
         self.ceiling = ceiling
-        self._rows: list[tuple[Vector, ...]] = []  # J_2, J_3, ... built so far
+        self._basis: dict[int, LyndonBasis] = {}  # checked bases by degree
+        self._passes: list[tuple[tuple[Row, ...], tuple[Row, ...]]] = []  # J_2, J_3, ...
         self._ranks = [arr.n]  # phi_1, phi_2, ... eliminated so far
 
     def _bases(self, degrees: range) -> list[LyndonBasis]:
         """The Lyndon bases of ``degrees``, in that order: the largest degree
-        is checked against the degree bound, then every basis against the
-        ceiling, before any row is built."""
+        is checked against the degree bound, then every basis not yet held
+        against the ceiling, before any row is built."""
         check_degree(max(degrees[0], degrees[-1]) if degrees else 0)
-        return [lyndon_basis(self.arr.n, k, self.ceiling) for k in degrees]
+        basis = self._basis
+        for k in degrees:
+            if k not in basis:
+                basis[k] = lyndon_basis(self.arr.n, k, self.ceiling)
+        return [basis[k] for k in degrees]
 
-    def _jk(self, k: int) -> tuple[Vector, ...]:
-        """Raw generating rows of J_k, extending the pass up to degree k."""
-        rows = self._rows
-        if not rows:
-            rows.append(tuple(r.vector for r in holonomy_relators(self.arr).relators))
-        while len(rows) < k - 1:
-            rows.append(_next_degree(self.arr, rows[-1]))
-        return rows[k - 2]
+    def _jk(self, k: int) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
+        """The unit pass of J_k, (pivots, set-aside rows), extending the
+        graded pass up to degree k.  Together they span J_k over Z, so
+        bracketing them by the generators spans J_{k+1} over Z.  The fresh
+        rows of each degree go straight into its pass, which is kept as
+        pairs, smaller than dicts."""
+        passes = self._passes
+        self._bases(range(2, k + 1))
+        basis = self._basis
+        while len(passes) < k - 1:
+            d = len(passes) + 1  # the degree passed last
+            if passes:
+                rows = _next_degree(self.arr.n, chain(*passes[-1]),
+                                    basis[d].words, basis[d + 1].index)
+            else:
+                index = basis[2].index
+                rows = ({index[w]: c for w, c in r.vector}
+                        for r in holonomy_relators(self.arr).relators)
+            passes.append(tuple(tuple(tuple(r.items()) for r in part)
+                                for part in unit_pass(rows)))
+        return passes[k - 2]
 
     def ranks(self, kmax: int) -> tuple[int, ...]:
         """dims phi_1..phi_kmax of the holonomy Lie algebra over Q.
 
-        Every basis is checked, smallest first, before any row is built;
-        each degree is eliminated once per analysis, degree 3 by the Smith
-        form of ``h3``.
+        Every basis is checked, smallest first, before any row is built.
+        phi_k is the basis size less the rank of J_k: the unit pass's
+        pivots plus the rank of its set-aside rows.
         """
         if kmax < 1:
             raise DomainError("degree must be positive")
         for basis in self._bases(range(2, kmax + 1))[len(self._ranks) - 1:]:
-            if basis.degree == 3:
-                self._ranks.append(self.h3.rank)
-                continue
-            rows = _int_rows(self._jk(basis.degree), basis)
-            self._ranks.append(len(basis) - rank(rows, len(basis)))
+            pivots, aside = self._jk(basis.degree)
+            self._ranks.append(len(basis) - len(pivots) - rank(map(dict, aside), len(basis)))
         return tuple(self._ranks[:kmax])
 
     @cached_property
     def h3(self) -> AbelianGroupReport:
-        """The degree-3 piece of the integral holonomy Lie algebra, from one
-        Smith form of J_3."""
+        """The degree-3 piece of the integral holonomy Lie algebra: a unit
+        factor per pivot of the unit pass of J_3, and the Smith form of its
+        set-aside rows."""
         basis, = self._bases(range(3, 4))
-        diag = smith_diagonal(_int_rows(self._jk(3), basis), len(basis))
+        pivots, aside = self._jk(3)
+        diag = [1] * len(pivots) + smith_diagonal(map(dict, aside), len(basis))
         return AbelianGroupReport(len(basis) - len(diag), tuple(d for d in diag if d > 1))
 
     @cached_property
@@ -252,17 +271,19 @@ class Analysis:
 
         The degree-k piece is Lie_{k+2} modulo the ideal together with all
         brackets of two elements of degree >= 2 (the derived span), so its
-        dimension is dim Lie_{k+2} - rank(J_{k+2} + D_{k+2}).  The Chen rank
+        dimension is dim Lie_{k+2} - rank(J_{k+2} + D_{k+2}); any spanning
+        set of J_{k+2} serves, here its unit pass.  The Chen rank
         of the arrangement group in degree k is the (k-2)-nd entry.
         """
         if kmax < 0:
             raise DomainError("kmax must be nonnegative")
         # every degree is checked, largest first, before any row is built
+        bases = self._bases(range(kmax + 2, 1, -1))
         dims = []
-        for basis in reversed(self._bases(range(kmax + 2, 1, -1))):
+        for basis in reversed(bases):
             k = basis.degree
-            rows = chain(self._jk(k), _derived_word_rows(self.arr.n, k))
-            dims.append(len(basis) - rank(_int_rows(rows, basis), len(basis)))
+            rows = chain(map(dict, chain(*self._jk(k))), _derived_rows(self._basis, k))
+            dims.append(len(basis) - rank(rows, len(basis)))
         return dims
 
 

@@ -1,24 +1,28 @@
 """Exact linear algebra kernels.
 
 Matrices are given as iterables of sparse integer rows, each mapping a
-column index to a value; a non-integer entry is refused.  One loop,
-`_eliminate`, does all sparse elimination.  It takes integer copies of
-the rows sparsest first, to keep the fill-in of the pivots small, and
-reduces each copy in place against a dict of pivots, its columns in
-increasing order; against a pivot led by +-1 (almost all of them on
-holonomy matrices) the update is r -= (a * lead) * p, with no scaling and
-no content division.  The two kernels differ only in which lead may
-become a pivot:
+column index to a value.  ``rank_exact`` and ``smith_diagonal`` work on
+integer copies and refuse a non-integer entry; ``unit_pass`` takes over
+the fresh integer rows its caller hands it.  One loop, `_eliminate`, does
+all sparse elimination.  It takes the rows sparsest first, to keep the
+fill-in of the pivots small, and reduces each in place against a dict of
+pivots, its columns in increasing order; against a pivot led by +-1
+(almost all of them on holonomy matrices) the update is
+r -= (a * lead) * p, with no scaling and no content division.  The
+kernels differ in which lead may become a pivot:
 
 - ``rank_exact`` (and ``rank``, which takes a column count and calls it):
   any lead, and the rank over Q is the number of pivots;
-- ``smith_diagonal``: only a +-1 lead, so every update is unimodular.  A
-  row whose lead is another value is set aside; the set-aside rows are
+- ``unit_pass``: only a +-1 lead, so every update is unimodular.  A row
+  whose lead is another value is set aside; the set-aside rows are
   cleared on every pivot column and passed again until no pivot appears.
-  The rest, the core, stays in the same sparse rows: ``_smith_core``
-  pivots on an entry of least absolute value and clears its row and
-  column, and pairwise gcd/lcm turns that diagonal into invariant
-  factors.  Their number is the rank, so one pass gives rank and torsion.
+  Pivots and set-aside rows span the input over Z, so the graded pass in
+  ``holonomy`` brackets them into the next degree's rows;
+- ``smith_diagonal``: the unit pass, then ``_smith_core`` on the rows it
+  set aside, the core, in the same sparse rows: it pivots on an entry of
+  least absolute value and clears its row and column, and pairwise
+  gcd/lcm turns that diagonal into invariant factors.  Their number is
+  the rank, so one pass gives rank and torsion.
 
 Spans of normals are compared by integer keys in ``arrangement`` and need
 no echelon form.
@@ -129,22 +133,34 @@ def rank(rows, ncols: int) -> int:
     return rank_exact(rows)
 
 
+def unit_pass(rows) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """The unimodular pass of the Smith form: (pivots, set-aside rows).
+
+    Takes over integer dict rows and updates them in place; callers hand
+    over fresh rows.  Only a +-1 lead becomes a pivot, and a set-aside row
+    is cleared only on the pivots found before it, so the set-aside rows
+    are passed again until a pass finds no pivot.  Then they are zero on
+    every pivot column.  Every update is unimodular, so the pivots and the
+    set-aside rows span the same lattice over Z as the input, and the
+    pivots are in echelon form with unit leads.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    aside = rows
+    while True:
+        found = len(pivots)
+        aside = _eliminate(aside, pivots, unit_leads=True)
+        if len(pivots) == found:
+            return list(pivots.values()), aside
+
+
 def smith_diagonal(rows, ncols: int) -> list[int]:
     """Invariant factors of an integer matrix, positive, each dividing the next.
 
-    The unit-lead pivots are in echelon form and each gives invariant
-    factor 1.  A set-aside row is cleared only on the pivots found before
-    it, so the set-aside rows are passed again until a pass finds no
-    pivot; then they are zero on every pivot column and form the core.
-    The length of the result is the rank over Q.
+    The unit pass gives invariant factor 1 per pivot; its set-aside rows
+    form the core.  The input rows are never modified.  The length of the
+    result is the rank over Q.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    core = map(_integer_row, rows)
-    while True:
-        found = len(pivots)
-        core = _eliminate(core, pivots, unit_leads=True)
-        if len(pivots) == found:
-            break
+    pivots, core = unit_pass(map(_integer_row, rows))
     d = sorted(_smith_core(core))
     # pairwise gcd/lcm turns the diagonal into a divisibility chain
     for i in range(d.count(1), len(d)):

@@ -4,10 +4,10 @@ Each oracle recomputes a quantity along a route the library never takes:
 rotation-filtered Lyndon enumeration, tensor-algebra bracket expansion,
 sympy ranks and Smith forms, whole-lattice Moebius sums, Hilbert series
 coefficient extraction, per-character Milnor accounting, and a Kunneth
-count on product arrangements.  Slow and simple on purpose.  The graded
-subspaces at the end are the one exception: they take sympy's reduced
-row echelon form of the library's own J_k and derived-span rows, for tests
-of those row builders.
+count on product arrangements, and the raw graded route to J_k with no
+elimination between degrees.  Slow and simple on purpose.  The graded
+subspaces at the end take sympy's reduced row echelon form of the raw
+J_k rows and of the derived-span rows.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from arrinv.errors import DomainError
-from arrinv.holonomy import Analysis, _derived_word_rows, _int_rows
-from arrinv.lyndon import DEFAULT_WORD_CEILING, lyndon_basis
+from arrinv.holonomy import holonomy_relators
+from arrinv.lyndon import DEFAULT_WORD_CEILING, lyndon_basis, lyndon_product, lyndon_words
 
 
 # ---------------------------------------------------------------- lyndon
@@ -297,6 +297,60 @@ def fraction_rank(rows, ncols: int) -> int:
     return rank
 
 
+# --------------------------------------------------------- raw graded route
+
+def _bracket_words(i: int, row: dict) -> dict:
+    """[x_i, row] over Lyndon words."""
+    acc: dict = {}
+    for w, c in row.items():
+        for w2, c2 in lyndon_product((i,), w).items():
+            acc[w2] = acc.get(w2, 0) + c * c2
+    return {w: c for w, c in acc.items() if c}
+
+
+def raw_jk_word_rows(arr, k: int) -> list[dict]:
+    """Raw generating rows of J_k over Lyndon words: the degree-2 relators
+    bracketed k - 2 times by every generator, duplicates dropped, with no
+    elimination between degrees."""
+    rows = [dict(r.vector) for r in holonomy_relators(arr).relators]
+    for _ in range(k - 2):
+        out, seen = [], set()
+        for row in rows:
+            for i in range(arr.n):
+                acc = _bracket_words(i, row)
+                key = frozenset(acc.items())
+                if acc and key not in seen:
+                    seen.add(key)
+                    out.append(acc)
+        rows = out
+    return rows
+
+
+def raw_jk_rows(arr, k: int, ceiling: int = DEFAULT_WORD_CEILING):
+    """(rows, ncols): the raw rows of J_k over the column numbers of the
+    degree-k Lyndon basis."""
+    basis = lyndon_basis(arr.n, k, ceiling)
+    return _columns(raw_jk_word_rows(arr, k), basis), len(basis)
+
+
+def derived_word_rows(n: int, k: int) -> list[dict]:
+    """Brackets [u, v] of Lyndon words of lengths >= 2 summing to k."""
+    rows = []
+    for p in range(2, k // 2 + 1):
+        us, vs = lyndon_words(n, p), lyndon_words(n, k - p)
+        for u in us:
+            for v in vs:
+                if u < v or len(u) != len(v):
+                    acc = lyndon_product(u, v)
+                    if acc:
+                        rows.append(acc)
+    return rows
+
+
+def _columns(word_rows, basis) -> list[dict]:
+    return [{basis.index[w]: c for w, c in row.items()} for row in word_rows]
+
+
 # ------------------------------------------------------- graded subspaces
 
 @dataclass(frozen=True)
@@ -314,7 +368,7 @@ class GradedSubspace:
 
 def _echelon_subspace(word_rows, basis) -> GradedSubspace:
     dense = []
-    for r in _int_rows(word_rows, basis):
+    for r in _columns(word_rows, basis):
         row = [0] * len(basis)
         for c, v in r.items():
             row[c] = v
@@ -335,11 +389,11 @@ def holonomy_ideal_subspace(
     if k < 2:
         raise DomainError("the ideal starts in degree 2")
     basis = lyndon_basis(arr.n, k, ceiling)
-    return _echelon_subspace(Analysis(arr, ceiling)._jk(k), basis)
+    return _echelon_subspace(raw_jk_word_rows(arr, k), basis)
 
 
 def derived_subspace(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> GradedSubspace:
     """Reduced echelon basis of the derived span D_k of the free Lie algebra."""
     if n < 1 or k < 1:
         raise DomainError("need n >= 1 and k >= 1")
-    return _echelon_subspace(_derived_word_rows(n, k), lyndon_basis(n, k, ceiling))
+    return _echelon_subspace(derived_word_rows(n, k), lyndon_basis(n, k, ceiling))

@@ -387,10 +387,11 @@ def test_holonomy_degree_is_bounded(tmp_path, capsys, monkeypatch):
 
 
 def _count_eliminations(monkeypatch):
-    """Calls of the Smith form and of the rank kernel from holonomy."""
+    """Calls of the unit pass, the Smith form and the rank kernel from
+    holonomy."""
     from arrinv import holonomy
 
-    calls = {"smith_diagonal": 0, "rank": 0}
+    calls = {"unit_pass": 0, "smith_diagonal": 0, "rank": 0}
     for name in calls:
         real = getattr(holonomy, name)
 
@@ -406,14 +407,28 @@ def test_decomp_eliminates_j3_once(capsys, monkeypatch):
     calls = _count_eliminations(monkeypatch)
     doc = run_json(capsys, "decomp", "--builtin", "braid:5")
     assert doc["result"]["rational"] is False
-    assert calls == {"smith_diagonal": 1, "rank": 0}
+    # J_2 and J_3 passed once each, then the Smith form of J_3's set-aside rows
+    assert calls == {"unit_pass": 2, "smith_diagonal": 1, "rank": 0}
 
 
 def test_chen_tests_decomposability_once(capsys, monkeypatch):
     calls = _count_eliminations(monkeypatch)
     doc = run_json(capsys, "chen", "--builtin", "x3", "--max", "1000")
     assert len(doc["result"]["ranks"]) == 1000
-    assert calls == {"smith_diagonal": 1, "rank": 0}
+    assert calls == {"unit_pass": 2, "smith_diagonal": 1, "rank": 0}
+
+
+def test_holonomy_reaches_degree_six_on_x2(capsys):
+    # x2 J_6 is generated from the unit pass of J_5, not from its raw rows
+    from arrinv.catalog import builtin
+    from arrinv.formulas import lcs_ranks_decomposable
+    from arrinv.holonomy import Analysis
+    from test_acceptance import budget
+
+    with budget(4, "x2 holonomy to degree 6"):
+        doc = run_json(capsys, "holonomy", "--builtin", "x2", "--max", "6")
+    assert doc["result"]["ranks"]["6"] == 45
+    assert lcs_ranks_decomposable(Analysis(builtin("x2")), 6)[6] == 45
 
 
 def test_closed_stdout_is_not_reported_as_an_error():

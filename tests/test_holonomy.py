@@ -9,7 +9,6 @@ from arrinv.checks import random_multiplicities, random_rank3_arrangement, run_a
 from arrinv.errors import DomainError, ResourceError
 from arrinv.holonomy import (
     Analysis,
-    _int_rows,
     holonomy_rank,
     holonomy_relators,
     local_h3_rank,
@@ -18,7 +17,7 @@ from arrinv.milnor import monodromy_trivial_criterion
 from arrinv.linalg import rank_exact, smith_diagonal
 from arrinv.lyndon import DEFAULT_WORD_CEILING, lyndon_basis, witt_count
 
-from oracles import derived_subspace, holonomy_ideal_subspace
+from oracles import derived_subspace, holonomy_ideal_subspace, raw_jk_rows
 from test_acceptance import budget
 
 
@@ -64,15 +63,14 @@ def test_h3_groups_are_free():
 
 
 def test_wide_h3_groups_match_the_rank_route():
-    # J_3 of braid:6 is 10650 x 8990 and of K7 3675 x 3080; the Smith
-    # form's rank must agree with the independent rank_exact route
+    # J_3 of braid:6 is 10650 x 8990 and of K7 3675 x 3080 from raw rows;
+    # the Smith form's rank must agree with rank_exact on the raw rows
     k7 = ",".join("%d-%d" % (i, j) for i in range(7) for j in range(i + 1, 7))
     with budget(3, "wide degree-3 groups"):
         for spec in ("braid:6", "graphic:" + k7):
             an = Analysis(from_spec(spec))
-            basis = lyndon_basis(an.arr.n, 3)
-            exact = rank_exact(list(_int_rows(an._jk(3), basis)))
-            assert an.h3.rank == len(basis) - exact, spec
+            rows, ncols = raw_jk_rows(an.arr, 3)
+            assert an.h3.rank == ncols - rank_exact(rows), spec
             assert an.h3.torsion == (), spec
             assert not an.decomposable["rational"], spec
         braid6 = Analysis(builtin("braid", (6,)))
@@ -82,15 +80,59 @@ def test_wide_h3_groups_match_the_rank_route():
 
 
 def test_rank_kernel_matches_the_smith_length_on_deep_jk():
-    # x3 J_5 is 2556 x 1554; pappus J_4 is the one catalog matrix whose
-    # Smith form leaves a nonempty core after its unit pivots
+    # x3 J_5 is seeded by 2556 rows over 1554 columns; pappus J_4 is the
+    # one catalog matrix whose Smith form leaves a nonempty core after its
+    # unit pivots
     with budget(5, "deep J_k ranks"):
         for name, k, want in (("x3", 5, 1536), ("pappus", 4, 1590)):
-            arr = builtin(name)
-            basis = lyndon_basis(arr.n, k)
-            jk = Analysis(arr)._jk(k)
-            rows = list(_int_rows(jk, basis))
-            assert rank_exact(rows) == len(smith_diagonal(rows, len(basis))) == want
+            an = Analysis(builtin(name))
+            pivots, aside = an._jk(k)
+            rows = [dict(r) for r in pivots + aside]
+            ncols = len(lyndon_basis(an.arr.n, k))
+            assert rank_exact(rows) == len(smith_diagonal(rows, ncols)) == want
+
+
+K5 = "graphic:" + ",".join("%d-%d" % (i, j) for i in range(5) for j in range(i + 1, 5))
+
+
+def test_seeded_ranks_match_the_raw_route():
+    # each degree is generated from the previous degree's unit pass; the
+    # raw route brackets every raw row and eliminates nothing in between
+    for spec, kmax in (("x3", 5), ("x2", 5), ("nonpappus", 5), (K5, 5),
+                       ("braid:4", 4), ("pappus", 4)):
+        arr = from_spec(spec)
+        raw = [arr.n]
+        for k in range(2, kmax + 1):
+            rows, ncols = raw_jk_rows(arr, k)
+            raw.append(ncols - rank_exact(rows))
+        assert Analysis(arr).ranks(kmax) == tuple(raw), spec
+
+
+def _seeded_smith(an, k):
+    pivots, aside = an._jk(k)
+    return smith_diagonal(map(dict, pivots + aside), len(lyndon_basis(an.arr.n, k)))
+
+
+def test_seeded_smith_forms_match_the_raw_route():
+    # the unit pass is unimodular, so the seeded J_k spans the same lattice
+    # over Z as the raw one, torsion included
+    for spec in ("x3", "x2", "nonpappus", "braid:4", "pappus"):
+        an = Analysis(from_spec(spec))
+        for k in (3, 4):
+            rows, ncols = raw_jk_rows(an.arr, k)
+            assert _seeded_smith(an, k) == smith_diagonal(rows, ncols), (spec, k)
+
+
+def test_degree_four_torsion():
+    # pappus J_4 and the 8th draw below, 9 lines, are the known inputs with
+    # torsion Z/2 in h_4; no J_3 of either has torsion
+    rng = random.Random(5)
+    draw = [random_rank3_arrangement(rng, max_n=9) for _ in range(8)][-1]
+    for arr, want in ((builtin("pappus"), 1590), (draw, 1548)):
+        an = Analysis(arr)
+        diag = _seeded_smith(an, 4)
+        assert (len(diag), [d for d in diag if d > 1]) == (want, [2])
+        assert an.h3.torsion == ()
 
 
 def test_local_h3_rank():
@@ -229,7 +271,10 @@ def _count_holonomy_calls(monkeypatch, names):
 
 
 def test_one_analysis_serves_many_questions(monkeypatch):
-    calls = _count_holonomy_calls(monkeypatch, ("_next_degree", "rank", "smith_diagonal"))
+    # J_3..J_5 built once and J_2..J_5 passed once; each degree's set-aside
+    # rows are ranked once, and J_3's also Smith-formed once for h3
+    calls = _count_holonomy_calls(
+        monkeypatch, ("_next_degree", "unit_pass", "rank", "smith_diagonal"))
     an = Analysis(builtin("x3"))
     assert an.ranks(5) == (6, 3, 6, 9, 18)
     assert an.ranks(3) == (6, 3, 6)
@@ -239,12 +284,33 @@ def test_one_analysis_serves_many_questions(monkeypatch):
         m = random_multiplicities(rng, an.arr.n)
         monodromy_trivial_criterion(MultiArrangement(an.arr, m), an)
     assert {name: len(c) for name, c in calls.items()} == {
-        "_next_degree": 3, "rank": 3, "smith_diagonal": 1}
+        "_next_degree": 3, "unit_pass": 4, "rank": 4, "smith_diagonal": 1}
 
 
 def test_check_suite_builds_each_degree_once_per_sample(monkeypatch):
-    # 16 samples, 14 of them decomposable: J_3 of each, J_4 of those
-    calls = _count_holonomy_calls(monkeypatch, ("_next_degree",))["_next_degree"]
+    # 16 samples, 14 of them decomposable: J_3 of each, J_4 of those; an
+    # analysis owns its bases, so the column words of J_k name the sample
+    calls = _count_holonomy_calls(monkeypatch, ("_next_degree", "unit_pass"))
     assert all(r.ok for r in run_all_checks(seed=12022, samples=10))
-    built = [(id(arr), len(rows[0][0][0]) + 1) for arr, rows in calls]
+    built = [(id(words), len(words[0]) + 1) for n, rows, words, index in calls["_next_degree"]]
     assert len(built) == len(set(built)) == 30
+    # J_2 of every sample and each degree built from it, passed once
+    assert len(calls["unit_pass"]) == 16 + 30
+
+
+def test_analysis_builds_each_basis_once(monkeypatch):
+    from arrinv import lyndon
+
+    built = []
+    real = lyndon.lyndon_words
+
+    def spy(n, k):
+        built.append(k)
+        return real(n, k)
+
+    monkeypatch.setattr(lyndon, "lyndon_words", spy)
+    an = Analysis(builtin("x3"))
+    assert an.ranks(4) == (6, 3, 6, 9)
+    assert an.h3.rank == 6
+    assert an.alexander_dims(2) == [3, 6, 9]
+    assert sorted(built) == [2, 3, 4]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from arrinv.linalg import rank, rank_exact, smith_diagonal
+from arrinv.linalg import rank, rank_exact, smith_diagonal, unit_pass
 
 from oracles import (diagonal_invariant_factors, fraction_rank, rank_mod_p,
                      sympy_factor_product, sympy_invariant_factors, sympy_rank)
@@ -128,6 +128,22 @@ def test_smith_unit_pivot_found_on_a_second_pass():
     rows = [{0: 2, 1: 3}, {0: 1, 1: 1}, {1: 2}]
     assert sympy_invariant_factors(rows, 2) == [1, 1]
     assert smith_diagonal(rows, 2) == [1, 1]
+
+
+def test_unit_pass_spans_the_input_over_z():
+    # the kernel the graded pass seeds the next degree from: its pivots
+    # and set-aside rows must keep the Smith form, not only the rank, and
+    # small entries in [-3, 3] often set rows aside
+    rng = random.Random(616)
+    set_aside = 0
+    for _ in range(300):
+        nrows, ncols = rng.randrange(1, 10), rng.randrange(1, 9)
+        rows = random_sparse_rows(rng, nrows, ncols, density=rng.random(), lo=-3, hi=3)
+        pivots, aside = unit_pass([dict(r) for r in rows])
+        set_aside += bool(aside)
+        assert all(abs(p[min(p)]) == 1 for p in pivots)
+        assert smith_diagonal(pivots + aside, ncols) == smith_diagonal(rows, ncols), rows
+    assert set_aside > 50
 
 
 def test_smith_diagonal_dense_cores():
