@@ -1,11 +1,13 @@
 """Central arrangements and their rank-2 intersection data.
 
 An arrangement is a finite set of hyperplanes through the origin of C^d,
-each recorded by a defining normal vector with rational entries.  All the
-invariants in this package depend only on the rank-2 part of the
-intersection lattice: the partition of the hyperplane pairs into maximal
-pencils (flats of codimension 2), each weighted by its Moebius value
-mu = (number of members) - 1.
+each recorded by a defining normal vector with rational entries: ``int``
+where the input was an integer, ``fractions.Fraction`` only where it was
+``p/q``, so integer input never loads ``fractions``.  The two types
+compare and hash alike.  All the invariants in this package depend only
+on the rank-2 part of the intersection lattice: the partition of the
+hyperplane pairs into maximal pencils (flats of codimension 2), each
+weighted by its Moebius value mu = (number of members) - 1.
 
 Lines and 2-planes spanned by normals are compared through integer keys:
 a line by its primitive integer vector (``line_key``), a 2-plane by the
@@ -15,7 +17,6 @@ primitive vector of its 2x2 minors, its Pluecker coordinates
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
@@ -25,11 +26,13 @@ from .errors import DomainError
 from .linalg import rank_exact
 
 
-def _coerce_scalar(v) -> Fraction:
+def _coerce_scalar(v) -> int | Fraction:
+    if isinstance(v, int):
+        return int(v)
+    # a Fraction argument has loaded the module already
+    from fractions import Fraction
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
     if isinstance(v, str):
         return Fraction(v)
     raise DomainError("coefficients must be integers, fractions or 'p/q' strings")
@@ -37,10 +40,14 @@ def _coerce_scalar(v) -> Fraction:
 
 @record
 class Arrangement:
-    """A central arrangement, as an ordered tuple of normal vectors."""
+    """A central arrangement, as an ordered tuple of normal vectors.
+
+    Each entry of a normal is an ``int``, or a ``Fraction`` where the input
+    was not an integer.
+    """
 
     ambient_dim: int
-    normals: tuple[tuple[Fraction, ...], ...]
+    normals: tuple[tuple[int | Fraction, ...], ...]
     labels: tuple[str, ...]
 
     @property
@@ -98,7 +105,7 @@ def line_key(row) -> tuple[int, ...]:
     nonzero entry made positive, so two rows are proportional iff their
     keys are equal.
     """
-    den = lcm(*(Fraction(v).denominator for v in row))
+    den = lcm(*(v.denominator for v in row))
     return _primitive([int(v * den) for v in row])
 
 
@@ -207,8 +214,8 @@ def betti(arr: Arrangement) -> tuple[int, int]:
 def product(a: Arrangement, b: Arrangement) -> Arrangement:
     """Product arrangement in the direct sum of the two ambient spaces."""
     da, db = a.ambient_dim, b.ambient_dim
-    zero_a = (Fraction(0),) * da
-    zero_b = (Fraction(0),) * db
+    zero_a = (0,) * da
+    zero_b = (0,) * db
     normals = [row + zero_b for row in a.normals]
     normals += [zero_a + row for row in b.normals]
     labels = tuple(s + "'" for s in a.labels) + tuple(s + "''" for s in b.labels)
@@ -259,9 +266,9 @@ def graphic_arrangement(graph: SimpleGraph) -> Arrangement:
     normals = []
     labels = []
     for a, b in edges:
-        row = [Fraction(0)] * graph.vertices
-        row[a] = Fraction(1)
-        row[b] = Fraction(-1)
+        row = [0] * graph.vertices
+        row[a] = 1
+        row[b] = -1
         normals.append(tuple(row))
         labels.append("x%d-x%d" % (a, b))
     return Arrangement(graph.vertices, tuple(normals), tuple(labels))
@@ -293,7 +300,7 @@ class MultiArrangement:
         return sum(self.multiplicities)
 
 
-def _fraction_str(v: Fraction) -> str:
+def _fraction_str(v: int | Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else "%d/%d" % (
         v.numerator,
         v.denominator,

@@ -25,7 +25,14 @@ library function is looked up when it is called, so a tracer that
 rebinds the names of its defining module sees each call; the analysis's
 methods are not rebound, but the kernels they call are.  Parsing needs
 nothing beyond the standard library; usage errors raise DomainError, and
-option bounds are checked once, after parsing.
+option bounds are checked once, after parsing.  A subcommand is recorded
+at import and its argparse parser built only when a call names it;
+``--help``, ``--version`` and a missing or unknown command build them all.
+
+``main(argv)`` is the library entry: it returns the exit code and leaves
+the process alone.  ``entry()`` is the program, for ``python -m
+arrinv.cli`` and the installed ``arr``: it runs ``main``, flushes stdout
+and stderr and leaves by ``os._exit``, without the interpreter's teardown.
 
 Exit codes: 0 success, 1 input or parse error, 2 hypothesis refusal,
 3 resource ceiling hit.
@@ -127,18 +134,28 @@ _separated_option = ("--assert-separated", dict(
     dest="separated", action="store_true",
     help="assert the Alexander invariant is separated"))
 
-_cli = _Parser(prog="arr",
-               description="Exact invariants of central complex hyperplane arrangements.")
-_cli.add_argument("--version", action="version", version="arr, version " + __version__,
-                  help="show the version and exit")
-_subcommands = _cli.add_subparsers(metavar="COMMAND", required=True)
+# name -> (runner, help text, options) of every subcommand, in help order
+_SUBCOMMANDS: dict[str, tuple] = {}
 
 
 def _subcommand(name: str, run, doc: str, options) -> None:
-    parser = _subcommands.add_parser(name, help=doc, description=doc)
-    for flag, kwargs in options:
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(run=run)
+    _SUBCOMMANDS[name] = (run, doc, options)
+
+
+def _parser(names) -> _Parser:
+    """The ``arr`` parser with the subcommands ``names``."""
+    cli = _Parser(prog="arr",
+                  description="Exact invariants of central complex hyperplane arrangements.")
+    cli.add_argument("--version", action="version", version="arr, version " + __version__,
+                     help="show the version and exit")
+    subcommands = cli.add_subparsers(metavar="COMMAND", required=True)
+    for name in names:
+        run, doc, options = _SUBCOMMANDS[name]
+        parser = subcommands.add_parser(name, help=doc, description=doc)
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(run=run)
+    return cli
 
 
 def _command(name: str, *extra_options):
@@ -309,8 +326,14 @@ _subcommand("check", check, check.__doc__, (
 
 
 def _parse(argv) -> tuple:
-    """The subcommand's runner and its options, bounds checked."""
-    options = vars(_cli.parse_args(argv))
+    """The subcommand's runner and its options, bounds checked.
+
+    A call naming a subcommand first builds only that subcommand's parser;
+    any other call (``--help``, ``--version``, no or an unknown command)
+    builds them all, so its help and its list of choices are complete."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    options = vars(_parser(names).parse_args(argv))
     for dest, flag, low in _BOUNDS:
         if options.get(dest, low) < low:
             raise DomainError("%s must be at least %d" % (flag, low))
@@ -350,5 +373,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry():
+    """The ``arr`` program: run ``main`` and exit with its code.
+
+    The interpreter's teardown is skipped: stdout and stderr are the only
+    outputs and there are no atexit handlers, so once both streams are
+    flushed ``os._exit`` loses nothing.  A failed flush keeps ``main``'s
+    code, as a closed stdout does inside ``main``; an exception escaping
+    ``main`` propagates with its traceback."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .arrangement import Arrangement, first_duplicate
 from .errors import ParseError
@@ -63,7 +62,7 @@ class _Tokens:
         return t
 
 
-def _parse_number(ts: _Tokens) -> Fraction:
+def _parse_number(ts: _Tokens) -> int | Fraction:
     kind, val = ts.take()
     if kind != "int":
         raise ParseError("syntax", "expected an integer")
@@ -77,14 +76,15 @@ def _parse_number(ts: _Tokens) -> Fraction:
         den = int(val)
         if den == 0:
             raise ParseError("syntax", "zero denominator")
+        from fractions import Fraction
         return Fraction(num, den)
-    return Fraction(num)
+    return num
 
 
-def _parse_linear(ts: _Tokens) -> tuple[dict[str, Fraction], Fraction]:
+def _parse_linear(ts: _Tokens) -> tuple[dict[str, int | Fraction], int | Fraction]:
     """Sum of signed terms; returns (coefficients by variable, constant)."""
-    coeffs: dict[str, Fraction] = {}
-    const = Fraction(0)
+    coeffs: dict[str, int | Fraction] = {}
+    const = 0
     while True:
         sign = 1
         kind, val = ts.peek()
@@ -98,8 +98,8 @@ def _parse_linear(ts: _Tokens) -> tuple[dict[str, Fraction], Fraction]:
             kind, val = ts.peek()
         if kind == "var":
             ts.take()
-            c = Fraction(1) if coeff is None else coeff
-            coeffs[val] = coeffs.get(val, Fraction(0)) + sign * c
+            c = 1 if coeff is None else coeff
+            coeffs[val] = coeffs.get(val, 0) + sign * c
         elif coeff is not None:
             const += sign * coeff
         else:
@@ -109,11 +109,11 @@ def _parse_linear(ts: _Tokens) -> tuple[dict[str, Fraction], Fraction]:
             return coeffs, const
 
 
-def _parse_factor(ts: _Tokens) -> tuple[dict[str, Fraction], Fraction]:
+def _parse_factor(ts: _Tokens) -> tuple[dict[str, int | Fraction], int | Fraction]:
     kind, val = ts.peek()
     if kind == "var":
         ts.take()
-        return {val: Fraction(1)}, Fraction(0)
+        return {val: 1}, 0
     if kind == "int":
         return {}, _parse_number(ts)
     if kind == "op" and val == "(":
@@ -160,7 +160,7 @@ def _parse_polynomial(text: str) -> Arrangement:
     if m:
         text = text[m.end() :]
     ts = _Tokens(_tokenize(text))
-    factors: list[dict[str, Fraction]] = []
+    factors: list[dict[str, int | Fraction]] = []
     while ts.peek()[0] is not None:
         coeffs, const = _parse_factor(ts)
         coeffs = {k: v for k, v in coeffs.items() if v}
@@ -207,7 +207,7 @@ def _parse_polynomial(text: str) -> Arrangement:
     rows = []
     labels = []
     for coeffs in factors:
-        rows.append(tuple(coeffs.get(v, Fraction(0)) for v in varorder))
+        rows.append(tuple(coeffs.get(v, 0) for v in varorder))
         labels.append(render_linear_form(coeffs.items()))
     return _checked_arrangement(len(varorder), rows, labels)
 
@@ -222,12 +222,13 @@ def _checked_arrangement(width, rows, labels) -> Arrangement:
     return Arrangement(width, tuple(rows), tuple(labels))
 
 
-def _json_entry(v) -> Fraction:
+def _json_entry(v) -> int | Fraction:
     if isinstance(v, bool):
         raise ParseError("syntax", "boolean is not a rational entry")
     if isinstance(v, int):
-        return Fraction(v)
+        return v
     if isinstance(v, str):
+        from fractions import Fraction
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):

@@ -9,6 +9,8 @@ import pytest
 import arrinv
 from arrinv.cli import main
 
+SRC = str(Path(arrinv.__file__).resolve().parents[1])
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -300,6 +302,22 @@ def test_help(capsys, command):
     assert out.startswith("usage: arr")
 
 
+COMMANDS = tuple(c[0] for c in ARRANGEMENT_COMMANDS) + ("check",)
+
+
+def test_calls_naming_no_command_see_every_command(capsys):
+    # a call naming a command builds only that parser; the rest build all
+    rc, out = run(capsys, "--help")
+    assert rc == 0
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")
+              and not line.startswith("     ")]
+    assert tuple(listed) == COMMANDS
+    assert main(["no_such_command"]) == 1
+    assert capsys.readouterr().err == (
+        "error: argument COMMAND: invalid choice: 'no_such_command' (choose from %s)\n"
+        % ", ".join("'%s'" % c for c in COMMANDS))
+
+
 def test_modular_flag_surfaces_in_report(capsys):
     # every rank is exact; the key stays as a constant for old readers
     doc = run_json(capsys, "holonomy", "--builtin", "nonpappus", "--max", "4")
@@ -327,8 +345,7 @@ def test_version(capsys):
 
 
 def test_cli_import_does_not_load_numpy():
-    src = str(Path(arrinv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     # the CLI runs on the standard library alone
     code = "import sys, arrinv.cli; print('numpy' in sys.modules, 'click' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env,
@@ -435,9 +452,8 @@ def test_closed_stdout_is_not_reported_as_an_error():
     # a reader that stops early is no input error: nothing on stderr, not
     # even the interpreter's own report of a failed last flush, and exit 1
     # so that `set -o pipefail` still sees the output was cut
-    src = str(Path(arrinv.__file__).resolve().parents[1])
     for buffered in (True, False):
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         env.pop("PYTHONUNBUFFERED", None)
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -447,3 +463,93 @@ def test_closed_stdout_is_not_reported_as_an_error():
         err = child.stderr.read()
         child.stderr.close()
         assert (child.wait(), err) == (1, b"")
+
+
+def spawn(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m arrinv.cli ARGV``, the program as a shell runs it."""
+    return subprocess.run([sys.executable, "-m", "arrinv.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC), **kwargs)
+
+
+# one call per exit code, help, version and the check suite; FILE stands
+# for a file that fails to parse
+PARITY = {
+    "ok": ("info", "--builtin", "x3"),
+    "usage": ("no_such_command",),
+    "parse": ("betti", "--file", "FILE"),
+    "refusal": ("lcs", "--builtin", "braid:3"),
+    "resource": ("holonomy", "--builtin", "braid:4", "--max", "9", "--ceiling", "1000"),
+    "help": ("--help",),
+    "command-help": ("milnor", "--help"),
+    "version": ("--version",),
+    "check": ("check", "--samples", "1"),
+}
+
+
+@pytest.mark.parametrize("argv", PARITY.values(), ids=PARITY)
+def test_program_matches_main(tmp_path, capsys, argv):
+    # the program leaves by os._exit after main: same output, same code
+    bad = tmp_path / "affine.txt"
+    bad.write_text("x (x+1)")
+    argv = [str(bad) if a == "FILE" else a for a in argv]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    done = spawn(*argv, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (rc, captured.out, captured.err)
+
+
+def test_large_output_arrives_whole_through_a_pipe(capsys):
+    argv = ["milnor", "--builtin", "x3", "--assert-separated",
+            "--mult", "16667,16667,16667,16667,16667,16665"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    done = spawn(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode() == expected
+    assert json.loads(expected)["result"]["N"] == 10 ** 5 and len(done.stdout) > 10 ** 6
+
+
+def test_commands_register_no_exit_handler():
+    # the program skips teardown, so nothing may wait for it: every module
+    # a command loads registers no atexit handler
+    code = "\n".join([
+        "import atexit",
+        "before = atexit._ncallbacks()",
+        "from arrinv.cli import main",
+        "for argv in (['info', '--builtin', 'x3'], ['lcs', '--builtin', 'x3'],",
+        "             ['charvar', '--builtin', 'x3', '--assert-separated'],",
+        "             ['milnor', '--builtin', 'x3', '--assert-separated'],",
+        "             ['check', '--samples', '1']):",
+        "    assert main(argv) == 0",
+        "print(atexit._ncallbacks() - before)",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_is_an_output_error():
+    with open("/dev/full", "w") as full:
+        done = spawn("info", "--builtin", "x3", stdout=full, stderr=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (1, b"error: [Errno 28] No space left on device\n")
+
+
+def test_installed_script_is_the_program():
+    # `arr` from pyproject.toml is the function `python -m arrinv.cli` calls
+    import ast
+
+    import arrinv.cli
+
+    tomllib = pytest.importorskip("tomllib")
+
+    root = Path(SRC).parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["arr"]
+    module, _, name = target.partition(":")
+    assert module == "arrinv.cli"
+    tree = ast.parse(Path(arrinv.cli.__file__).read_text(encoding="utf-8"))
+    guard = tree.body[-1]
+    assert isinstance(guard, ast.If) and ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in guard.body] == ["%s()" % name]
+    assert getattr(arrinv.cli, name) is arrinv.cli.entry

@@ -2,10 +2,12 @@
 
 A short `arr` call spends most of its time starting up, so importing
 ``arrinv.cli`` loads only the modules every command needs, and a command
-loads the rest only when it runs them.  Checked on module lists, with no
-timing.
+loads the rest only when it runs them.  Integer coefficients stay ``int``,
+so ``fractions`` (and the ``decimal`` it imports) is loaded only for
+``p/q`` input.  Checked on module lists, with no timing.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import arrinv
+from arrinv import compute_l2, make_arrangement, parse_arrangement
+from arrinv.cli import main
 
 SRC = str(Path(arrinv.__file__).resolve().parents[1])
 
@@ -58,6 +62,44 @@ def test_other_commands_load_their_modules(bare):
     code = "from arrinv.cli import main\nassert main(['lcs', '--builtin', 'x3']) == 0"
     added = {m for m in loaded_modules(code) - bare if m.startswith("arrinv")}
     assert added == CORE | {"arrinv.formulas"}
+
+
+def test_integer_input_loads_no_fractions(bare, tmp_path):
+    poly = tmp_path / "ints.txt"
+    poly.write_text("xyz(x+y)(x-2z)(3y+z)")
+    table = tmp_path / "ints.json"
+    table.write_text('{"normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -2, 3]]}')
+    for source in (["--builtin", "braid:4"], ["--builtin", "graphic:0-1,1-2,0-2,2-3"],
+                   ["--file", str(poly)], ["--file", str(table)]):
+        code = "from arrinv.cli import main\nassert main(['l2', *%r]) == 0" % (source,)
+        assert not (loaded_modules(code) - bare) & {"fractions", "decimal"}, source
+    code = ("from arrinv import builtin, make_arrangement, product\n"
+            "product(make_arrangement([[2, 1], [0, 1]]), builtin('graphic', [(0, 1)]))")
+    assert not (loaded_modules(code) - bare) & {"fractions", "decimal"}
+
+
+def test_rational_input_keeps_its_fractions(tmp_path, capsys):
+    from fractions import Fraction
+
+    poly = tmp_path / "half.txt"
+    poly.write_text("[x, y] x y (x+1/2y)")
+    table = tmp_path / "half.json"
+    table.write_text('{"normals": [[1, 0], [0, 1], [1, "1/2"]]}')
+    for path in (poly, table):
+        assert parse_arrangement(path.read_text()).normals == ((1, 0), (0, 1), (1, Fraction(1, 2)))
+        assert main(["info", "--file", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["arrangement"]["normals"] == [["1", "0"], ["0", "1"], ["1", "1/2"]]
+
+
+def test_integer_entries_equal_their_fraction_twins():
+    from fractions import Fraction
+
+    ints = make_arrangement([[2, 1], [0, 1]])
+    twin = make_arrangement([[Fraction(2), Fraction(1)], [Fraction(0), Fraction(1)]])
+    assert {type(v) for row in ints.normals for v in row} == {int}
+    assert ints == twin and hash(ints) == hash(twin)
+    assert compute_l2(ints) is compute_l2(twin)
 
 
 def test_package_import_loads_no_library_module(bare):
