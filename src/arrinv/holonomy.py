@@ -10,22 +10,27 @@ coefficients).
 Degree-k ranks come from the ideal propagation J_{k+1} = [L_1, J_k]: the
 ideal is generated in degree 2 and the ambient free Lie algebra in degree
 1, so left-bracketing a generating set of J_k over Z by the generators
-yields one of J_{k+1}.  Each degree gets one unit pass
+yields one of J_{k+1}.  One bracket step, `_bracket`, builds every
+row: [x_i, row] with the row's columns named by the words of its degree
+and the result numbered by the Lyndon basis one degree up.  Applied to
+the degree-1 row sum of x_K over X it gives the relators
+(`holonomy_relators`); applied to the rows of J_k by every generator it
+gives J_{k+1} (`_next_degree`).  Each degree gets one unit pass
 (`linalg.unit_pass`), the unimodular first stage of the Smith form: its
 pivots and set-aside rows span J_k over Z, so they serve both that
 degree's rank and torsion and, bracketed, the next degree's rows, which
-are fewer and sparser than raw rows bracketed again.  Rows are
-numbered by the columns of the Lyndon basis, and `_next_degree` maps
-each column back to its word.
+are fewer and sparser than raw rows bracketed again.
 
 Everything one call computes about an arrangement lives in one
 `Analysis(arr, ceiling)`, built for that call and dropped after it.  It
 keeps one Lyndon basis and one unit pass per degree of one graded pass,
 J_2, J_3, ..., extended on demand, so no degree is built or passed
-twice, and every computation over it reads the same rows.  Before any
-row is built it checks the degree against `MAX_FORMULA_DEGREE`
-(`check_degree`, which the formulas share) and every Lyndon basis
-against its one ceiling (`lyndon.lyndon_basis` is the check).
+twice, and every computation over it reads the same rows.  Every entry
+refuses in one order before any row is built (`Analysis._bases`): the
+largest degree it needs against `MAX_FORMULA_DEGREE` (`check_degree`,
+which the formulas share), then every Lyndon basis from degree 2 up,
+smallest first, against its one ceiling (`lyndon.lyndon_basis` is the
+check), so a refusal names the smallest degree over the ceiling.
 
 phi_k is the basis size less the number of pivots and the rank of the
 set-aside rows.  In degree 3 the integral quotient Lie_3 / J_3 is a unit
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from math import comb
 
 from ._record import record
@@ -59,7 +64,6 @@ from .lyndon import (
     lyndon_product,
 )
 
-Vector = tuple[tuple[Word, int], ...]
 # a row over the column numbers of a Lyndon basis, as (column, value) pairs
 Row = tuple[tuple[int, int], ...]
 
@@ -76,21 +80,6 @@ def check_degree(k: int) -> None:
 
 
 @record
-class Relator:
-    """[x_h, sum of x_k over the flat], expanded in the degree-2 basis."""
-
-    h: int
-    members: tuple[int, ...]
-    vector: Vector
-
-
-@record
-class HolonomyPresentation:
-    n: int
-    relators: tuple[Relator, ...]
-
-
-@record
 class AbelianGroupReport:
     """Rank and invariant-factor torsion of a finitely generated group."""
 
@@ -98,48 +87,41 @@ class AbelianGroupReport:
     torsion: tuple[int, ...]
 
 
-def _bracket_rows(row: Vector, i: int) -> dict[Word, int]:
-    """[x_i, row] over the Lyndon basis one degree up."""
-    acc: dict[Word, int] = {}
-    for w, c in row:
-        for w2, c2 in lyndon_product((i,), w).items():
-            nv = acc.get(w2, 0) + c * c2
-            if nv:
-                acc[w2] = nv
+def _bracket(i: int, row: Iterable[tuple[int, int]], words: tuple[Word, ...],
+             index: dict[Word, int]) -> dict[int, int]:
+    """[x_i, row] over the basis one degree up: ``words`` names the columns
+    of ``row`` and ``index`` numbers the words of the next degree."""
+    acc: dict[int, int] = {}
+    for c, v in row:
+        for w, x in lyndon_product((i,), words[c]).items():
+            j = index[w]
+            y = acc.get(j, 0) + v * x
+            if y:
+                acc[j] = y
             else:
-                acc.pop(w2, None)
+                del acc[j]
     return acc
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def holonomy_relators(arr: Arrangement) -> HolonomyPresentation:
-    """One expanded relator per (hyperplane, flat) pair, largest index dropped."""
-    relators = []
-    for flat in compute_l2(arr):
-        members = flat.members
-        total = tuple(((k,), 1) for k in members)
-        for h in members[:-1]:
-            vec = tuple(sorted(_bracket_rows(total, h).items()))
-            relators.append(Relator(h, members, vec))
-    return HolonomyPresentation(arr.n, tuple(relators))
+def holonomy_relators(arr: Arrangement) -> tuple[Row, ...]:
+    """[x_h, sum of x_k over X] for every rank-2 flat X and every member h
+    of X but the largest, over the degree-2 Lyndon basis, sorted by column."""
+    letters = tuple((k,) for k in range(arr.n))
+    # the degree-2 Lyndon words are the pairs a < b, in lexicographic order
+    index = {w: j for j, w in enumerate(combinations(range(arr.n), 2))}
+    rows = (_bracket(h, [(k, 1) for k in flat.members], letters, index)
+            for flat in compute_l2(arr) for h in flat.members[:-1])
+    return tuple(tuple(sorted(r.items())) for r in rows)
 
 
 def _next_degree(n: int, rows: Iterable[Row], words: tuple[Word, ...],
                  index: dict[Word, int]) -> Iterator[dict[int, int]]:
     """Rows of J_{k+1} = [L_1, J_k]: [x_i, row] for every row of J_k and
-    every generator x_i.  ``words`` names the columns of the rows of J_k
-    and ``index`` numbers the words of degree k + 1."""
+    every generator x_i."""
     for row in rows:
         for i in range(n):
-            acc: dict[int, int] = {}
-            for c, v in row:
-                for w, x in lyndon_product((i,), words[c]).items():
-                    j = index[w]
-                    y = acc.get(j, 0) + v * x
-                    if y:
-                        acc[j] = y
-                    else:
-                        del acc[j]
+            acc = _bracket(i, row, words, index)
             if acc:
                 yield acc
 
@@ -167,7 +149,8 @@ class Analysis:
     """What one call computes about ``arr`` under one word ceiling: the
     Lyndon basis and the unit pass of J_k in each degree of one graded
     pass, each degree's rank over Q, the degree-3 group and the
-    decomposability verdict."""
+    decomposability verdict.  ``ranks``, ``h3`` and ``alexander_dims``
+    all refuse through ``_bases``, so in the same order."""
 
     def __init__(self, arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING):
         self.arr = arr
@@ -176,35 +159,34 @@ class Analysis:
         self._passes: list[tuple[tuple[Row, ...], tuple[Row, ...]]] = []  # J_2, J_3, ...
         self._ranks = [arr.n]  # phi_1, phi_2, ... eliminated so far
 
-    def _bases(self, degrees: range) -> list[LyndonBasis]:
-        """The Lyndon bases of ``degrees``, in that order: the largest degree
-        is checked against the degree bound, then every basis not yet held
-        against the ceiling, before any row is built."""
-        check_degree(max(degrees[0], degrees[-1]) if degrees else 0)
+    def _bases(self, kmax: int) -> dict[int, LyndonBasis]:
+        """The Lyndon bases of degrees 2..kmax, by degree.  The one refusal
+        order: ``kmax`` against the degree bound, then every basis not yet
+        held against the ceiling, smallest degree first, before any row is
+        built."""
+        check_degree(kmax)
         basis = self._basis
-        for k in degrees:
+        for k in range(2, kmax + 1):
             if k not in basis:
                 basis[k] = lyndon_basis(self.arr.n, k, self.ceiling)
-        return [basis[k] for k in degrees]
+        return basis
 
     def _jk(self, k: int) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
         """The unit pass of J_k, (pivots, set-aside rows), extending the
         graded pass up to degree k.  Together they span J_k over Z, so
         bracketing them by the generators spans J_{k+1} over Z.  The fresh
         rows of each degree go straight into its pass, which is kept as
-        pairs, smaller than dicts."""
+        pairs, smaller than dicts.  J_2 is seeded by fresh dict copies of
+        the cached relators, since the pass updates its rows in place."""
         passes = self._passes
-        self._bases(range(2, k + 1))
-        basis = self._basis
+        basis = self._bases(k)
         while len(passes) < k - 1:
             d = len(passes) + 1  # the degree passed last
             if passes:
                 rows = _next_degree(self.arr.n, chain(*passes[-1]),
                                     basis[d].words, basis[d + 1].index)
             else:
-                index = basis[2].index
-                rows = ({index[w]: c for w, c in r.vector}
-                        for r in holonomy_relators(self.arr).relators)
+                rows = map(dict, holonomy_relators(self.arr))
             passes.append(tuple(tuple(tuple(r.items()) for r in part)
                                 for part in unit_pass(rows)))
         return passes[k - 2]
@@ -212,15 +194,15 @@ class Analysis:
     def ranks(self, kmax: int) -> tuple[int, ...]:
         """dims phi_1..phi_kmax of the holonomy Lie algebra over Q.
 
-        Every basis is checked, smallest first, before any row is built.
         phi_k is the basis size less the rank of J_k: the unit pass's
         pivots plus the rank of its set-aside rows.
         """
         if kmax < 1:
             raise DomainError("degree must be positive")
-        for basis in self._bases(range(2, kmax + 1))[len(self._ranks) - 1:]:
-            pivots, aside = self._jk(basis.degree)
-            self._ranks.append(len(basis) - len(pivots) - rank(map(dict, aside), len(basis)))
+        basis = self._bases(kmax)
+        for k in range(len(self._ranks) + 1, kmax + 1):
+            pivots, aside = self._jk(k)
+            self._ranks.append(len(basis[k]) - len(pivots) - rank(map(dict, aside), len(basis[k])))
         return tuple(self._ranks[:kmax])
 
     @cached_property
@@ -228,10 +210,9 @@ class Analysis:
         """The degree-3 piece of the integral holonomy Lie algebra: a unit
         factor per pivot of the unit pass of J_3, and the Smith form of its
         set-aside rows."""
-        basis, = self._bases(range(3, 4))
         pivots, aside = self._jk(3)
-        diag = [1] * len(pivots) + smith_diagonal(map(dict, aside), len(basis))
-        return AbelianGroupReport(len(basis) - len(diag), tuple(d for d in diag if d > 1))
+        diag = [1] * len(pivots) + smith_diagonal(map(dict, aside))
+        return AbelianGroupReport(len(self._basis[3]) - len(diag), tuple(d for d in diag if d > 1))
 
     @cached_property
     def decomposable(self) -> dict:
@@ -277,13 +258,11 @@ class Analysis:
         """
         if kmax < 0:
             raise DomainError("kmax must be nonnegative")
-        # every degree is checked, largest first, before any row is built
-        bases = self._bases(range(kmax + 2, 1, -1))
+        basis = self._bases(kmax + 2)
         dims = []
-        for basis in reversed(bases):
-            k = basis.degree
-            rows = chain(map(dict, chain(*self._jk(k))), _derived_rows(self._basis, k))
-            dims.append(len(basis) - rank(rows, len(basis)))
+        for k in range(2, kmax + 3):
+            rows = chain(map(dict, chain(*self._jk(k))), _derived_rows(basis, k))
+            dims.append(len(basis[k]) - rank(rows, len(basis[k])))
         return dims
 
 

@@ -153,7 +153,7 @@ def unit_pass(rows) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
             return list(pivots.values()), aside
 
 
-def smith_diagonal(rows, ncols: int) -> list[int]:
+def smith_diagonal(rows) -> list[int]:
     """Invariant factors of an integer matrix, positive, each dividing the next.
 
     The unit pass gives invariant factor 1 per pivot; its set-aside rows

@@ -1,0 +1,34 @@
+"""The library names the benchmark harness in ``perfbench/`` calls.
+
+The harness turns an exception in its oracles into a failed operation, so
+a change to the shape of a library function it calls would only show as
+a lower share of good operations in a benchmark run.  These tests run
+those oracles and the tracer's cache read in the test suite instead.
+deep-lie is left out: its oracles take seconds.
+"""
+
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["cli-sweep", "wide-decomp"])
+def test_benchmark_oracles_run(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import expectations
+    import workloads
+
+    wl = workloads.build(workload, 1)
+    cache: dict = {}
+    for op in wl.ops:
+        expectations.expect(op, wl, cache)
+
+
+def test_tracer_reads_every_reported_cache(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    counts = tracer.Tracer().cache_counts()
+    assert sorted(counts) == sorted("%s.%s" % c for c in tracer.CACHES)

@@ -222,6 +222,16 @@ def test_decomposability_test_honors_the_ceiling(capsys, command):
     assert "degree-3 computation needs 1120 basis words" in err
 
 
+def test_decomposability_refusal_names_the_smallest_degree_over_the_ceiling(capsys):
+    # braid:8 has 56 hyperplanes, so at --ceiling 1000 both its degree-2
+    # basis (1540 words) and its degree-3 basis (58520) are over the
+    # ceiling; the smaller degree is named
+    assert main(["decomp", "--builtin", "braid:8", "--ceiling", "1000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "degree-2 computation needs 1540 basis words" in err
+
+
 def test_file_inputs(tmp_path, capsys):
     poly = tmp_path / "pencil.txt"
     poly.write_text("[x, y] x y (x+y)\n")

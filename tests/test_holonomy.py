@@ -15,22 +15,39 @@ from arrinv.holonomy import (
 )
 from arrinv.milnor import monodromy_trivial_criterion
 from arrinv.linalg import rank_exact, smith_diagonal
-from arrinv.lyndon import DEFAULT_WORD_CEILING, lyndon_basis, witt_count
+from arrinv.lyndon import DEFAULT_WORD_CEILING, lyndon_words, witt_count
 
-from oracles import derived_subspace, holonomy_ideal_subspace, raw_jk_rows
+from oracles import (
+    derived_subspace,
+    holonomy_ideal_subspace,
+    raw_jk_rows,
+    tensor_combination,
+    tensor_commutator,
+)
 from test_acceptance import budget
 
 
+K5 = "graphic:" + ",".join("%d-%d" % (i, j) for i in range(5) for j in range(i + 1, 5))
+
+
 def test_relator_census():
-    # one relator per flat member except the largest, so b2 of them
-    for name in ("x3", "x2", "nonpappus"):
-        arr = builtin(name)
-        pres = holonomy_relators(arr)
-        _, b2 = betti(arr)
-        assert len(pres.relators) == b2
-        for rel in pres.relators:
-            assert rel.h in rel.members
-            assert rel.vector  # a relator never collapses to zero
+    # each row, mapped to degree-2 Lyndon words (a, b) and expanded as
+    # x_a x_b - x_b x_a, is [x_h, sum of x_k over X] for a flat X and a
+    # member h but the largest, in flat order; one row per such pair, so b2
+    rng = random.Random(18)
+    samples = [builtin("braid", (n,)) for n in (3, 4, 5)]
+    samples += [from_spec(s) for s in ("x3", "x2", "nonpappus", "pappus",
+                                       "split_solvable:2,3", K5)]
+    samples += [random_rank3_arrangement(rng) for _ in range(20)]
+    for arr in samples:
+        rows = holonomy_relators(arr)
+        assert len(rows) == betti(arr)[1]
+        words = lyndon_words(arr.n, 2)
+        want = [tensor_commutator({(h,): 1}, {(k,): 1 for k in flat.members})
+                for flat in compute_l2(arr) for h in flat.members[:-1]]
+        got = [tensor_combination([(words[c], v) for c, v in row]) for row in rows]
+        assert got == want, arr
+        assert all(row and [c for c, _ in row] == sorted(c for c, _ in row) for row in rows)
 
 
 def test_degree_bounds():
@@ -88,11 +105,7 @@ def test_rank_kernel_matches_the_smith_length_on_deep_jk():
             an = Analysis(builtin(name))
             pivots, aside = an._jk(k)
             rows = [dict(r) for r in pivots + aside]
-            ncols = len(lyndon_basis(an.arr.n, k))
-            assert rank_exact(rows) == len(smith_diagonal(rows, ncols)) == want
-
-
-K5 = "graphic:" + ",".join("%d-%d" % (i, j) for i in range(5) for j in range(i + 1, 5))
+            assert rank_exact(rows) == len(smith_diagonal(rows)) == want
 
 
 def test_seeded_ranks_match_the_raw_route():
@@ -110,7 +123,7 @@ def test_seeded_ranks_match_the_raw_route():
 
 def _seeded_smith(an, k):
     pivots, aside = an._jk(k)
-    return smith_diagonal(map(dict, pivots + aside), len(lyndon_basis(an.arr.n, k)))
+    return smith_diagonal(map(dict, pivots + aside))
 
 
 def test_seeded_smith_forms_match_the_raw_route():
@@ -119,8 +132,8 @@ def test_seeded_smith_forms_match_the_raw_route():
     for spec in ("x3", "x2", "nonpappus", "braid:4", "pappus"):
         an = Analysis(from_spec(spec))
         for k in (3, 4):
-            rows, ncols = raw_jk_rows(an.arr, k)
-            assert _seeded_smith(an, k) == smith_diagonal(rows, ncols), (spec, k)
+            rows, _ = raw_jk_rows(an.arr, k)
+            assert _seeded_smith(an, k) == smith_diagonal(rows), (spec, k)
 
 
 def test_degree_four_torsion():
@@ -241,6 +254,9 @@ def test_every_basis_is_refused_before_any_rank(monkeypatch):
         Analysis(builtin("x2"), 19000).ranks(6)
     with pytest.raises(DomainError):
         Analysis(builtin("x2")).ranks(0)
+    # degrees 5..8 of nonpappus are all over 2000 words; the smallest is named
+    with pytest.raises(ResourceError, match="degree-5 computation needs 11808"):
+        Analysis(builtin("nonpappus"), 2000).alexander_dims(6)
 
 
 def test_library_degree_is_bounded():
