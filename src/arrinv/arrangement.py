@@ -38,17 +38,26 @@ def _coerce_scalar(v) -> int | Fraction:
     raise DomainError("coefficients must be integers, fractions or 'p/q' strings")
 
 
+def default_variables(d: int) -> tuple[str, ...]:
+    """Coordinate names: x, y, z in low dimension, x1..xd above."""
+    if d <= 3:
+        return ("x", "y", "z")[:d]
+    return tuple("x%d" % (i + 1) for i in range(d))
+
+
 @record
 class Arrangement:
     """A central arrangement, as an ordered tuple of normal vectors.
 
     Each entry of a normal is an ``int``, or a ``Fraction`` where the input
-    was not an integer.
+    was not an integer.  ``variables`` names the coordinates, one per
+    column of the normals.
     """
 
     ambient_dim: int
     normals: tuple[tuple[int | Fraction, ...], ...]
     labels: tuple[str, ...]
+    variables: tuple[str, ...]
 
     @property
     def n(self) -> int:
@@ -84,7 +93,7 @@ def make_arrangement(normals, labels=None, ambient_dim=None) -> Arrangement:
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(rows):
             raise DomainError("need exactly one label per hyperplane")
-    return Arrangement(d, tuple(rows), labels)
+    return Arrangement(d, tuple(rows), labels, default_variables(d))
 
 
 def _primitive(vec) -> tuple[int, ...]:
@@ -219,7 +228,8 @@ def product(a: Arrangement, b: Arrangement) -> Arrangement:
     normals = [row + zero_b for row in a.normals]
     normals += [zero_a + row for row in b.normals]
     labels = tuple(s + "'" for s in a.labels) + tuple(s + "''" for s in b.labels)
-    return Arrangement(da + db, tuple(normals), labels)
+    variables = tuple(s + "'" for s in a.variables) + tuple(s + "''" for s in b.variables)
+    return Arrangement(da + db, tuple(normals), labels, variables)
 
 
 def localization(arr: Arrangement, f) -> Arrangement:
@@ -236,6 +246,7 @@ def localization(arr: Arrangement, f) -> Arrangement:
         arr.ambient_dim,
         tuple(arr.normals[i] for i in key),
         tuple(arr.labels[i] for i in key),
+        arr.variables,
     )
 
 
@@ -271,7 +282,8 @@ def graphic_arrangement(graph: SimpleGraph) -> Arrangement:
         row[b] = -1
         normals.append(tuple(row))
         labels.append("x%d-x%d" % (a, b))
-    return Arrangement(graph.vertices, tuple(normals), tuple(labels))
+    variables = tuple("x%d" % i for i in range(graph.vertices))
+    return Arrangement(graph.vertices, tuple(normals), tuple(labels), variables)
 
 
 @record
@@ -307,17 +319,10 @@ def _fraction_str(v: int | Fraction) -> str:
     )
 
 
-def default_variables(d: int) -> tuple[str, ...]:
-    """Coordinate names: x, y, z in low dimension, x1..xd above."""
-    if d <= 3:
-        return ("x", "y", "z")[:d]
-    return tuple("x%d" % (i + 1) for i in range(d))
-
-
 def arrangement_to_json(arr: Arrangement) -> dict:
     """JSON-ready description of an arrangement (fractions as 'p/q')."""
     return {
-        "variables": list(default_variables(arr.ambient_dim)),
+        "variables": list(arr.variables),
         "normals": [[_fraction_str(v) for v in row] for row in arr.normals],
         "labels": list(arr.labels),
     }

@@ -15,7 +15,8 @@ hypotheses)``, whose docstring is its help, registered with
 ``@_command(name, *extra_options)`` as an argparse subparser.  ``an`` is
 the command's one ``holonomy.Analysis`` of its arrangement under
 ``--ceiling``, so a command builds each J_k and tests decomposability at
-most once.  A command resting on the paper's hypotheses reports
+most once; only the commands that build a Lyndon basis take
+``--ceiling``.  A command resting on the paper's hypotheses reports
 ``an.require(...)``, called after its library call, so a refusal comes
 from the library with its own advisory.  The modules every command
 needs are imported at the top; ``formulas``, ``jumploci``, ``milnor`` and
@@ -160,10 +161,11 @@ def _parser(names) -> _Parser:
 
 def _command(name: str, *extra_options):
     """Register ``compute`` as subcommand NAME, with the shared options
-    ``--file``, ``--builtin``, ``--ceiling``, ``--table``/``--json``;
-    it gets one Analysis of the arrangement under ``--ceiling``."""
+    ``--file``, ``--builtin``, ``--table``/``--json``; it gets one
+    Analysis of the arrangement under ``--ceiling``, an extra option of
+    the commands that build a Lyndon basis."""
     def register(compute):
-        def run(builtin, file, fmt, ceiling, **options):
+        def run(builtin, file, fmt, ceiling=DEFAULT_WORD_CEILING, **options):
             if builtin and file:
                 raise DomainError("--builtin and --file are mutually exclusive")
             if builtin:
@@ -182,7 +184,7 @@ def _command(name: str, *extra_options):
             result, hypotheses = compute(Analysis(arr, ceiling), **options)
             _emit(_report(arrangement_to_json(arr), result, hypotheses), fmt)
 
-        options = _SOURCE_OPTIONS + (_CEILING_OPTION,) + _FORMAT_OPTIONS + extra_options
+        options = _SOURCE_OPTIONS + _FORMAT_OPTIONS + extra_options
         _subcommand(name, run, compute.__doc__, options)
         return compute
     return register
@@ -217,7 +219,8 @@ def betti_cmd(an):
     return {"b1": b1, "b2": b2}, {}
 
 
-@_command("holonomy", _int_option("--max", 3, "largest LCS degree to compute", "kmax"))
+@_command("holonomy", _CEILING_OPTION,
+          _int_option("--max", 3, "largest LCS degree to compute", "kmax"))
 def holonomy(an, kmax):
     """Holonomy Lie algebra ranks phi_1..phi_max from the presentation."""
     ranks = an.ranks(kmax)
@@ -225,19 +228,21 @@ def holonomy(an, kmax):
             "route": "presentation"}, {}
 
 
-@_command("decomp")
+@_command("decomp", _CEILING_OPTION)
 def decomp(an):
     """Decomposability over Q and Z, with degree-3 ranks and torsion."""
+    h3 = an.group(3)
     return {
         "rational": an.decomposable["rational"],
         "integral": an.decomposable["integral"],
-        "h3_rank": an.h3.rank,
+        "h3_rank": h3.rank,
         "local_rank": local_h3_rank(an.arr),
-        "torsion": list(an.h3.torsion),
+        "torsion": list(h3.torsion),
     }, {}
 
 
-@_command("lcs", _int_option("--max", 5, "largest LCS degree to report", "kmax"))
+@_command("lcs", _CEILING_OPTION,
+          _int_option("--max", 5, "largest LCS degree to report", "kmax"))
 def lcs(an, kmax):
     """LCS ranks from the product formula (decomposable arrangements)."""
     from .formulas import lcs_ranks_decomposable
@@ -246,7 +251,8 @@ def lcs(an, kmax):
     return {"kind": "lcs", "ranks": ranks, "route": "product-formula"}, an.require()
 
 
-@_command("chen", _int_option("--max", 4, "largest Chen degree to report", "kmax"))
+@_command("chen", _CEILING_OPTION,
+          _int_option("--max", 4, "largest Chen degree to report", "kmax"))
 def chen(an, kmax):
     """Chen ranks theta_1..theta_max (decomposable arrangements)."""
     from .formulas import chen_ranks_decomposable
@@ -267,7 +273,7 @@ def _components_json(arr, depth, comps):
     }
 
 
-@_command("resonance", _int_option("--depth", 1, "resonance depth s"))
+@_command("resonance", _CEILING_OPTION, _int_option("--depth", 1, "resonance depth s"))
 def resonance(an, depth):
     """Components of the depth-s resonance variety."""
     from .jumploci import resonance_components
@@ -275,8 +281,8 @@ def resonance(an, depth):
     return _components_json(an.arr, depth, comps), an.require()
 
 
-@_command("charvar", _int_option("--depth", 1, "characteristic variety depth s"),
-          _separated_option)
+@_command("charvar", _CEILING_OPTION,
+          _int_option("--depth", 1, "characteristic variety depth s"), _separated_option)
 def charvar(an, depth, separated):
     """Subtorus components of the depth-s characteristic variety."""
     from .jumploci import characteristic_components
@@ -284,7 +290,7 @@ def charvar(an, depth, separated):
     return _components_json(an.arr, depth, comps), an.require(separated)
 
 
-@_command("milnor",
+@_command("milnor", _CEILING_OPTION,
           ("--mult", dict(help="comma separated multiplicities, one per hyperplane "
                                "(default: all 1)")),
           _separated_option)

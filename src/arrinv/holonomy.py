@@ -1,4 +1,4 @@
-"""Holonomy Lie algebra ranks, degree-3 torsion, and decomposability.
+"""Holonomy Lie algebra ranks and torsion by degree, and decomposability.
 
 The holonomy Lie algebra of an arrangement has one degree-1 generator per
 hyperplane and, for every rank-2 flat X and hyperplane H in X, the relator
@@ -32,12 +32,11 @@ which the formulas share), then every Lyndon basis from degree 2 up,
 smallest first, against its one ceiling (`lyndon.lyndon_basis` is the
 check), so a refusal names the smallest degree over the ceiling.
 
-phi_k is the basis size less the number of pivots and the rank of the
-set-aside rows.  In degree 3 the integral quotient Lie_3 / J_3 is a unit
-factor per pivot plus the Smith form of the set-aside rows
-(`Analysis.h3`, by `linalg.smith_diagonal`); its rank decides rational
-decomposability and its torsion integral decomposability
-(`Analysis.decomposable`), so each analysis eliminates J_3 once.
+Each degree has one result, `Analysis.group(k)`: Lie_k / J_k over Z is a
+unit factor per pivot of the unit pass plus the Smith form of its
+set-aside rows (`linalg.smith_diagonal`), one elimination for both the
+rank phi_k and the torsion.  The degree-3 group decides rational
+decomposability by its rank and integral decomposability by its torsion.
 
 The paper's results rest on two hypotheses: rational decomposability,
 decided here, and separatedness of the Alexander invariant, which only
@@ -87,12 +86,12 @@ class AbelianGroupReport:
     torsion: tuple[int, ...]
 
 
-def _bracket(i: int, row: Iterable[tuple[int, int]], words: tuple[Word, ...],
+def _bracket(i: int, row: dict[int, int], words: tuple[Word, ...],
              index: dict[Word, int]) -> dict[int, int]:
     """[x_i, row] over the basis one degree up: ``words`` names the columns
     of ``row`` and ``index`` numbers the words of the next degree."""
     acc: dict[int, int] = {}
-    for c, v in row:
+    for c, v in row.items():
         for w, x in lyndon_product((i,), words[c]).items():
             j = index[w]
             y = acc.get(j, 0) + v * x
@@ -110,12 +109,12 @@ def holonomy_relators(arr: Arrangement) -> tuple[Row, ...]:
     letters = tuple((k,) for k in range(arr.n))
     # the degree-2 Lyndon words are the pairs a < b, in lexicographic order
     index = {w: j for j, w in enumerate(combinations(range(arr.n), 2))}
-    rows = (_bracket(h, [(k, 1) for k in flat.members], letters, index)
+    rows = (_bracket(h, dict.fromkeys(flat.members, 1), letters, index)
             for flat in compute_l2(arr) for h in flat.members[:-1])
     return tuple(tuple(sorted(r.items())) for r in rows)
 
 
-def _next_degree(n: int, rows: Iterable[Row], words: tuple[Word, ...],
+def _next_degree(n: int, rows: Iterable[dict[int, int]], words: tuple[Word, ...],
                  index: dict[Word, int]) -> Iterator[dict[int, int]]:
     """Rows of J_{k+1} = [L_1, J_k]: [x_i, row] for every row of J_k and
     every generator x_i."""
@@ -148,16 +147,16 @@ def _derived_rows(bases: dict[int, LyndonBasis], k: int) -> Iterator[dict[int, i
 class Analysis:
     """What one call computes about ``arr`` under one word ceiling: the
     Lyndon basis and the unit pass of J_k in each degree of one graded
-    pass, each degree's rank over Q, the degree-3 group and the
-    decomposability verdict.  ``ranks``, ``h3`` and ``alexander_dims``
-    all refuse through ``_bases``, so in the same order."""
+    pass, each degree's group h_k, and the decomposability verdict.
+    ``ranks``, ``group`` and ``alexander_dims`` all refuse through
+    ``_bases``, so in the same order."""
 
     def __init__(self, arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING):
         self.arr = arr
         self.ceiling = ceiling
         self._basis: dict[int, LyndonBasis] = {}  # checked bases by degree
-        self._passes: list[tuple[tuple[Row, ...], tuple[Row, ...]]] = []  # J_2, J_3, ...
-        self._ranks = [arr.n]  # phi_1, phi_2, ... eliminated so far
+        self._passes: list[tuple[list, list]] = []  # unit passes of J_2, J_3, ...
+        self._groups: dict[int, AbelianGroupReport] = {}  # h_k by degree
 
     def _bases(self, kmax: int) -> dict[int, LyndonBasis]:
         """The Lyndon bases of degrees 2..kmax, by degree.  The one refusal
@@ -171,13 +170,13 @@ class Analysis:
                 basis[k] = lyndon_basis(self.arr.n, k, self.ceiling)
         return basis
 
-    def _jk(self, k: int) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
+    def _jk(self, k: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
         """The unit pass of J_k, (pivots, set-aside rows), extending the
         graded pass up to degree k.  Together they span J_k over Z, so
-        bracketing them by the generators spans J_{k+1} over Z.  The fresh
-        rows of each degree go straight into its pass, which is kept as
-        pairs, smaller than dicts.  J_2 is seeded by fresh dict copies of
-        the cached relators, since the pass updates its rows in place."""
+        bracketing them by the generators spans J_{k+1} over Z.  Each pass
+        is kept as ``unit_pass`` returns it and never changed: the bracket
+        step only reads it and the kernels copy their rows.  J_2 is seeded
+        by dict copies of the cached relators, which the pass takes over."""
         passes = self._passes
         basis = self._bases(k)
         while len(passes) < k - 1:
@@ -187,32 +186,31 @@ class Analysis:
                                     basis[d].words, basis[d + 1].index)
             else:
                 rows = map(dict, holonomy_relators(self.arr))
-            passes.append(tuple(tuple(tuple(r.items()) for r in part)
-                                for part in unit_pass(rows)))
+            passes.append(unit_pass(rows))
         return passes[k - 2]
 
-    def ranks(self, kmax: int) -> tuple[int, ...]:
-        """dims phi_1..phi_kmax of the holonomy Lie algebra over Q.
+    def group(self, k: int) -> AbelianGroupReport:
+        """h_k, the degree-k piece of the integral holonomy Lie algebra,
+        Lie_k / J_k: a unit factor per pivot of the unit pass of J_k, and
+        the Smith form of its set-aside rows.  Computed once per degree."""
+        if k < 2:
+            raise DomainError("the holonomy group degree must be at least 2")
+        report = self._groups.get(k)
+        if report is None:
+            pivots, aside = self._jk(k)
+            diag = smith_diagonal(aside)
+            report = self._groups[k] = AbelianGroupReport(
+                len(self._basis[k]) - len(pivots) - len(diag),
+                tuple(d for d in diag if d > 1))
+        return report
 
-        phi_k is the basis size less the rank of J_k: the unit pass's
-        pivots plus the rank of its set-aside rows.
-        """
+    def ranks(self, kmax: int) -> tuple[int, ...]:
+        """dims phi_1..phi_kmax of the holonomy Lie algebra over Q: n, then
+        the rank of each degree's group."""
         if kmax < 1:
             raise DomainError("degree must be positive")
-        basis = self._bases(kmax)
-        for k in range(len(self._ranks) + 1, kmax + 1):
-            pivots, aside = self._jk(k)
-            self._ranks.append(len(basis[k]) - len(pivots) - rank(map(dict, aside), len(basis[k])))
-        return tuple(self._ranks[:kmax])
-
-    @cached_property
-    def h3(self) -> AbelianGroupReport:
-        """The degree-3 piece of the integral holonomy Lie algebra: a unit
-        factor per pivot of the unit pass of J_3, and the Smith form of its
-        set-aside rows."""
-        pivots, aside = self._jk(3)
-        diag = [1] * len(pivots) + smith_diagonal(map(dict, aside))
-        return AbelianGroupReport(len(self._basis[3]) - len(diag), tuple(d for d in diag if d > 1))
+        self._bases(kmax)
+        return (self.arr.n,) + tuple(self.group(k).rank for k in range(2, kmax + 1))
 
     @cached_property
     def decomposable(self) -> dict:
@@ -222,8 +220,9 @@ class Analysis:
         rational decomposability is the rank equality, and integral
         decomposability additionally needs h_3 torsion-free.
         """
-        rational = self.h3.rank == local_h3_rank(self.arr)
-        return {"rational": rational, "integral": rational and not self.h3.torsion}
+        h3 = self.group(3)
+        rational = h3.rank == local_h3_rank(self.arr)
+        return {"rational": rational, "integral": rational and not h3.torsion}
 
     def require(self, separated: bool | None = None) -> dict:
         """The hypotheses a result under the paper's theorems rests on.
@@ -237,7 +236,7 @@ class Analysis:
             raise HypothesisError(
                 "the computation needs a rationally decomposable arrangement; "
                 "this one is not (h3_rank %d > local_rank %d)"
-                % (self.h3.rank, local_h3_rank(self.arr)))
+                % (self.group(3).rank, local_h3_rank(self.arr)))
         if separated is None:
             return {"q_decomposable": True}
         if not separated:
@@ -261,7 +260,7 @@ class Analysis:
         basis = self._bases(kmax + 2)
         dims = []
         for k in range(2, kmax + 3):
-            rows = chain(map(dict, chain(*self._jk(k))), _derived_rows(basis, k))
+            rows = chain(*self._jk(k), _derived_rows(basis, k))
             dims.append(len(basis[k]) - rank(rows, len(basis[k])))
         return dims
 

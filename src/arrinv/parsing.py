@@ -6,10 +6,12 @@ Two formats are accepted, distinguished by the first non-space character:
   ``xyz(x+y)(x+z)(y+z)`` or ``f = (x+y)(x-y)(x+z)(x-z)(y+z)(y-z)``.
   Variables are a letter followed by optional digits; coefficients are
   integers or ``p/q``.  Coordinates follow first-appearance order unless a
-  bracketed header pins them, as in ``[x,y,z] y(y-z)(x-y)``.
+  bracketed header pins them, as in ``[x,y,z] y(y-z)(x-y)``, and the
+  arrangement keeps their names in that order.
 * a JSON object ``{"variables": [...], "normals": [[...], ...],
   "labels": [...]}`` with integer or "p/q" string entries; only
-  ``normals`` is required.
+  ``normals`` is required, and the variables default to
+  ``arrangement.default_variables``.
 
 Every factor must be a nonzero linear form through the origin, and no two
 factors may cut the same hyperplane; ``ParseError.kind`` says which rule
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 
-from .arrangement import Arrangement, first_duplicate
+from .arrangement import Arrangement, default_variables, first_duplicate
 from .errors import ParseError
 
 _VAR_RE = re.compile(r"[A-Za-z][0-9]*\Z")
@@ -209,17 +211,17 @@ def _parse_polynomial(text: str) -> Arrangement:
     for coeffs in factors:
         rows.append(tuple(coeffs.get(v, 0) for v in varorder))
         labels.append(render_linear_form(coeffs.items()))
-    return _checked_arrangement(len(varorder), rows, labels)
+    return _checked_arrangement(rows, labels, varorder)
 
 
-def _checked_arrangement(width, rows, labels) -> Arrangement:
+def _checked_arrangement(rows, labels, variables) -> Arrangement:
     # the parsers have refused every input make_arrangement would refuse
     # except a repeated hyperplane, so the only check left is this one
     dup = first_duplicate(rows)
     if dup is not None:
         raise ParseError("duplicate", "factors %s and %s cut the same hyperplane"
                          % (labels[dup[0]], labels[dup[1]]))
-    return Arrangement(width, tuple(rows), tuple(labels))
+    return Arrangement(len(variables), tuple(rows), tuple(labels), tuple(variables))
 
 
 def _json_entry(v) -> int | Fraction:
@@ -276,7 +278,7 @@ def _parse_json(text: str) -> Arrangement:
         if not any(row):
             raise ParseError("zero_form", "normal %d is the zero vector" % i)
     names = labels if labels is not None else ["H%d" % i for i in range(len(rows))]
-    return _checked_arrangement(width, rows, names)
+    return _checked_arrangement(rows, names, variables or default_variables(width))
 
 
 def parse_arrangement(text: str) -> Arrangement:

@@ -76,8 +76,8 @@ def test_criterion_02_catalog_decomposability():
     with budget(5, "criterion 2"):
         for name, rank3 in (("x3", 6), ("x2", 10), ("nonpappus", 18)):
             an = Analysis(builtin(name))
-            assert an.h3.rank == rank3
-            assert an.h3.torsion == ()
+            assert an.group(3).rank == rank3
+            assert an.group(3).torsion == ()
             assert an.decomposable == {"rational": True, "integral": True}
 
 

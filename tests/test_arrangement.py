@@ -34,6 +34,7 @@ def test_make_arrangement_basic():
     assert arr.ambient_dim == 3
     assert arr.normals[2] == (Fraction(1, 2), Fraction(-1, 2), Fraction(0))
     assert arr.labels == ("H0", "H1", "H2")
+    assert arr.variables == ("x", "y", "z")
     named = make_arrangement([(1, 0), (0, 1)], labels=["a", "b"])
     assert named.labels == ("a", "b")
     with pytest.raises(DomainError):
@@ -233,3 +234,18 @@ def test_l2_json_shape():
     assert len(doc["flats"]) == 9
     entry = doc["flats"][0]
     assert set(entry) == {"members", "labels", "mobius"}
+
+
+def test_variables_follow_the_construction():
+    # graphic: one coordinate per vertex; product: the factors' names,
+    # suffixed like the labels; localization: the arrangement's own
+    path = graphic_arrangement(SimpleGraph(3, ((0, 1), (1, 2))))
+    assert path.variables == ("x0", "x1", "x2")
+    assert from_spec("split_solvable:2,3").variables == ("z0", "z1", "z2")
+    uv = parse_arrangement("[u,v] u v (u+v)")
+    c = product(uv, path)
+    assert c.variables == ("u'", "v'", "x0''", "x1''", "x2''")
+    assert len(c.variables) == c.ambient_dim
+    flat = next(f for f in compute_l2(c) if len(f) == 3)
+    assert localization(c, flat).variables == c.variables
+    assert make_arrangement([(1, 0, 0, 0)]).variables == ("x1", "x2", "x3", "x4")

@@ -4,7 +4,9 @@ The harness turns an exception in its oracles into a failed operation, so
 a change to the shape of a library function it calls would only show as
 a lower share of good operations in a benchmark run.  These tests run
 those oracles and the tracer's cache read in the test suite instead.
-deep-lie is left out: its oracles take seconds.
+deep-lie's oracles are left out, as they take seconds, but every
+workload's command lines are parsed, which builds no matrix: a removed
+or renamed option fails here and not only in a benchmark run.
 """
 
 from pathlib import Path
@@ -32,3 +34,15 @@ def test_tracer_reads_every_reported_cache(monkeypatch):
 
     counts = tracer.Tracer().cache_counts()
     assert sorted(counts) == sorted("%s.%s" % c for c in tracer.CACHES)
+
+
+@pytest.mark.parametrize("workload", ["cli-sweep", "deep-lie", "wide-decomp"])
+def test_every_benchmark_command_line_parses(monkeypatch, tmp_path, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from arrinv import cli
+
+    for seed in (1, 2, 3):
+        for op in workloads.build(workload, seed).ops:
+            run, options = cli._parse(op.argv(str(tmp_path)))
+            assert callable(run), op.label()

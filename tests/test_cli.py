@@ -275,7 +275,7 @@ def test_table_output(capsys, command):
     ("chen", "--max", "0"),
     ("resonance", "--depth", "0"),
     ("charvar", "--depth", "0"),
-    ("betti", "--ceiling", "999"),
+    ("decomp", "--ceiling", "999"),
     ("milnor", "--mult", "1,x"),
 ], ids=lambda a: "%s%s" % a[:2])
 def test_option_bounds(capsys, argv):
@@ -291,11 +291,16 @@ def test_option_bounds(capsys, argv):
     ("betti", "--builtin", "x3", "--bogus"),
     ("betti", "--builtin"),
     ("holonomy", "--builtin", "x3", "--max", "x"),
-    ("betti", "--builtin", "x3", "--ceil", "5000"),
+    ("decomp", "--builtin", "x3", "--ceil", "5000"),
     ("check", "--ceiling", "5000"),
+    # --ceiling bounds a Lyndon basis, and these commands build none
+    ("info", "--builtin", "x3", "--ceiling", "5000"),
+    ("l2", "--builtin", "x3", "--ceiling", "5000"),
+    ("betti", "--builtin", "x3", "--ceiling", "5000"),
     ("check", "--samples", "-3"),
 ], ids=["no-command", "unknown-command", "unknown-option", "missing-value",
-        "max-not-int", "abbreviation", "check-has-no-ceiling", "negative-samples"])
+        "max-not-int", "abbreviation", "check-has-no-ceiling", "info-has-no-ceiling",
+        "l2-has-no-ceiling", "betti-has-no-ceiling", "negative-samples"])
 def test_usage_errors(capsys, argv):
     rc = main(list(argv))
     captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import copy
 import random
 from math import comb
 
@@ -8,6 +9,7 @@ from arrinv.catalog import builtin, from_spec
 from arrinv.checks import random_multiplicities, random_rank3_arrangement, run_all_checks
 from arrinv.errors import DomainError, ResourceError
 from arrinv.holonomy import (
+    AbelianGroupReport,
     Analysis,
     holonomy_rank,
     holonomy_relators,
@@ -55,6 +57,9 @@ def test_degree_bounds():
     assert holonomy_rank(arr, 1) == 6
     with pytest.raises(DomainError):
         holonomy_rank(arr, 0)
+    # h_1 is Z^n with nothing to eliminate; groups start in degree 2
+    with pytest.raises(DomainError):
+        Analysis(arr).group(1)
 
 
 def test_degree_two_is_mobius_sum():
@@ -74,7 +79,7 @@ def test_braid_low_degrees():
 def test_h3_groups_are_free():
     for name, expected in (("braid", 10), ("x3", 6), ("x2", 10), ("nonpappus", 18)):
         arr = builtin(name, (3,)) if name == "braid" else builtin(name)
-        report = Analysis(arr).h3
+        report = Analysis(arr).group(3)
         assert report.rank == expected
         assert report.torsion == ()
 
@@ -87,11 +92,10 @@ def test_wide_h3_groups_match_the_rank_route():
         for spec in ("braid:6", "graphic:" + k7):
             an = Analysis(from_spec(spec))
             rows, ncols = raw_jk_rows(an.arr, 3)
-            assert an.h3.rank == ncols - rank_exact(rows), spec
-            assert an.h3.torsion == (), spec
+            assert an.group(3) == AbelianGroupReport(ncols - rank_exact(rows), ()), spec
             assert not an.decomposable["rational"], spec
         braid6 = Analysis(builtin("braid", (6,)))
-        assert braid6.h3.rank == 440
+        assert braid6.group(3).rank == 440
         assert local_h3_rank(braid6.arr) == 160
         assert braid6.decomposable == {"rational": False, "integral": False}
 
@@ -104,7 +108,7 @@ def test_rank_kernel_matches_the_smith_length_on_deep_jk():
         for name, k, want in (("x3", 5, 1536), ("pappus", 4, 1590)):
             an = Analysis(builtin(name))
             pivots, aside = an._jk(k)
-            rows = [dict(r) for r in pivots + aside]
+            rows = pivots + aside
             assert rank_exact(rows) == len(smith_diagonal(rows)) == want
 
 
@@ -121,19 +125,16 @@ def test_seeded_ranks_match_the_raw_route():
         assert Analysis(arr).ranks(kmax) == tuple(raw), spec
 
 
-def _seeded_smith(an, k):
-    pivots, aside = an._jk(k)
-    return smith_diagonal(map(dict, pivots + aside))
-
-
 def test_seeded_smith_forms_match_the_raw_route():
     # the unit pass is unimodular, so the seeded J_k spans the same lattice
     # over Z as the raw one, torsion included
     for spec in ("x3", "x2", "nonpappus", "braid:4", "pappus"):
         an = Analysis(from_spec(spec))
         for k in (3, 4):
-            rows, _ = raw_jk_rows(an.arr, k)
-            assert _seeded_smith(an, k) == smith_diagonal(rows), (spec, k)
+            rows, ncols = raw_jk_rows(an.arr, k)
+            diag = smith_diagonal(rows)
+            want = AbelianGroupReport(ncols - len(diag), tuple(d for d in diag if d > 1))
+            assert an.group(k) == want, (spec, k)
 
 
 def test_degree_four_torsion():
@@ -141,11 +142,10 @@ def test_degree_four_torsion():
     # torsion Z/2 in h_4; no J_3 of either has torsion
     rng = random.Random(5)
     draw = [random_rank3_arrangement(rng, max_n=9) for _ in range(8)][-1]
-    for arr, want in ((builtin("pappus"), 1590), (draw, 1548)):
+    for arr, rank4 in ((builtin("pappus"), 30), (draw, 72)):
         an = Analysis(arr)
-        diag = _seeded_smith(an, 4)
-        assert (len(diag), [d for d in diag if d > 1]) == (want, [2])
-        assert an.h3.torsion == ()
+        assert an.group(4) == AbelianGroupReport(rank4, (2,))
+        assert an.group(3).torsion == ()
 
 
 def test_local_h3_rank():
@@ -223,7 +223,7 @@ def test_every_basis_is_checked_against_the_callers_ceiling(monkeypatch):
     monkeypatch.setattr(holonomy, "lyndon_basis", spy)
     arr = builtin("x3")
     assert holonomy_rank(arr, 4, ceiling=5000) == 9
-    assert Analysis(arr, 5000).h3.rank == 6
+    assert Analysis(arr, 5000).group(3).rank == 6
     assert Analysis(arr, 5000).alexander_dims(2) == [3, 6, 9]
     assert seen and set(seen) == {5000}
     with pytest.raises(ResourceError, match="7735 basis words, above the ceiling of 5000"):
@@ -231,7 +231,7 @@ def test_every_basis_is_checked_against_the_callers_ceiling(monkeypatch):
     # a refusal names the caller's ceiling, above the default as well
     braid10 = from_spec("braid:10")
     with pytest.raises(ResourceError, match="242970 basis words, above the ceiling of 242969"):
-        Analysis(braid10, 242969).h3
+        Analysis(braid10, 242969).group(3)
     assert holonomy.lyndon_basis(braid10.n, 3, 300000).degree == 3
 
 
@@ -250,6 +250,7 @@ def test_every_basis_is_refused_before_any_rank(monkeypatch):
         raise AssertionError("a rank was computed before a refusal")
 
     monkeypatch.setattr(holonomy, "rank", no_rank)
+    monkeypatch.setattr(holonomy, "smith_diagonal", no_rank)
     with pytest.raises(ResourceError, match="degree-6 computation needs 19544"):
         Analysis(builtin("x2"), 19000).ranks(6)
     with pytest.raises(DomainError):
@@ -288,19 +289,19 @@ def _count_holonomy_calls(monkeypatch, names):
 
 def test_one_analysis_serves_many_questions(monkeypatch):
     # J_3..J_5 built once and J_2..J_5 passed once; each degree's set-aside
-    # rows are ranked once, and J_3's also Smith-formed once for h3
+    # rows are Smith-formed once, for its rank and its torsion alike
     calls = _count_holonomy_calls(
         monkeypatch, ("_next_degree", "unit_pass", "rank", "smith_diagonal"))
     an = Analysis(builtin("x3"))
     assert an.ranks(5) == (6, 3, 6, 9, 18)
     assert an.ranks(3) == (6, 3, 6)
-    assert an.h3.rank == 6
+    assert an.group(3).rank == 6
     rng = random.Random(5)
     for _ in range(50):
         m = random_multiplicities(rng, an.arr.n)
         monodromy_trivial_criterion(MultiArrangement(an.arr, m), an)
     assert {name: len(c) for name, c in calls.items()} == {
-        "_next_degree": 3, "unit_pass": 4, "rank": 4, "smith_diagonal": 1}
+        "_next_degree": 3, "unit_pass": 4, "rank": 0, "smith_diagonal": 4}
 
 
 def test_check_suite_builds_each_degree_once_per_sample(monkeypatch):
@@ -327,6 +328,32 @@ def test_analysis_builds_each_basis_once(monkeypatch):
     monkeypatch.setattr(lyndon, "lyndon_words", spy)
     an = Analysis(builtin("x3"))
     assert an.ranks(4) == (6, 3, 6, 9)
-    assert an.h3.rank == 6
+    assert an.group(3).rank == 6
     assert an.alexander_dims(2) == [3, 6, 9]
     assert sorted(built) == [2, 3, 4]
+
+
+def test_the_stored_unit_passes_are_never_changed(monkeypatch):
+    # each degree's pass is kept as unit_pass returns it, and the bracket
+    # step and the kernels that read it later leave its rows as they were
+    from arrinv import holonomy
+
+    built = []
+    real = holonomy.unit_pass
+
+    def spy(rows):
+        result = real(rows)
+        built.append((result, copy.deepcopy(result)))
+        return result
+
+    monkeypatch.setattr(holonomy, "unit_pass", spy)
+    for name, want in (("x3", (6, 3, 6, 9, 18)), ("pappus", (9, 9, 20, 30, 60))):
+        built.clear()
+        an = Analysis(builtin(name))
+        assert an.ranks(5) == want
+        assert an.group(3) == AbelianGroupReport(want[2], ())
+        assert an.group(4) == AbelianGroupReport(want[3], () if name == "x3" else (2,))
+        an.alexander_dims(2)
+        assert len(built) == 4
+        for stored, (returned, snapshot) in zip(an._passes, built):
+            assert stored is returned and stored == snapshot, name

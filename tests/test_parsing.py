@@ -118,3 +118,21 @@ def test_json_and_polynomial_agree():
     }
     from_json = parse_arrangement(json.dumps(doc))
     assert from_json.normals == poly.normals
+
+
+def test_variables_name_the_columns_of_the_normals():
+    # first-appearance order, or the header's, and the same names in the report
+    from arrinv.arrangement import arrangement_to_json
+
+    arr = parse_arrangement("y(y-z)(x-y)")
+    assert arr.normals[0] == (1, 0, 0) and arr.variables == ("y", "z", "x")
+    assert arrangement_to_json(arr)["variables"] == ["y", "z", "x"]
+    assert parse_arrangement("[a,b,c] a b c (a+b)").variables == ("a", "b", "c")
+    assert parse_arrangement("[z, y, x] x y (x+y)").variables == ("z", "y", "x")
+    # JSON keeps its variables; without them the defaults name the columns
+    doc = {"variables": ["u", "v"], "normals": [[1, 0], [0, 1], [1, 1]]}
+    assert parse_arrangement(json.dumps(doc)).variables == ("u", "v")
+    del doc["variables"]
+    assert parse_arrangement(json.dumps(doc)).variables == ("x", "y")
+    wide = {"normals": [[1, 0, 0, 0], [0, 1, 0, 0]]}
+    assert parse_arrangement(json.dumps(wide)).variables == ("x1", "x2", "x3", "x4")
