@@ -7,7 +7,7 @@ Milnor accounting.  Randomized inputs are driven by a caller-supplied
 seed so failures reproduce.
 
 The per-arrangement checks run sample by sample, sharing one
-``holonomy.Analysis`` per sample, so each J_k of a sample is built once
+``holonomy.Analysis`` per sample, so each degree of a sample is built once
 and its decomposability decided once, whichever checks ask.
 """
 

@@ -14,11 +14,11 @@ A subcommand is one compute function ``(an, **options) -> (result,
 hypotheses)``, whose docstring is its help, registered with
 ``@_command(name, *extra_options)`` as an argparse subparser.  ``an`` is
 the command's one ``holonomy.Analysis`` of its arrangement under
-``--ceiling``, so a command builds each J_k and tests decomposability at
-most once; only the commands that build a Lyndon basis take
-``--ceiling``.  A command resting on the paper's hypotheses reports
-``an.require(...)``, called after its library call, so a refusal comes
-from the library with its own advisory.  The modules every command
+``--ceiling``, so a command builds each holonomy degree and tests
+decomposability at most once; only the commands that need a holonomy
+degree take ``--ceiling``.  A command resting on the paper's hypotheses
+reports ``an.require(...)``, called after its library call, so a refusal
+comes from the library with its own advisory.  The modules every command
 needs are imported at the top; ``formulas``, ``jumploci``, ``milnor`` and
 ``checks`` are imported inside the compute function that uses them, at
 call time, so a command loads only the modules it runs.  Either way a

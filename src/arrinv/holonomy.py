@@ -7,36 +7,50 @@ the one with the largest hyperplane index is dropped; this changes neither
 the rational span nor the integer span (the dependency has unit
 coefficients).
 
-Degree-k ranks come from the ideal propagation J_{k+1} = [L_1, J_k]: the
-ideal is generated in degree 2 and the ambient free Lie algebra in degree
-1, so left-bracketing a generating set of J_k over Z by the generators
-yields one of J_{k+1}.  One bracket step, `_bracket`, builds every
-row: [x_i, row] with the row's columns named by the words of its degree
-and the result numbered by the Lyndon basis one degree up.  Applied to
-the degree-1 row sum of x_K over X it gives the relators
-(`holonomy_relators`); applied to the rows of J_k by every generator it
-gives J_{k+1} (`_next_degree`).  Each degree gets one unit pass
-(`linalg.unit_pass`), the unimodular first stage of the Smith form: its
-pivots and set-aside rows span J_k over Z, so they serve both that
-degree's rank and torsion and, bracketed, the next degree's rows, which
-are fewer and sparser than raw rows bracketed again.
+Each degree is built by a graded nilpotent quotient over Z (Havas,
+Newman and Vaughan-Lee, J. Symb. Comput. 1990), not inside the free Lie
+algebra.  Degree d keeps its generators, each the tail [x_a, w] of a
+letter and a degree-(d-1) generator that defines it; its core, the
+integer rows over those generators that hold in h_d; and the bracket
+table of every pair of generators whose degrees sum to d.  So h_d is the
+free abelian group on the generators modulo the core.  One step
+(`Analysis._extend`) builds degree k+1: one tail per letter and
+degree-k generator; [u, v] over the tails for every pair of degrees
+summing to k+1, from the definition u = [x_a, w] of u and the identity
+[[x_a, w], v] = [x_a, [w, v]] - [w, [x_a, v]]; and the relations among
+the tails: the relators (degree 2 only), antisymmetry and alternation
+of every pair, Jacobi on every sorted triple of distinct generators (a
+repeated one follows from antisymmetry) and [rho, c] for every core row
+rho of a lower degree.  One unit pass (`linalg.unit_pass`)
+eliminates a tail per +-1 pivot; the other tails become the new
+generators, back-substituting the pivots gives the normal form that
+fills the new table, and the rows the pass set aside are the new core.
+
+Why the step is right: with these relations the degrees up to k+1 form
+a graded Lie ring of class k+1, generated in degree 1, in which the
+relators hold, so the truncated holonomy ring L/(I + L_{>=k+2}) maps
+onto it; and h_{k+1} is spanned by the brackets of the letters with h_k
+and satisfies every relation imposed, so the two are equal.  The
+matrices grow with n times the generator count of the degree below
+(phi_k plus the rank of its core), not with the Lyndon basis one degree
+up.
 
 Everything one call computes about an arrangement lives in one
 `Analysis(arr, ceiling)`, built for that call and dropped after it.  It
-keeps one Lyndon basis and one unit pass per degree of one graded pass,
-J_2, J_3, ..., extended on demand, so no degree is built or passed
-twice, and every computation over it reads the same rows.  Every entry
-refuses in one order before any row is built (`Analysis._bases`): the
-largest degree it needs against `MAX_FORMULA_DEGREE` (`check_degree`,
-which the formulas share), then every Lyndon basis from degree 2 up,
-smallest first, against its one ceiling (`lyndon.lyndon_basis` is the
-check), so a refusal names the smallest degree over the ceiling.
+keeps the degrees of one quotient, extended on demand and never changed
+once built, so no degree is built twice and every computation reads the
+same rows.  The word ceiling stays a contract on the free Lie degree, no
+longer a cost: every entry refuses in one order before any row is built
+(`Analysis._check`): the largest degree it needs against
+`MAX_FORMULA_DEGREE` (`check_degree`, which the formulas share), then
+witt(n, k) for every degree from 2 up, smallest first, against its one
+ceiling (`lyndon.lyndon_basis` is the check), so a refusal names the
+smallest degree over the ceiling.
 
-Each degree has one result, `Analysis.group(k)`: Lie_k / J_k over Z is a
-unit factor per pivot of the unit pass plus the Smith form of its
-set-aside rows (`linalg.smith_diagonal`), one elimination for both the
-rank phi_k and the torsion.  The degree-3 group decides rational
-decomposability by its rank and integral decomposability by its torsion.
+Each degree has one result, `Analysis.group(k)`: the Smith form of its
+core (`linalg.smith_diagonal`) gives both the rank phi_k and the torsion.
+The degree-3 group decides rational decomposability by its rank and
+integral decomposability by its torsion.
 
 The paper's results rest on two hypotheses: rational decomposability,
 decided here, and separatedness of the Alexander invariant, which only
@@ -46,27 +60,20 @@ checked and refused, and it returns the hypotheses a report prints.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 from ._record import record
 from .arrangement import CACHE_SIZE, Arrangement, compute_l2
 from .errors import DomainError, HypothesisError, RefusalError, ResourceError
 from .linalg import rank, smith_diagonal, unit_pass
-from .lyndon import (
-    DEFAULT_WORD_CEILING,
-    LyndonBasis,
-    Word,
-    lyndon_basis,
-    lyndon_product,
-)
+from .lyndon import DEFAULT_WORD_CEILING, lyndon_basis
 
 # a row over the column numbers of a Lyndon basis, as (column, value) pairs
 Row = tuple[tuple[int, int], ...]
 
-# largest degree the graded pass builds and the decomposable LCS and Chen
+# largest degree the quotient builds and the decomposable LCS and Chen
 # formulas report; past it they raise ResourceError
 MAX_FORMULA_DEGREE = 1000
 
@@ -86,43 +93,40 @@ class AbelianGroupReport:
     torsion: tuple[int, ...]
 
 
-def _bracket(i: int, row: dict[int, int], words: tuple[Word, ...],
-             index: dict[Word, int]) -> dict[int, int]:
-    """[x_i, row] over the basis one degree up: ``words`` names the columns
-    of ``row`` and ``index`` numbers the words of the next degree."""
-    acc: dict[int, int] = {}
+@record
+class _Degree:
+    """Degree d of the nilpotent quotient: h_d is the free abelian group
+    on the generators modulo the core rows.  ``defs[g]`` is (a, w) when
+    generator g is [x_a, w] for w of degree d - 1 (w is None in degree
+    1); ``table[p - 1][u][v]`` is [u, v] over the generators, for u of
+    degree p and v of degree d - p."""
+
+    defs: tuple[tuple[int, int | None], ...]
+    core: list[dict[int, int]]
+    table: tuple[list[list[dict[int, int]]], ...]
+
+
+def _add(acc: dict[int, int], row: dict[int, int], scale: int) -> None:
+    # acc += scale * row, for a nonzero scale
     for c, v in row.items():
-        for w, x in lyndon_product((i,), words[c]).items():
-            j = index[w]
-            y = acc.get(j, 0) + v * x
-            if y:
-                acc[j] = y
-            else:
-                del acc[j]
-    return acc
+        w = acc.get(c, 0) + scale * v
+        if w:
+            acc[c] = w
+        else:
+            del acc[c]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def holonomy_relators(arr: Arrangement) -> tuple[Row, ...]:
     """[x_h, sum of x_k over X] for every rank-2 flat X and every member h
-    of X but the largest, over the degree-2 Lyndon basis, sorted by column."""
-    letters = tuple((k,) for k in range(arr.n))
-    # the degree-2 Lyndon words are the pairs a < b, in lexicographic order
+    of X but the largest, over the degree-2 Lyndon basis, sorted by column.
+    The basis words are the pairs a < b in lexicographic order, and
+    [x_h, x_k] is the word (h, k) for h < k and minus (k, h) for h > k."""
     index = {w: j for j, w in enumerate(combinations(range(arr.n), 2))}
-    rows = (_bracket(h, dict.fromkeys(flat.members, 1), letters, index)
-            for flat in compute_l2(arr) for h in flat.members[:-1])
-    return tuple(tuple(sorted(r.items())) for r in rows)
-
-
-def _next_degree(n: int, rows: Iterable[dict[int, int]], words: tuple[Word, ...],
-                 index: dict[Word, int]) -> Iterator[dict[int, int]]:
-    """Rows of J_{k+1} = [L_1, J_k]: [x_i, row] for every row of J_k and
-    every generator x_i."""
-    for row in rows:
-        for i in range(n):
-            acc = _bracket(i, row, words, index)
-            if acc:
-                yield acc
+    return tuple(
+        tuple(sorted((index[min(h, k), max(h, k)], 1 if h < k else -1)
+                     for k in flat.members if k != h))
+        for flat in compute_l2(arr) for h in flat.members[:-1])
 
 
 def local_h3_rank(arr: Arrangement) -> int:
@@ -130,78 +134,133 @@ def local_h3_rank(arr: Arrangement) -> int:
     return 2 * sum(comb(f.mobius + 1, 3) for f in compute_l2(arr))
 
 
-def _derived_rows(bases: dict[int, LyndonBasis], k: int) -> Iterator[dict[int, int]]:
-    """Brackets [u, v] of basis elements with deg u, deg v >= 2 summing to k,
-    over the degree-k basis; ``bases`` holds degrees 2..k."""
-    index = bases[k].index
-    for p in range(2, k // 2 + 1):
-        us = bases[p].words
-        vs = bases[k - p].words
-        for ui, u in enumerate(us):
-            for v in vs[ui + 1 if 2 * p == k else 0:]:
-                acc = lyndon_product(u, v)
-                if acc:
-                    yield {index[w]: c for w, c in acc.items()}
-
-
 class Analysis:
     """What one call computes about ``arr`` under one word ceiling: the
-    Lyndon basis and the unit pass of J_k in each degree of one graded
-    pass, each degree's group h_k, and the decomposability verdict.
-    ``ranks``, ``group`` and ``alexander_dims`` all refuse through
-    ``_bases``, so in the same order."""
+    degrees of one nilpotent quotient, each degree's group h_k, and the
+    decomposability verdict.  ``ranks``, ``group`` and ``alexander_dims``
+    all refuse through ``_check``, so in the same order."""
 
     def __init__(self, arr: Arrangement, ceiling: int = DEFAULT_WORD_CEILING):
         self.arr = arr
         self.ceiling = ceiling
-        self._basis: dict[int, LyndonBasis] = {}  # checked bases by degree
-        self._passes: list[tuple[list, list]] = []  # unit passes of J_2, J_3, ...
+        self._checked = 1  # the largest degree checked against the ceiling
+        # degree d at index d - 1; degree 1 is the letters, free
+        self._degrees = [_Degree(tuple((a, None) for a in range(arr.n)), [], ())]
         self._groups: dict[int, AbelianGroupReport] = {}  # h_k by degree
 
-    def _bases(self, kmax: int) -> dict[int, LyndonBasis]:
-        """The Lyndon bases of degrees 2..kmax, by degree.  The one refusal
-        order: ``kmax`` against the degree bound, then every basis not yet
-        held against the ceiling, smallest degree first, before any row is
-        built."""
+    def _check(self, kmax: int) -> None:
+        """The one refusal order: ``kmax`` against the degree bound, then
+        the Lyndon basis size of every degree not yet checked against the
+        ceiling, smallest degree first, before any row is built.  No basis
+        is built: the ceiling is a contract, not a cost."""
         check_degree(kmax)
-        basis = self._basis
-        for k in range(2, kmax + 1):
-            if k not in basis:
-                basis[k] = lyndon_basis(self.arr.n, k, self.ceiling)
-        return basis
+        for k in range(self._checked + 1, kmax + 1):
+            lyndon_basis(self.arr.n, k, self.ceiling)
+            self._checked = k
 
-    def _jk(self, k: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-        """The unit pass of J_k, (pivots, set-aside rows), extending the
-        graded pass up to degree k.  Together they span J_k over Z, so
-        bracketing them by the generators spans J_{k+1} over Z.  Each pass
-        is kept as ``unit_pass`` returns it and never changed: the bracket
-        step only reads it and the kernels copy their rows.  J_2 is seeded
-        by dict copies of the cached relators, which the pass takes over."""
-        passes = self._passes
-        basis = self._bases(k)
-        while len(passes) < k - 1:
-            d = len(passes) + 1  # the degree passed last
-            if passes:
-                rows = _next_degree(self.arr.n, chain(*passes[-1]),
-                                    basis[d].words, basis[d + 1].index)
-            else:
-                rows = map(dict, holonomy_relators(self.arr))
-            passes.append(unit_pass(rows))
-        return passes[k - 2]
+    def _degree(self, k: int) -> _Degree:
+        """Degree k of the quotient, extending it up to k."""
+        self._check(k)
+        while len(self._degrees) < k:
+            self._extend()
+        return self._degrees[k - 1]
+
+    def _extend(self) -> None:
+        """Build degree k + 1 from degrees 1..k (see the module docstring)."""
+        degrees = self._degrees
+        k = len(degrees)
+        m = len(degrees[-1].defs)
+        if not m:
+            # h_{k+1} = [h_1, h_k] vanishes with h_k
+            degrees.append(_Degree((), [], ()))
+            return
+        n = self.arr.n
+
+        def table(p: int, q: int) -> list[list[dict[int, int]]]:
+            return degrees[p + q - 1].table[p - 1]
+
+        def bracket(acc: dict[int, int], p: int, u: int, x: dict[int, int],
+                    s: int = 1) -> dict[int, int]:
+            # acc += s * [u, x] over the tails, u of degree p, x of degree k + 1 - p
+            for z, c in x.items():
+                _add(acc, raw[p][u][z], s * c)
+            return acc
+
+        # raw[p][u][v] is [u, v] over the tails for u of degree p and v of
+        # degree k + 1 - p; tail a * m + g is [x_a, g] for g of degree k, and
+        # [[x_a, w], v] = [x_a, [w, v]] - [w, [x_a, v]]
+        raw = [None, [[{a * m + g: 1} for g in range(m)] for a in range(n)]]
+        for p in range(2, k + 1):
+            left, up = table(p - 1, k + 1 - p), table(1, k + 1 - p)
+            raw.append([[bracket({a * m + g: c for g, c in wv.items()}, p - 1, w, av, -1)
+                         for wv, av in zip(left[w], up[a])]
+                        for a, w in degrees[p - 1].defs])
+
+        rels = []
+        if k == 1:
+            pairs = list(combinations(range(n), 2))
+            rels += [{pairs[c][0] * n + pairs[c][1]: v for c, v in r}
+                     for r in holonomy_relators(self.arr)]
+        for p in range(1, (k + 1) // 2 + 1):
+            q = k + 1 - p
+            for u, uv in enumerate(raw[p]):
+                # antisymmetry, and alternation [u, u] when p == q
+                rels += [dict(uv[u]) if (p, u) == (q, v) else bracket(dict(uv[v]), q, v, {u: 1})
+                         for v in range(u if p == q else 0, len(uv))]
+        size = [len(d.defs) for d in degrees]
+        for du in range(1, k):
+            for dv in range(du, (k + 1 - du) // 2 + 1):
+                dw = k + 1 - du - dv
+                vw, wu, uv = table(dv, dw), table(dw, du), table(du, dv)
+                for u in range(size[du - 1]):
+                    for v in range(u + 1 if dv == du else 0, size[dv - 1]):
+                        for w in range(v + 1 if dw == dv else 0, size[dw - 1]):
+                            rel = bracket({}, du, u, vw[v][w])
+                            bracket(rel, dv, v, wu[w][u])
+                            rels.append(bracket(rel, dw, w, uv[u][v]))
+        for d in range(2, k + 1):
+            for rho in degrees[d - 1].core:
+                for c in range(size[k - d]):
+                    rel = {}
+                    for u, x in rho.items():
+                        _add(rel, raw[d][u][c], x)
+                    rels.append(rel)
+        pivots, aside = unit_pass(r for r in rels if r)
+
+        # back-substitute: a pivot led by s = +-1 at tail t says t = -s * rest,
+        # and the rest of a pivot lies right of its lead
+        image: dict[int, dict[int, int]] = {}
+        for r in sorted(pivots, key=min, reverse=True):
+            t = min(r)
+            s = r.pop(t)
+            image[t] = acc = {}
+            for c, v in r.items():
+                _add(acc, image.get(c, {c: 1}), -s * v)
+        free = [t for t in range(n * m) if t not in image]
+        new = {t: g for g, t in enumerate(free)}
+
+        def normal(row: dict[int, int]) -> dict[int, int]:
+            acc: dict[int, int] = {}
+            for t, c in row.items():
+                _add(acc, image.get(t, {t: 1}), c)
+            return {new[t]: c for t, c in acc.items()}
+
+        degrees.append(_Degree(tuple(divmod(t, m) for t in free), list(map(normal, aside)),
+                               tuple([list(map(normal, rs)) for rs in raw[p]]
+                                     for p in range(1, k + 1))))
 
     def group(self, k: int) -> AbelianGroupReport:
-        """h_k, the degree-k piece of the integral holonomy Lie algebra,
-        Lie_k / J_k: a unit factor per pivot of the unit pass of J_k, and
-        the Smith form of its set-aside rows.  Computed once per degree."""
+        """h_k, the degree-k piece of the integral holonomy Lie algebra:
+        the Smith form of the core of degree k over its generators.
+        Computed once per degree."""
         if k < 2:
             raise DomainError("the holonomy group degree must be at least 2")
         report = self._groups.get(k)
         if report is None:
-            pivots, aside = self._jk(k)
-            diag = smith_diagonal(aside)
+            degree = self._degree(k)
+            diag = smith_diagonal(degree.core)
             report = self._groups[k] = AbelianGroupReport(
-                len(self._basis[k]) - len(pivots) - len(diag),
-                tuple(d for d in diag if d > 1))
+                len(degree.defs) - len(diag), tuple(d for d in diag if d > 1))
         return report
 
     def ranks(self, kmax: int) -> tuple[int, ...]:
@@ -209,7 +268,7 @@ class Analysis:
         the rank of each degree's group."""
         if kmax < 1:
             raise DomainError("degree must be positive")
-        self._bases(kmax)
+        self._check(kmax)
         return (self.arr.n,) + tuple(self.group(k).rank for k in range(2, kmax + 1))
 
     @cached_property
@@ -249,19 +308,24 @@ class Analysis:
     def alexander_dims(self, kmax: int) -> list[int]:
         """Dimensions of the graded infinitesimal Alexander invariant, 0..kmax.
 
-        The degree-k piece is Lie_{k+2} modulo the ideal together with all
-        brackets of two elements of degree >= 2 (the derived span), so its
-        dimension is dim Lie_{k+2} - rank(J_{k+2} + D_{k+2}); any spanning
-        set of J_{k+2} serves, here its unit pass.  The Chen rank
-        of the arrangement group in degree k is the (k-2)-nd entry.
+        The degree-k piece is h_{k+2} modulo the brackets of two elements
+        of degree >= 2, so its dimension is the number of generators of
+        degree k + 2 minus the rank of their core together with the table's
+        brackets of generators of degrees p, q >= 2.  The Chen rank of the
+        arrangement group in degree k is the (k-2)-nd entry.
         """
         if kmax < 0:
             raise DomainError("kmax must be nonnegative")
-        basis = self._bases(kmax + 2)
+        self._check(kmax + 2)
         dims = []
         for k in range(2, kmax + 3):
-            rows = chain(*self._jk(k), _derived_rows(basis, k))
-            dims.append(len(basis[k]) - rank(rows, len(basis[k])))
+            degree = self._degree(k)
+            rows = list(degree.core)
+            if degree.defs:
+                for p in range(2, k // 2 + 1):
+                    for u, uv in enumerate(degree.table[p - 1]):
+                        rows += uv[u + 1:] if 2 * p == k else uv
+            dims.append(len(degree.defs) - rank(rows, len(degree.defs)))
         return dims
 
 

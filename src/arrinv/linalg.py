@@ -16,8 +16,9 @@ kernels differ in which lead may become a pivot:
 - ``unit_pass``: only a +-1 lead, so every update is unimodular.  A row
   whose lead is another value is set aside; the set-aside rows are
   cleared on every pivot column and passed again until no pivot appears.
-  Pivots and set-aside rows span the input over Z, so the graded pass in
-  ``holonomy`` brackets them into the next degree's rows;
+  Pivots and set-aside rows span the input over Z, so the nilpotent
+  quotient in ``holonomy`` eliminates a generator per pivot and keeps
+  the set-aside rows as its core;
 - ``smith_diagonal``: the unit pass, then ``_smith_core`` on the rows it
   set aside, the core, in the same sparse rows: it pivots on an entry of
   least absolute value and clears its row and column, and pairwise

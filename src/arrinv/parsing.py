@@ -11,7 +11,8 @@ Two formats are accepted, distinguished by the first non-space character:
 * a JSON object ``{"variables": [...], "normals": [[...], ...],
   "labels": [...]}`` with integer or "p/q" string entries; only
   ``normals`` is required, and the variables default to
-  ``arrangement.default_variables``.
+  ``arrangement.default_variables``.  Given variables follow the
+  header's rule: distinct names, each a letter and optional digits.
 
 Every factor must be a nonzero linear form through the origin, and no two
 factors may cut the same hyperplane; ``ParseError.kind`` says which rule
@@ -147,16 +148,21 @@ def render_linear_form(terms) -> str:
     return "".join(parts) if parts else "0"
 
 
+def _check_variables(names: list[str], shown) -> None:
+    """Refuse variable names that are repeated or not a letter and digits,
+    the rule of the polynomial header and of JSON ``variables`` alike."""
+    if not names or any(not _VAR_RE.match(s) for s in names):
+        raise ParseError("syntax", "bad variable header %r" % (shown,))
+    if len(set(names)) != len(names):
+        raise ParseError("syntax", "repeated variable in header")
+
+
 def _parse_polynomial(text: str) -> Arrangement:
     varorder = None
     m = _HEADER_RE.match(text)
     if m:
-        names = [s.strip() for s in m.group(1).split(",")]
-        if not names or any(not _VAR_RE.match(s) for s in names):
-            raise ParseError("syntax", "bad variable header %r" % m.group(0))
-        if len(set(names)) != len(names):
-            raise ParseError("syntax", "repeated variable in header")
-        varorder = names
+        varorder = [s.strip() for s in m.group(1).split(",")]
+        _check_variables(varorder, m.group(0))
         text = text[m.end() :]
     m = _NAME_EQ_RE.match(text)
     if m:
@@ -266,6 +272,7 @@ def _parse_json(text: str) -> Arrangement:
             or any(not isinstance(s, str) for s in variables)
         ):
             raise ParseError("syntax", "'variables' must name every column")
+        _check_variables(variables, variables)
     labels = data.get("labels")
     if labels is not None:
         if (

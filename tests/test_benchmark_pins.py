@@ -6,14 +6,21 @@ a lower share of good operations in a benchmark run.  These tests run
 those oracles and the tracer's cache read in the test suite instead.
 deep-lie's oracles are left out, as they take seconds, but every
 workload's command lines are parsed, which builds no matrix: a removed
-or renamed option fails here and not only in a benchmark run.
+or renamed option fails here and not only in a benchmark run.  The
+traced path, which a traced benchmark round takes, runs on two deep-lie
+commands.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("workload", ["cli-sweep", "wide-decomp"])
@@ -46,3 +53,22 @@ def test_every_benchmark_command_line_parses(monkeypatch, tmp_path, workload):
         for op in workloads.build(workload, seed).ops:
             run, options = cli._parse(op.argv(str(tmp_path)))
             assert callable(run), op.label()
+
+
+def test_the_tracer_reads_the_kernels_by_their_shared_names():
+    # the tracer rebinds holonomy.rank through linalg.rank
+    from arrinv import holonomy, linalg
+
+    assert holonomy.rank is linalg.rank
+
+
+@pytest.mark.parametrize("argv", [["holonomy", "--builtin", "x3", "--max", "5"],
+                                  ["check", "--samples", "1"]])
+def test_traced_child_writes_linalg_spans(tmp_path, argv):
+    stats = tmp_path / "stats.json"
+    done = subprocess.run([sys.executable, str(PERFBENCH / "traced_child.py"), str(stats)] + argv,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(stats.read_text())["spans"]
+    assert any(name.startswith("linalg.") and calls for name, (calls, _) in spans.items())

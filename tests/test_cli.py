@@ -245,6 +245,13 @@ def test_file_inputs(tmp_path, capsys):
     bad.write_text("x (x + 1)\n")
     rc, _ = run(capsys, "betti", "--file", str(bad))
     assert rc == 1
+    # JSON variables obey the polynomial header's naming rule
+    for names, message in ((["x", "x"], "repeated variable in header"),
+                           (["1", ""], "bad variable header ['1', '']")):
+        blob.write_text(json.dumps({"variables": names, "normals": [[1, 0], [0, 1], [1, 1]]}))
+        assert main(["info", "--file", str(blob)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
     # a file that is not UTF-8 is an input error, not a traceback
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe(x)")
@@ -439,7 +446,7 @@ def test_decomp_eliminates_j3_once(capsys, monkeypatch):
     calls = _count_eliminations(monkeypatch)
     doc = run_json(capsys, "decomp", "--builtin", "braid:5")
     assert doc["result"]["rational"] is False
-    # J_2 and J_3 passed once each, then the Smith form of J_3's set-aside rows
+    # degrees 2 and 3 passed once each, then the Smith form of degree 3's core
     assert calls == {"unit_pass": 2, "smith_diagonal": 1, "rank": 0}
 
 

@@ -1,13 +1,21 @@
 import copy
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from arrinv.arrangement import MultiArrangement, betti, compute_l2, make_arrangement
+from arrinv.arrangement import (
+    MultiArrangement,
+    SimpleGraph,
+    betti,
+    compute_l2,
+    make_arrangement,
+)
 from arrinv.catalog import builtin, from_spec
 from arrinv.checks import random_multiplicities, random_rank3_arrangement, run_all_checks
 from arrinv.errors import DomainError, ResourceError
+from arrinv.formulas import graphic_lcs, lcs_ranks_decomposable
 from arrinv.holonomy import (
     AbelianGroupReport,
     Analysis,
@@ -101,20 +109,19 @@ def test_wide_h3_groups_match_the_rank_route():
 
 
 def test_rank_kernel_matches_the_smith_length_on_deep_jk():
-    # x3 J_5 is seeded by 2556 rows over 1554 columns; pappus J_4 is the
-    # one catalog matrix whose Smith form leaves a nonempty core after its
-    # unit pivots
+    # the raw x3 J_5 and pappus J_4, the latter with a nonempty Smith core
+    # after its unit pivots; phi_k is the basis size minus their rank
     with budget(5, "deep J_k ranks"):
         for name, k, want in (("x3", 5, 1536), ("pappus", 4, 1590)):
-            an = Analysis(builtin(name))
-            pivots, aside = an._jk(k)
-            rows = pivots + aside
+            rows, ncols = raw_jk_rows(builtin(name), k)
             assert rank_exact(rows) == len(smith_diagonal(rows)) == want
+            assert Analysis(builtin(name)).ranks(k)[-1] == ncols - want
 
 
 def test_seeded_ranks_match_the_raw_route():
-    # each degree is generated from the previous degree's unit pass; the
-    # raw route brackets every raw row and eliminates nothing in between
+    # each degree is built by the nilpotent quotient; the raw route brackets
+    # every raw row of J_k over the Lyndon basis and eliminates nothing in
+    # between
     for spec, kmax in (("x3", 5), ("x2", 5), ("nonpappus", 5), (K5, 5),
                        ("braid:4", 4), ("pappus", 4)):
         arr = from_spec(spec)
@@ -126,8 +133,8 @@ def test_seeded_ranks_match_the_raw_route():
 
 
 def test_seeded_smith_forms_match_the_raw_route():
-    # the unit pass is unimodular, so the seeded J_k spans the same lattice
-    # over Z as the raw one, torsion included
+    # the quotient is built over Z, so its groups are Lie_k / J_k over Z
+    # from the raw J_k, torsion included
     for spec in ("x3", "x2", "nonpappus", "braid:4", "pappus"):
         an = Analysis(from_spec(spec))
         for k in (3, 4):
@@ -138,14 +145,75 @@ def test_seeded_smith_forms_match_the_raw_route():
 
 
 def test_degree_four_torsion():
-    # pappus J_4 and the 8th draw below, 9 lines, are the known inputs with
-    # torsion Z/2 in h_4; no J_3 of either has torsion
+    # pappus and the 8th draw below, 9 lines, are the known inputs with
+    # torsion Z/2 in h_4; neither has torsion in h_3
     rng = random.Random(5)
     draw = [random_rank3_arrangement(rng, max_n=9) for _ in range(8)][-1]
     for arr, rank4 in ((builtin("pappus"), 30), (draw, 72)):
         an = Analysis(arr)
         assert an.group(4) == AbelianGroupReport(rank4, (2,))
         assert an.group(3).torsion == ()
+
+
+def test_groups_match_the_raw_smith_form_on_random_draws():
+    # h_2..h_4 over Z from the quotient against the Smith form of the raw
+    # J_k over the Lyndon basis; the 8th draw has Z/2 in h_4
+    rng = random.Random(5)
+    torsion = []
+    with budget(10, "150 random groups to degree 4"):
+        for i in range(1, 151):
+            an = Analysis(random_rank3_arrangement(rng, max_n=9))
+            for k in (2, 3, 4):
+                rows, ncols = raw_jk_rows(an.arr, k)
+                diag = smith_diagonal(rows)
+                want = AbelianGroupReport(ncols - len(diag), tuple(d for d in diag if d > 1))
+                assert an.group(k) == want, (i, k)
+                if want.torsion:
+                    torsion.append((i, k, want.torsion))
+    assert torsion == [(8, 4, (2,))]
+
+
+def test_deep_degrees_match_the_formulas():
+    # degrees the Lyndon route could not reach in test time; x3 and x2 need
+    # a ceiling above witt(6, 9) = 1119720 and witt(7, 8) = 720300
+    with budget(6, "braid:3 to degree 7"):
+        kohno = tuple(sum(witt_count(j, k) for j in (1, 2, 3)) for k in range(1, 8))
+        assert Analysis(builtin("braid", (3,))).ranks(7) == kohno
+        assert kohno[5:] == (125, 330)
+    with budget(2, "K5 to degree 5"):
+        k5 = graphic_lcs(SimpleGraph(5, tuple(combinations(range(5), 2))), 5).as_tuple()
+        assert Analysis(from_spec(K5)).ranks(5) == k5
+        assert k5[-1] == 258
+    for name, k, want in (("x3", 9, 168), ("x2", 8, 150)):
+        with budget(1, "%s to degree %d" % (name, k)):
+            an = Analysis(builtin(name), 2_000_000)
+            assert an.ranks(k) == lcs_ranks_decomposable(an, k).as_tuple()
+            assert an.ranks(k)[-1] == want
+    with budget(3, "pappus to degree 6"):
+        pappus = Analysis(builtin("pappus"))
+        assert pappus.ranks(6)[-1] == 90
+        assert [k for k in range(2, 7) if pappus.group(k).torsion] == [4]
+
+
+def _cliques(edges, size):
+    adjacent = set(edges)
+    vertices = sorted({v for e in edges for v in e})
+    return sum(all(pair in adjacent for pair in combinations(c, 2))
+               for c in combinations(vertices, size))
+
+
+def test_graphic_chen_ranks_match_schenck_suciu():
+    # theta_k = (k - 1)(kappa_2 + kappa_3) for k >= 3 on a graphic
+    # arrangement, kappa_2 and kappa_3 its triangles and K4 subgraphs
+    # (Schenck-Suciu, Trans. AMS 2006); alexander_dims entry k - 2 is theta_k
+    k4 = list(combinations(range(4), 2))
+    with budget(5, "graphic Chen ranks"):
+        for edges, want in ((k4, (10, 15, 20)), (list(combinations(range(5), 2)), (30, 45, 60)),
+                            (k4 + [(0, 4), (1, 4)], (12, 18, 24))):
+            kappa = _cliques(edges, 3) + _cliques(edges, 4)
+            assert tuple((k - 1) * kappa for k in (3, 4, 5)) == want
+            spec = "graphic:" + ",".join("%d-%d" % e for e in edges)
+            assert tuple(Analysis(from_spec(spec)).alexander_dims(3)[1:]) == want, spec
 
 
 def test_local_h3_rank():
@@ -288,10 +356,9 @@ def _count_holonomy_calls(monkeypatch, names):
 
 
 def test_one_analysis_serves_many_questions(monkeypatch):
-    # J_3..J_5 built once and J_2..J_5 passed once; each degree's set-aside
-    # rows are Smith-formed once, for its rank and its torsion alike
-    calls = _count_holonomy_calls(
-        monkeypatch, ("_next_degree", "unit_pass", "rank", "smith_diagonal"))
+    # degrees 2..5 built once, with one unit pass each; each degree's core
+    # is Smith-formed once, for its rank and its torsion alike
+    calls = _count_holonomy_calls(monkeypatch, ("unit_pass", "rank", "smith_diagonal"))
     an = Analysis(builtin("x3"))
     assert an.ranks(5) == (6, 3, 6, 9, 18)
     assert an.ranks(3) == (6, 3, 6)
@@ -301,21 +368,40 @@ def test_one_analysis_serves_many_questions(monkeypatch):
         m = random_multiplicities(rng, an.arr.n)
         monodromy_trivial_criterion(MultiArrangement(an.arr, m), an)
     assert {name: len(c) for name, c in calls.items()} == {
-        "_next_degree": 3, "unit_pass": 4, "rank": 0, "smith_diagonal": 4}
+        "unit_pass": 4, "rank": 0, "smith_diagonal": 4}
+
+
+def _record_extensions(monkeypatch, snapshot=False):
+    # (analysis, degree built, copy of the stored degree or None) per step;
+    # holding the analysis keeps its id unique
+    built = []
+    real = Analysis._extend
+
+    def spy(self):
+        real(self)
+        stored = self._degrees[-1]
+        built.append((self, len(self._degrees), copy.deepcopy(stored) if snapshot else None))
+
+    monkeypatch.setattr(Analysis, "_extend", spy)
+    return built
 
 
 def test_check_suite_builds_each_degree_once_per_sample(monkeypatch):
-    # 16 samples, 14 of them decomposable: J_3 of each, J_4 of those; an
-    # analysis owns its bases, so the column words of J_k name the sample
-    calls = _count_holonomy_calls(monkeypatch, ("_next_degree", "unit_pass"))
+    # 16 samples, 14 of them decomposable: degrees 2 and 3 of each, degree 4
+    # of those, each built once, with one unit pass unless the degree below
+    # is zero
+    built = _record_extensions(monkeypatch)
+    calls = _count_holonomy_calls(monkeypatch, ("unit_pass",))
     assert all(r.ok for r in run_all_checks(seed=12022, samples=10))
-    built = [(id(words), len(words[0]) + 1) for n, rows, words, index in calls["_next_degree"]]
-    assert len(built) == len(set(built)) == 30
-    # J_2 of every sample and each degree built from it, passed once
-    assert len(calls["unit_pass"]) == 16 + 30
+    steps = [(id(an), k) for an, k, _ in built]
+    assert len(steps) == len(set(steps)) == 16 + 16 + 14
+    passed = [k for an, k, _ in built if an._degrees[k - 2].defs]
+    assert len(calls["unit_pass"]) == len(passed) == 40
 
 
-def test_analysis_builds_each_basis_once(monkeypatch):
+def test_analysis_builds_no_lyndon_basis(monkeypatch):
+    # the quotient never enumerates Lyndon words; the ceiling is checked
+    # on witt(n, k) alone
     from arrinv import lyndon
 
     built = []
@@ -330,23 +416,13 @@ def test_analysis_builds_each_basis_once(monkeypatch):
     assert an.ranks(4) == (6, 3, 6, 9)
     assert an.group(3).rank == 6
     assert an.alexander_dims(2) == [3, 6, 9]
-    assert sorted(built) == [2, 3, 4]
+    assert built == []
 
 
-def test_the_stored_unit_passes_are_never_changed(monkeypatch):
-    # each degree's pass is kept as unit_pass returns it, and the bracket
-    # step and the kernels that read it later leave its rows as they were
-    from arrinv import holonomy
-
-    built = []
-    real = holonomy.unit_pass
-
-    def spy(rows):
-        result = real(rows)
-        built.append((result, copy.deepcopy(result)))
-        return result
-
-    monkeypatch.setattr(holonomy, "unit_pass", spy)
+def test_the_stored_degrees_are_never_changed(monkeypatch):
+    # each degree is kept as its step built it: the later steps that read
+    # its table and core, and the kernels, leave its rows as they were
+    built = _record_extensions(monkeypatch, snapshot=True)
     for name, want in (("x3", (6, 3, 6, 9, 18)), ("pappus", (9, 9, 20, 30, 60))):
         built.clear()
         an = Analysis(builtin(name))
@@ -354,6 +430,8 @@ def test_the_stored_unit_passes_are_never_changed(monkeypatch):
         assert an.group(3) == AbelianGroupReport(want[2], ())
         assert an.group(4) == AbelianGroupReport(want[3], () if name == "x3" else (2,))
         an.alexander_dims(2)
-        assert len(built) == 4
-        for stored, (returned, snapshot) in zip(an._passes, built):
-            assert stored is returned and stored == snapshot, name
+        assert [k for _, k, _ in built] == [2, 3, 4, 5]
+        for _, k, snapshot in built:
+            stored = an._degrees[k - 1]
+            assert (stored.defs, stored.core, stored.table) == (
+                snapshot.defs, snapshot.core, snapshot.table), (name, k)

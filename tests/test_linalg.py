@@ -131,7 +131,7 @@ def test_smith_unit_pivot_found_on_a_second_pass():
 
 
 def test_unit_pass_spans_the_input_over_z():
-    # the kernel the graded pass seeds the next degree from: its pivots
+    # the kernel each degree of the holonomy quotient is passed by: its pivots
     # and set-aside rows must keep the Smith form, not only the rank, and
     # small entries in [-3, 3] often set rows aside
     rng = random.Random(616)

@@ -136,3 +136,18 @@ def test_variables_name_the_columns_of_the_normals():
     assert parse_arrangement(json.dumps(doc)).variables == ("x", "y")
     wide = {"normals": [[1, 0, 0, 0], [0, 1, 0, 0]]}
     assert parse_arrangement(json.dumps(wide)).variables == ("x1", "x2", "x3", "x4")
+
+
+def test_json_variables_follow_the_header_rule():
+    # repeated names and names that are not a letter and digits are refused
+    # as in a polynomial header, with its messages
+    normals = [[1, 0], [0, 1], [1, 1]]
+    for names, message in ((["x", "x"], "repeated variable in header"),
+                           (["1", ""], "bad variable header ['1', '']")):
+        with pytest.raises(ParseError) as ei:
+            parse_arrangement(json.dumps({"variables": names, "normals": normals}))
+        assert (ei.value.kind, str(ei.value)) == ("syntax", message)
+    with pytest.raises(ParseError, match="repeated variable in header"):
+        parse_arrangement("[x,x] x")
+    assert parse_arrangement(json.dumps({"variables": ["a1", "b"], "normals": normals})
+                             ).variables == ("a1", "b")
