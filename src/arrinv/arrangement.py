@@ -118,20 +118,22 @@ def line_key(row) -> tuple[int, ...]:
     return _primitive([int(v * den) for v in row])
 
 
-def plane_key(u, v) -> tuple[int, ...]:
-    """Primitive Pluecker vector of the 2-plane spanned by integer rows u, v.
+def plane_key(u, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Support and primitive Pluecker vector of the 2-plane spanned by
+    integer rows u, v.
 
     The 2x2 minors u_a v_b - u_b v_a (a < b) determine the plane up to a
-    nonzero scalar, so two pairs span the same plane iff their keys are
-    equal.  Proportional rows span no plane and raise DomainError.
+    nonzero scalar.  A minor is 0 unless columns a and b both lie in the
+    support, the columns where u or v is nonzero, which every basis of
+    the plane shares; so the key keeps the support and the minors over
+    it, and two pairs span the same plane iff their keys are equal.
+    Proportional rows span no plane and raise DomainError.
     """
-    d = len(u)
-    minors = [
-        u[a] * v[b] - u[b] * v[a] for a in range(d) for b in range(a + 1, d)
-    ]
+    support = tuple(c for c, (a, b) in enumerate(zip(u, v)) if a or b)
+    minors = [u[a] * v[b] - u[b] * v[a] for a, b in combinations(support, 2)]
     if not any(minors):
         raise DomainError("proportional rows span no 2-plane")
-    return _primitive(minors)
+    return support, _primitive(minors)
 
 
 def first_duplicate(rows):
@@ -193,8 +195,9 @@ def compute_l2(arr: Arrangement) -> L2Lattice:
     i and j is the union of all pairs whose normals span the same 2-plane.
     Each normal is reduced once to its primitive integer vector
     (``line_key``), and the pairs are grouped by ``plane_key``, the
-    primitive vector of their 2x2 minors: O(n^2 d^2) integer products and
-    no elimination, in any ambient dimension.
+    primitive vector of their 2x2 minors on the pair's support: O(n^2 s^2)
+    integer products for normals with at most s nonzero entries, and no
+    elimination, in any ambient dimension.
     """
     n = arr.n
     prim = [line_key(r) for r in arr.normals]

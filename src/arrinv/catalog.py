@@ -11,8 +11,11 @@ invariants here depend on.
 from __future__ import annotations
 
 from .arrangement import Arrangement, SimpleGraph, graphic_arrangement
-from .errors import CatalogError
+from .errors import CatalogError, ResourceError
 from .parsing import parse_arrangement
+
+# largest graphic vertex label: each edge is a normal with one entry per vertex
+MAX_GRAPHIC_LABEL = 10_000
 
 # fixed small arrangements, by their defining polynomials
 _POLYNOMIALS = {
@@ -64,9 +67,11 @@ def _edge_params(params) -> SimpleGraph:
         edges.append((min(a, b), max(a, b)))
     if not edges:
         raise CatalogError("graphic needs at least one edge")
-    vertices = 1 + max(max(e) for e in edges)
+    top = max(max(e) for e in edges)
+    if top > MAX_GRAPHIC_LABEL:
+        raise ResourceError("graphic vertex label %d exceeds %d" % (top, MAX_GRAPHIC_LABEL))
     try:
-        return SimpleGraph(vertices, tuple(sorted(edges)))
+        return SimpleGraph(top + 1, tuple(sorted(edges)))
     except Exception as e:
         raise CatalogError("bad edge list: %s" % e) from None
 

@@ -119,7 +119,9 @@ _BOUNDS = (("ceiling", "--ceiling", 1000), ("kmax", "--max", 1), ("depth", "--de
            ("samples", "--samples", 0))
 
 _CEILING_OPTION = _int_option("--ceiling", DEFAULT_WORD_CEILING,
-                              "largest free Lie basis the engine may enumerate")
+                              "largest witt(n, k), the free Lie rank in degree k, "
+                              "allowed for each degree k the command needs; a "
+                              "contract on the input")
 
 _FORMAT_OPTIONS = (
     ("--json", dict(dest="fmt", action="store_const", const="json", default="json",
@@ -163,7 +165,8 @@ def _command(name: str, *extra_options):
     """Register ``compute`` as subcommand NAME, with the shared options
     ``--file``, ``--builtin``, ``--table``/``--json``; it gets one
     Analysis of the arrangement under ``--ceiling``, an extra option of
-    the commands that build a Lyndon basis."""
+    the commands that need a holonomy degree: it bounds witt(n, k) for
+    each degree k the command needs, as a contract on the input."""
     def register(compute):
         def run(builtin, file, fmt, ceiling=DEFAULT_WORD_CEILING, **options):
             if builtin and file:

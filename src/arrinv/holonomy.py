@@ -12,26 +12,37 @@ Newman and Vaughan-Lee, J. Symb. Comput. 1990), not inside the free Lie
 algebra.  Degree d keeps its generators, each the tail [x_a, w] of a
 letter and a degree-(d-1) generator that defines it; its core, the
 integer rows over those generators that hold in h_d; and the bracket
-table of every pair of generators whose degrees sum to d.  So h_d is the
-free abelian group on the generators modulo the core.  One step
+table [u, v] of every pair of generators with deg u <= deg v and degrees
+summing to d.  [v, u] is read as -[u, v] and never stored.  So h_d is
+the free abelian group on the generators modulo the core.  One step
 (`Analysis._extend`) builds degree k+1: one tail per letter and
-degree-k generator; [u, v] over the tails for every pair of degrees
-summing to k+1, from the definition u = [x_a, w] of u and the identity
+degree-k generator; [u, v] over the tails for deg u <= deg v, from the
+definition u = [x_a, w] of u and the identity
 [[x_a, w], v] = [x_a, [w, v]] - [w, [x_a, v]]; and the relations among
 the tails: the relators (degree 2 only), antisymmetry and alternation
-of every pair, Jacobi on every sorted triple of distinct generators (a
-repeated one follows from antisymmetry) and [rho, c] for every core row
-rho of a lower degree.  One unit pass (`linalg.unit_pass`)
-eliminates a tail per +-1 pivot; the other tails become the new
-generators, back-substituting the pivots gives the normal form that
-fills the new table, and the rows the pass set aside are the new core.
+within the middle degree, Jacobi on every triple (x_a, v, w) of a letter
+and two generators, sorted and distinct (a repeated one follows from
+antisymmetry), and [x_a, rho] for every core row rho of degree k.  One
+unit pass (`linalg.unit_pass`) eliminates a tail per +-1 pivot; the
+other tails become the new generators, back-substituting the pivots
+gives the normal form that fills the new table, and the rows the pass
+set aside are the new core.
 
-Why the step is right: with these relations the degrees up to k+1 form
-a graded Lie ring of class k+1, generated in degree 1, in which the
-relators hold, so the truncated holonomy ring L/(I + L_{>=k+2}) maps
-onto it; and h_{k+1} is spanned by the brackets of the letters with h_k
-and satisfies every relation imposed, so the two are equal.  The
-matrices grow with n times the generator count of the degree below
+Why the step is right, in three parts:
+
+1. The relators lie in degree 2, so the ideal I they generate has
+   I_{k+1} = [L_1, I_k].  So h_{k+1} is L_1 (x) h_k modulo the free Lie
+   relations, and the tails [x_a, rho] of the core rows rho of degree k
+   are what make L_1 (x) h_k well defined over the tails.
+2. If ad x_a is a derivation for every letter, then so is every ad u,
+   since ad [x_a, w] = [ad x_a, ad w] and the commutator of two
+   derivations is a derivation.  So Jacobi with a letter implies Jacobi.
+3. With [v, u] read as -[u, v], antisymmetry holds by construction
+   outside the middle degree.  For a generator u = [x_a, w] above half
+   the degree, the identity that defines [u, v] is the Jacobi relation
+   of x_a, w and v, a relation with a letter.
+
+The matrices grow with n times the generator count of the degree below
 (phi_k plus the rank of its core), not with the Lyndon basis one degree
 up.
 
@@ -99,7 +110,7 @@ class _Degree:
     on the generators modulo the core rows.  ``defs[g]`` is (a, w) when
     generator g is [x_a, w] for w of degree d - 1 (w is None in degree
     1); ``table[p - 1][u][v]`` is [u, v] over the generators, for u of
-    degree p and v of degree d - p."""
+    degree p <= d / 2 and v of degree d - p."""
 
     defs: tuple[tuple[int, int | None], ...]
     core: list[dict[int, int]]
@@ -174,57 +185,54 @@ class Analysis:
             # h_{k+1} = [h_1, h_k] vanishes with h_k
             degrees.append(_Degree((), [], ()))
             return
-        n = self.arr.n
+        n, half = self.arr.n, (k + 1) // 2
 
         def table(p: int, q: int) -> list[list[dict[int, int]]]:
+            # [u, v] for u of degree p <= q and v of degree q
             return degrees[p + q - 1].table[p - 1]
 
         def bracket(acc: dict[int, int], p: int, u: int, x: dict[int, int],
                     s: int = 1) -> dict[int, int]:
-            # acc += s * [u, x] over the tails, u of degree p, x of degree k + 1 - p
+            # acc += s * [u, x] over the tails, u of degree p, x of degree k + 1 - p;
+            # above half the degree, [u, z] is read as -[z, u]
             for z, c in x.items():
-                _add(acc, raw[p][u][z], s * c)
+                if p <= half:
+                    _add(acc, raw[p][u][z], s * c)
+                else:
+                    _add(acc, raw[k + 1 - p][z][u], -s * c)
             return acc
 
-        # raw[p][u][v] is [u, v] over the tails for u of degree p and v of
-        # degree k + 1 - p; tail a * m + g is [x_a, g] for g of degree k, and
+        # raw[p][u][v] is [u, v] over the tails for u of degree p <= half and v
+        # of degree k + 1 - p: tail a * m + g is [x_a, g] for g of degree k, and
         # [[x_a, w], v] = [x_a, [w, v]] - [w, [x_a, v]]
         raw = [None, [[{a * m + g: 1} for g in range(m)] for a in range(n)]]
-        for p in range(2, k + 1):
+        for p in range(2, half + 1):
             left, up = table(p - 1, k + 1 - p), table(1, k + 1 - p)
-            raw.append([[bracket({a * m + g: c for g, c in wv.items()}, p - 1, w, av, -1)
-                         for wv, av in zip(left[w], up[a])]
-                        for a, w in degrees[p - 1].defs])
+            raw.append([[bracket(bracket({}, 1, a, wv), p - 1, w, av, -1)
+                         for wv, av in zip(left[w], up[a])] for a, w in degrees[p - 1].defs])
 
         rels = []
         if k == 1:
             pairs = list(combinations(range(n), 2))
             rels += [{pairs[c][0] * n + pairs[c][1]: v for c, v in r}
                      for r in holonomy_relators(self.arr)]
-        for p in range(1, (k + 1) // 2 + 1):
-            q = k + 1 - p
-            for u, uv in enumerate(raw[p]):
-                # antisymmetry, and alternation [u, u] when p == q
-                rels += [dict(uv[u]) if (p, u) == (q, v) else bracket(dict(uv[v]), q, v, {u: 1})
-                         for v in range(u if p == q else 0, len(uv))]
-        size = [len(d.defs) for d in degrees]
-        for du in range(1, k):
-            for dv in range(du, (k + 1 - du) // 2 + 1):
-                dw = k + 1 - du - dv
-                vw, wu, uv = table(dv, dw), table(dw, du), table(du, dv)
-                for u in range(size[du - 1]):
-                    for v in range(u + 1 if dv == du else 0, size[dv - 1]):
-                        for w in range(v + 1 if dw == dv else 0, size[dw - 1]):
-                            rel = bracket({}, du, u, vw[v][w])
-                            bracket(rel, dv, v, wu[w][u])
-                            rels.append(bracket(rel, dw, w, uv[u][v]))
-        for d in range(2, k + 1):
-            for rho in degrees[d - 1].core:
-                for c in range(size[k - d]):
-                    rel = {}
-                    for u, x in rho.items():
-                        _add(rel, raw[d][u][c], x)
-                    rels.append(rel)
+        if k % 2:
+            # antisymmetry and alternation [u, u] within the middle degree
+            for u, uv in enumerate(raw[half]):
+                rels += [dict(uv[u])] + [bracket(dict(uv[v]), half, v, {u: 1})
+                                         for v in range(u + 1, len(uv))]
+        # Jacobi on the triples (x_a, v, w) with v, w of degrees dv <= dw
+        for dv in range(1, k // 2 + 1):
+            dw = k - dv
+            vw, av, aw = table(dv, dw), table(1, dv), table(1, dw)
+            for a in range(n):
+                for v in range(a + 1 if dv == 1 else 0, len(vw)):
+                    for w in range(v + 1 if dw == dv else 0, len(vw[v])):
+                        rel = bracket({}, 1, a, vw[v][w])
+                        bracket(rel, dv, v, aw[a][w], -1)
+                        rels.append(bracket(rel, dw, w, av[a][v]))
+        # [x_a, rho] for the core rows rho of degree k, as I_{k+1} = [L_1, I_k]
+        rels += [bracket({}, 1, a, rho) for rho in degrees[-1].core for a in range(n)]
         pivots, aside = unit_pass(r for r in rels if r)
 
         # back-substitute: a pivot led by s = +-1 at tail t says t = -s * rest,
@@ -247,7 +255,7 @@ class Analysis:
 
         degrees.append(_Degree(tuple(divmod(t, m) for t in free), list(map(normal, aside)),
                                tuple([list(map(normal, rs)) for rs in raw[p]]
-                                     for p in range(1, k + 1))))
+                                     for p in range(1, half + 1))))
 
     def group(self, k: int) -> AbelianGroupReport:
         """h_k, the degree-k piece of the integral holonomy Lie algebra:

@@ -56,8 +56,10 @@ class MilnorReport:
 
 
 def _local_orders(ma: MultiArrangement) -> list[tuple[Flat2, int]]:
-    """(X, d) per multiple flat X: d = gcd(N, the off-flat multiplicities,
-    the in-flat multiplicity sum), the largest order of a character in T_X."""
+    """(X, d) per multiple flat X: d = gcd(N, the off-flat multiplicities),
+    the largest order of a character in T_X.  The in-flat multiplicity sum
+    is N minus the off-flat ones, so d divides it too (the second
+    congruence of the module docstring)."""
     arr = ma.arrangement
     m = ma.multiplicities
     out = []
@@ -67,7 +69,7 @@ def _local_orders(ma: MultiArrangement) -> list[tuple[Flat2, int]]:
         for h in range(arr.n):
             if h not in members:
                 d = gcd(d, m[h])
-        out.append((flat, gcd(d, sum(m[h] for h in members))))
+        out.append((flat, d))
     return out
 
 

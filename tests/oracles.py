@@ -4,8 +4,9 @@ Each oracle recomputes a quantity along a route the library never takes:
 rotation-filtered Lyndon enumeration, tensor-algebra bracket expansion,
 sympy ranks and Smith forms, whole-lattice Moebius sums, Hilbert series
 coefficient extraction, per-character Milnor accounting, and a Kunneth
-count on product arrangements, and the raw graded route to J_k with no
-elimination between degrees.  Slow and simple on purpose.  The graded
+count on product arrangements, the raw graded route to J_k with no
+elimination between degrees, and J_k in the tensor algebra with its rank
+mod p.  Slow and simple on purpose.  The graded
 subspaces at the end take sympy's reduced row echelon form of the raw
 J_k rows and of the derived-span rows.
 """
@@ -73,6 +74,18 @@ def tensor_commutator(a, b):
     return out
 
 
+def tensor_jk_rows(n: int, flats, k: int) -> list[dict]:
+    """Rows of J_k in the tensor algebra T_k over Z, keyed by words: the
+    relators [x_h, sum of x_m over X] of every member h of every flat X,
+    none dropped, bracketed on the left by k - 2 letters.  No Lyndon code:
+    L_k is a direct summand of T_k, so T_k / J_k has the torsion of h_k."""
+    rows = [tensor_combination([((h, m), 1) for m in flat if m != h])
+            for flat in flats for h in flat]
+    for _ in range(k - 2):
+        rows = [tensor_commutator({(a,): 1}, r) for r in rows for a in range(n)]
+    return rows
+
+
 def tensor_combination(terms):
     """Sum coeff * tensor_of_bracket(expr) over (expr, coeff) pairs."""
     out: dict[tuple, int] = {}
@@ -127,6 +140,29 @@ def rank_mod_p(rows, ncols: int, p: int) -> int:
                 dense[i] = [(x - f * y) % p for x, y in zip(row, top)]
         rank += 1
     return rank
+
+
+def sparse_rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of sparse integer rows, keyed by any sortable column,
+    by sparse elimination against monic pivots."""
+    pivots: dict = {}
+    for row in rows:
+        r = {c: v % p for c, v in row.items() if v % p}
+        while r:
+            c = min(r)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(r[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in r.items()}
+                break
+            f = r[c]
+            for k, v in pivot.items():
+                w = (r.get(k, 0) - f * v) % p
+                if w:
+                    r[k] = w
+                else:
+                    r.pop(k, None)
+    return len(pivots)
 
 
 def sympy_factor_product(rows, ncols: int) -> int:

@@ -108,6 +108,24 @@ def _random_arrangement(rng, d, n):
     return make_arrangement(rows)
 
 
+def test_plane_key_reads_only_the_support():
+    # equal minors on their own supports, different planes
+    def unit(i, d):
+        return tuple(int(c == i) for c in range(d))
+    assert plane_key(unit(0, 4), unit(1, 4)) != plane_key(unit(2, 4), unit(3, 4))
+    # a wide pair costs its width once, not its squared width
+    d = 200_000
+    u = tuple(1 if c in (0, d - 1) else 0 for c in range(d))
+    v = tuple(-1 if c == 5 else 0 for c in range(d))
+    assert plane_key(u, v) == ((0, 5, d - 1), (1, 0, -1))
+    w = tuple(a + b for a, b in zip(u, v))
+    assert plane_key(u, w) == plane_key(u, v)
+    # a graphic arrangement with a large vertex label has the lattice of
+    # the same graph relabelled small
+    wide = compute_l2(from_spec("graphic:0-1,1-2,0-10000"))
+    assert wide == compute_l2(from_spec("graphic:0-1,1-2,0-3"))
+
+
 def test_compute_l2_matches_sympy_route():
     rng = random.Random(17)
     samples = [builtin("x3"), builtin("pappus"), builtin("braid", [3])]

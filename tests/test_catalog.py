@@ -1,8 +1,9 @@
 import pytest
 
 from arrinv.arrangement import compute_l2
-from arrinv.catalog import CATALOG_NAMES, builtin, from_spec
-from arrinv.errors import CatalogError
+from arrinv import catalog
+from arrinv.catalog import CATALOG_NAMES, MAX_GRAPHIC_LABEL, builtin, from_spec
+from arrinv.errors import CatalogError, ResourceError
 
 
 def census(arr):
@@ -92,6 +93,19 @@ def test_graphic_params():
         builtin("graphic", (3,))
     with pytest.raises(CatalogError):
         builtin("graphic", ((0, 0),))
+
+
+def test_graphic_vertex_label_is_bounded(monkeypatch):
+    # each edge's normal has one entry per vertex, so a label above the
+    # bound is refused before any normal is built
+    assert builtin("graphic", ((0, MAX_GRAPHIC_LABEL),)).n == 1
+
+    def no_rows(graph):
+        raise AssertionError("a normal was built before the refusal")
+
+    monkeypatch.setattr(catalog, "graphic_arrangement", no_rows)
+    with pytest.raises(ResourceError, match="graphic vertex label 10001 exceeds 10000"):
+        from_spec("graphic:0-1,1-10001")
 
 
 def test_from_spec():

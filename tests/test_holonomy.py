@@ -31,8 +31,10 @@ from oracles import (
     derived_subspace,
     holonomy_ideal_subspace,
     raw_jk_rows,
+    sparse_rank_mod_p,
     tensor_combination,
     tensor_commutator,
+    tensor_jk_rows,
 )
 from test_acceptance import budget
 
@@ -153,6 +155,36 @@ def test_degree_four_torsion():
         an = Analysis(arr)
         assert an.group(4) == AbelianGroupReport(rank4, (2,))
         assert an.group(3).torsion == ()
+
+
+def test_pappus_degree_four_torsion_in_the_tensor_algebra():
+    # an oracle with no Lyndon code: J_4 of pappus over the words of T_4,
+    # from the relators of all 18 flats.  L_4 is a direct summand of T_4,
+    # so rank over Q minus rank over F_p counts the invariant factors of
+    # h_4 divisible by p
+    arr = builtin("pappus")
+    flats = [f.members for f in compute_l2(arr)]
+    assert len(flats) == 18
+    rows = tensor_jk_rows(arr.n, flats, 4)
+    words: dict = {}
+    over_q = rank_exact([{words.setdefault(w, len(words)): c for w, c in r.items()}
+                         for r in rows])
+    over_p = {p: sparse_rank_mod_p(rows, p) for p in (2, 3, 5)}
+    assert (over_q, over_p) == (1590, {2: 1589, 3: 1590, 5: 1590})
+    h4 = Analysis(arr).group(4)
+    # witt(9, 4) = (9^4 - 9^2) / 4 = 1620 Lyndon words of length 4
+    assert h4.rank == 1620 - over_q
+    for p, r in over_p.items():
+        assert sum(t % p == 0 for t in h4.torsion) == over_q - r, p
+
+
+def test_pencil_is_free_in_every_degree():
+    # a pencil of n lines is F(n - 1) x Z: h_k is free of rank witt(n - 1, k)
+    with budget(5, "pencils of 3, 4 and 5 lines"):
+        for n, kmax in ((3, 10), (4, 8), (5, 6)):
+            an = Analysis(make_arrangement([(1, 0)] + [(i, 1) for i in range(n - 1)]))
+            for k in range(2, kmax + 1):
+                assert an.group(k) == AbelianGroupReport(witt_count(n - 1, k), ()), (n, k)
 
 
 def test_groups_match_the_raw_smith_form_on_random_draws():
