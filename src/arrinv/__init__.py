@@ -20,20 +20,21 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arrangement": ("Arrangement", "Flat2", "L2Lattice", "MultiArrangement", "SimpleGraph",
                     "arrangement_rank", "betti", "compute_l2", "graphic_arrangement",
-                    "localization", "make_arrangement", "product"),
+                    "localization", "make_arrangement", "product", "render_linear_form"),
     "catalog": ("CATALOG_NAMES", "builtin"),
     "errors": ("ArrangementError", "CatalogError", "DomainError", "HypothesisError",
                "ParseError", "RefusalError", "ResourceError"),
     "formulas": ("RankTable", "chen_lower_bound", "chen_ranks_decomposable", "clique_counts",
                  "free_chen", "graphic_lcs", "lcs_ranks_decomposable"),
-    "holonomy": ("Analysis", "holonomy_rank", "holonomy_relators", "local_h3_rank"),
+    "holonomy": ("Analysis", "holonomy_rank", "holonomy_relators", "local_h3_rank",
+                 "witt_count"),
     "jumploci": ("LinearComponent", "TorusComponent", "characteristic_components",
                  "chen_ranks_from_resonance", "resonance_components"),
-    "lyndon": ("LyndonBasis", "lyndon_basis", "lyndon_words", "witt_count"),
+    "lyndon": ("LyndonBasis", "lyndon_basis", "lyndon_words"),
     "milnor": ("MilnorReport", "local_b1_lower_bound", "milnor_b1",
                "monodromy_trivial_criterion"),
     "osalgebra": ("OSQuadraticIdeal", "falk_phi3", "i2_basis"),
-    "parsing": ("parse_arrangement", "render_linear_form"),
+    "parsing": ("parse_arrangement",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

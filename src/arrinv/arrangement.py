@@ -38,6 +38,24 @@ def _coerce_scalar(v) -> int | Fraction:
     raise DomainError("coefficients must be integers, fractions or 'p/q' strings")
 
 
+def render_linear_form(terms) -> str:
+    """Render (name, coefficient) pairs as a compact linear form."""
+    parts = []
+    for name, c in terms:
+        if not c:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        a = abs(c)
+        if a == 1:
+            body = name
+        elif a.denominator == 1:
+            body = "%d%s" % (a.numerator, name)
+        else:
+            body = "%d/%d%s" % (a.numerator, a.denominator, name)
+        parts.append(sign + body)
+    return "".join(parts) if parts else "0"
+
+
 def default_variables(d: int) -> tuple[str, ...]:
     """Coordinate names: x, y, z in low dimension, x1..xd above."""
     if d <= 3:
@@ -184,6 +202,10 @@ class L2Lattice:
 # a command asks about one arrangement and ``check`` at its default 10
 # samples about 16, so a long run keeps no more than these
 CACHE_SIZE = 16
+
+# default bound on witt(n, k), the free Lie rank, for each holonomy degree
+# k a computation needs; ``holonomy.check_words`` refuses above it
+DEFAULT_WORD_CEILING = 200_000
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -29,9 +29,9 @@ from .arrangement import (
 from .catalog import from_spec
 from .errors import HypothesisError
 from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable
-from .holonomy import Analysis
+from .holonomy import Analysis, witt_count
 from .jumploci import chen_ranks_from_resonance
-from .lyndon import lyndon_words, witt_count
+from .lyndon import lyndon_words
 from .milnor import _local_spectrum
 from .osalgebra import falk_phi3, i2_basis
 

@@ -10,21 +10,27 @@ stable:
 Every rank is computed exactly, so ``verification.modular_only`` is always
 false; the key is kept for compatibility with existing readers.
 
-A subcommand is one compute function ``(an, **options) -> (result,
+A subcommand is one compute function ``(subject, **options) -> (result,
 hypotheses)``, whose docstring is its help, registered with
-``@_command(name, *extra_options)`` as an argparse subparser.  ``an`` is
-the command's one ``holonomy.Analysis`` of its arrangement under
-``--ceiling``, so a command builds each holonomy degree and tests
-decomposability at most once; only the commands that need a holonomy
-degree take ``--ceiling``.  A command resting on the paper's hypotheses
-reports ``an.require(...)``, called after its library call, so a refusal
-comes from the library with its own advisory.  The modules every command
-needs are imported at the top; ``formulas``, ``jumploci``, ``milnor`` and
-``checks`` are imported inside the compute function that uses them, at
-call time, so a command loads only the modules it runs.  Either way a
-library function is looked up when it is called, so a tracer that
-rebinds the names of its defining module sees each call; the analysis's
-methods are not rebound, but the kernels they call are.  Parsing needs
+``@_command(name, *extra_options)`` as an argparse subparser.  Only the
+commands that need a holonomy degree take ``--ceiling``, and their
+subject ``an`` is the command's one ``holonomy.Analysis`` of its
+arrangement under it, so a command builds each holonomy degree and tests
+decomposability at most once; ``info``, ``l2`` and ``betti`` get the
+arrangement itself.  A command resting on the paper's hypotheses reports
+``an.require(...)``, called after its library call, so a refusal comes
+from the library with its own advisory.
+
+A call loads only the modules its command runs.  The top imports only
+what every command needs: the arrangement, the catalog and the errors.
+``holonomy`` is imported when a command with ``--ceiling`` builds its
+analysis, ``parsing`` only for ``--file``, and ``formulas``,
+``jumploci``, ``milnor`` and ``checks`` inside the compute function that
+uses them; so a built-in loads no parser, ``info``, ``l2`` and ``betti``
+no holonomy, and only ``check`` loads ``lyndon``.  Either way a library
+function is looked up when it is called, so a tracer that rebinds the
+names of its defining module sees each call; the analysis's methods are
+not rebound, but the kernels they call are.  Parsing needs
 nothing beyond the standard library; usage errors raise DomainError, and
 option bounds are checked once, after parsing.  A subcommand is recorded
 at import and its argparse parser built only when a call names it;
@@ -48,14 +54,11 @@ import sys
 from collections import Counter
 
 from . import __version__
-from .arrangement import (MultiArrangement, arrangement_rank, arrangement_to_json, betti,
-                          compute_l2, l2_to_json)
+from .arrangement import (DEFAULT_WORD_CEILING, MultiArrangement, arrangement_rank,
+                          arrangement_to_json, betti, compute_l2, l2_to_json)
 from .catalog import CATALOG_NAMES, from_spec
 from .errors import (CatalogError, DomainError, HypothesisError, ParseError, RefusalError,
                      ResourceError)
-from .holonomy import Analysis, local_h3_rank
-from .lyndon import DEFAULT_WORD_CEILING
-from .parsing import parse_arrangement
 
 
 def _report(arrangement, result: dict, hypotheses: dict) -> dict:
@@ -163,28 +166,36 @@ def _parser(names) -> _Parser:
 
 def _command(name: str, *extra_options):
     """Register ``compute`` as subcommand NAME, with the shared options
-    ``--file``, ``--builtin``, ``--table``/``--json``; it gets one
-    Analysis of the arrangement under ``--ceiling``, an extra option of
-    the commands that need a holonomy degree: it bounds witt(n, k) for
-    each degree k the command needs, as a contract on the input."""
+    ``--file``, ``--builtin``, ``--table``/``--json``.  A command given
+    ``--ceiling`` among its extra options needs a holonomy degree and gets
+    one Analysis of the arrangement under it (the option bounds witt(n, k)
+    for each degree k the command needs, as a contract on the input); any
+    other command gets the arrangement."""
     def register(compute):
-        def run(builtin, file, fmt, ceiling=DEFAULT_WORD_CEILING, **options):
+        def run(builtin, file, fmt, ceiling=None, **options):
             if builtin and file:
                 raise DomainError("--builtin and --file are mutually exclusive")
             if builtin:
                 arr = from_spec(builtin)
             elif file:
-                with open(file, encoding="utf-8") as fh:
+                # utf-8-sig drops a leading byte-order mark
+                with open(file, encoding="utf-8-sig") as fh:
                     try:
                         text = fh.read()
                     except UnicodeDecodeError as exc:
                         raise ParseError("syntax", "%s is not UTF-8 text: %s"
                                          % (file, exc)) from None
+                from .parsing import parse_arrangement
                 arr = parse_arrangement(text)
             else:
                 raise DomainError("one of --builtin or --file is required "
                                   "(builtins: %s)" % ", ".join(CATALOG_NAMES))
-            result, hypotheses = compute(Analysis(arr, ceiling), **options)
+            if ceiling is None:
+                subject = arr
+            else:
+                from .holonomy import Analysis
+                subject = Analysis(arr, ceiling)
+            result, hypotheses = compute(subject, **options)
             _emit(_report(arrangement_to_json(arr), result, hypotheses), fmt)
 
         options = _SOURCE_OPTIONS + _FORMAT_OPTIONS + extra_options
@@ -194,9 +205,8 @@ def _command(name: str, *extra_options):
 
 
 @_command("info")
-def info(an):
+def info(arr):
     """Basic facts: size, rank, Betti numbers, flat census."""
-    arr = an.arr
     b1, b2 = betti(arr)
     return {
         "n": arr.n,
@@ -210,15 +220,15 @@ def info(an):
 
 
 @_command("l2")
-def l2(an):
+def l2(arr):
     """Rank-2 intersection lattice with Moebius values."""
-    return l2_to_json(an.arr), {}
+    return l2_to_json(arr), {}
 
 
 @_command("betti")
-def betti_cmd(an):
+def betti_cmd(arr):
     """First and second Betti numbers of the complement."""
-    b1, b2 = betti(an.arr)
+    b1, b2 = betti(arr)
     return {"b1": b1, "b2": b2}, {}
 
 
@@ -234,6 +244,7 @@ def holonomy(an, kmax):
 @_command("decomp", _CEILING_OPTION)
 def decomp(an):
     """Decomposability over Q and Z, with degree-3 ranks and torsion."""
+    from .holonomy import local_h3_rank
     h3 = an.group(3)
     return {
         "rational": an.decomposable["rational"],

@@ -26,8 +26,7 @@ from math import comb
 from ._record import record
 from .arrangement import Arrangement, SimpleGraph, compute_l2
 from .errors import DomainError
-from .holonomy import Analysis, check_degree
-from .lyndon import divisors, number_mobius, witt_count
+from .holonomy import Analysis, check_degree, divisors, number_mobius, witt_count
 
 
 @record

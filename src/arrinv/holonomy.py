@@ -55,8 +55,11 @@ longer a cost: every entry refuses in one order before any row is built
 (`Analysis._check`): the largest degree it needs against
 `MAX_FORMULA_DEGREE` (`check_degree`, which the formulas share), then
 witt(n, k) for every degree from 2 up, smallest first, against its one
-ceiling (`lyndon.lyndon_basis` is the check), so a refusal names the
-smallest degree over the ceiling.
+ceiling, so a refusal names the smallest degree over the ceiling.
+`check_words` is the package's one check of a degree against the word
+ceiling, and `witt_count` (the necklace formula) lives here with it, so
+the holonomy path loads no Lyndon code; `lyndon.lyndon_basis` calls the
+same check.
 
 Each degree has one result, `Analysis.group(k)`: the Smith form of its
 core (`linalg.smith_diagonal`) gives both the rank phi_k and the torsion.
@@ -76,10 +79,9 @@ from itertools import combinations
 from math import comb
 
 from ._record import record
-from .arrangement import CACHE_SIZE, Arrangement, compute_l2
+from .arrangement import CACHE_SIZE, DEFAULT_WORD_CEILING, Arrangement, compute_l2
 from .errors import DomainError, HypothesisError, RefusalError, ResourceError
 from .linalg import rank, smith_diagonal, unit_pass
-from .lyndon import DEFAULT_WORD_CEILING, lyndon_basis
 
 # a row over the column numbers of a Lyndon basis, as (column, value) pairs
 Row = tuple[tuple[int, int], ...]
@@ -94,6 +96,49 @@ def check_degree(k: int) -> None:
     if k > MAX_FORMULA_DEGREE:
         raise ResourceError("degree %d exceeds %d, the largest holonomy computes"
                             % (k, MAX_FORMULA_DEGREE))
+
+
+def divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def number_mobius(n: int) -> int:
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    if n > 1:
+        out = -out
+    return out
+
+
+def witt_count(n: int, k: int) -> int:
+    """Number of Lyndon words of length k over n letters (necklace formula),
+    the rank of the degree-k free Lie algebra on n generators."""
+    if k < 1:
+        raise DomainError("degree must be positive")
+    total = sum(number_mobius(d) * n ** (k // d) for d in divisors(k))
+    return total // k
+
+
+def check_words(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> None:
+    """Refuse degree k over n generators when witt(n, k) is above ``ceiling``.
+
+    This is the package's one check of a free Lie degree against the word
+    ceiling: the analysis and ``lyndon.lyndon_basis`` both ask it, with
+    their caller's ceiling, before any work starts.
+    """
+    size = witt_count(n, k) if k >= 1 else 0
+    if size > ceiling:
+        raise ResourceError(
+            "degree-%d computation needs %d basis words, above the ceiling "
+            "of %d" % (k, size, ceiling)
+        )
 
 
 @record
@@ -161,12 +206,12 @@ class Analysis:
 
     def _check(self, kmax: int) -> None:
         """The one refusal order: ``kmax`` against the degree bound, then
-        the Lyndon basis size of every degree not yet checked against the
-        ceiling, smallest degree first, before any row is built.  No basis
-        is built: the ceiling is a contract, not a cost."""
+        witt(n, k) of every degree not yet checked against the ceiling,
+        smallest degree first, before any row is built.  No basis is
+        built: the ceiling is a contract, not a cost."""
         check_degree(kmax)
         for k in range(self._checked + 1, kmax + 1):
-            lyndon_basis(self.arr.n, k, self.ceiling)
+            check_words(self.arr.n, k, self.ceiling)
             self._checked = k
 
     def _degree(self, k: int) -> _Degree:

@@ -7,6 +7,11 @@ free Lie algebra on n generators (Lyndon basis).  ``lyndon_product``
 rewrites the bracket of two basis elements in this basis; the rewriting is
 classical: a "standard pair" is already a basis word, everything else is
 reduced by the Jacobi identity through the standard factorization.
+
+The holonomy quotient needs none of this: it bounds its degrees by
+``holonomy.check_words`` on the necklace count ``holonomy.witt_count``,
+which ``lyndon_basis`` shares and this module re-exports.  The
+cross-check suite and the tests' oracles use the basis itself.
 """
 
 from __future__ import annotations
@@ -14,12 +19,10 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from ._record import record
-from .errors import DomainError, ResourceError
+from .arrangement import DEFAULT_WORD_CEILING
+from .holonomy import check_words, witt_count  # witt_count is re-exported
 
 Word = tuple[int, ...]
-
-# Default cap on dim Lie_k(n) before a computation refuses to start.
-DEFAULT_WORD_CEILING = 200_000
 
 
 def lyndon_words(n: int, k: int) -> list[Word]:
@@ -92,33 +95,6 @@ def lyndon_product(u: Word, v: Word) -> dict[Word, int]:
     return acc
 
 
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def number_mobius(n: int) -> int:
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
-
-
-def witt_count(n: int, k: int) -> int:
-    """Number of Lyndon words of length k over n letters (necklace formula)."""
-    if k < 1:
-        raise DomainError("degree must be positive")
-    total = sum(number_mobius(d) * n ** (k // d) for d in divisors(k))
-    return total // k
-
-
 @record
 class LyndonBasis:
     """The degree-k Lyndon basis over n generators, with index lookup.
@@ -143,16 +119,7 @@ class LyndonBasis:
 
 
 def lyndon_basis(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> LyndonBasis:
-    """The degree-k Lyndon basis, refused above ``ceiling`` words.
-
-    This is the package's one check of a free Lie degree against the word
-    ceiling; every computation over the basis asks for it here, with its
-    caller's ceiling, before any work starts.
-    """
-    size = witt_count(n, k) if k >= 1 else 0
-    if size > ceiling:
-        raise ResourceError(
-            "degree-%d computation needs %d basis words, above the ceiling "
-            "of %d" % (k, size, ceiling)
-        )
+    """The degree-k Lyndon basis, refused above ``ceiling`` words by the
+    package's one check, ``holonomy.check_words``."""
+    check_words(n, k, ceiling)
     return LyndonBasis(n, k)

@@ -12,7 +12,8 @@ Two formats are accepted, distinguished by the first non-space character:
   "labels": [...]}`` with integer or "p/q" string entries; only
   ``normals`` is required, and the variables default to
   ``arrangement.default_variables``.  Given variables follow the
-  header's rule: distinct names, each a letter and optional digits.
+  header's rule: distinct names, each a letter and optional digits.  An
+  object that repeats a key is refused.
 
 Every factor must be a nonzero linear form through the origin, and no two
 factors may cut the same hyperplane; ``ParseError.kind`` says which rule
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import re
 
-from .arrangement import Arrangement, default_variables, first_duplicate
+from .arrangement import Arrangement, default_variables, first_duplicate, render_linear_form
 from .errors import ParseError
 
 _VAR_RE = re.compile(r"[A-Za-z][0-9]*\Z")
@@ -130,24 +131,6 @@ def _parse_factor(ts: _Tokens) -> tuple[dict[str, int | Fraction], int | Fractio
     raise ParseError("syntax", "unexpected token %r" % (val,))
 
 
-def render_linear_form(terms) -> str:
-    """Render (name, coefficient) pairs as a compact linear form."""
-    parts = []
-    for name, c in terms:
-        if not c:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        a = abs(c)
-        if a == 1:
-            body = name
-        elif a.denominator == 1:
-            body = "%d%s" % (a.numerator, name)
-        else:
-            body = "%d/%d%s" % (a.numerator, a.denominator, name)
-        parts.append(sign + body)
-    return "".join(parts) if parts else "0"
-
-
 def _check_variables(names: list[str], shown) -> None:
     """Refuse variable names that are repeated or not a letter and digits,
     the rule of the polynomial header and of JSON ``variables`` alike."""
@@ -244,9 +227,19 @@ def _json_entry(v) -> int | Fraction:
     raise ParseError("syntax", "entries must be integers or 'p/q' strings")
 
 
+def _unique_keys(pairs) -> dict:
+    # a JSON object that repeats a key is refused, not read as its last value
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParseError("syntax", "repeated key %r in a JSON object" % key)
+        data[key] = value
+    return data
+
+
 def _parse_json(text: str) -> Arrangement:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError("syntax", "invalid JSON: %s" % e) from None
     if not isinstance(data, dict):

@@ -197,6 +197,33 @@ def diagonal_invariant_factors(diagonal) -> list[int]:
     return factors
 
 
+# ------------------------------------------------------------- catalog
+
+# the defining polynomial of every fixed catalog entry; the catalog builds
+# them from normals, and parse_arrangement of these is its oracle
+CATALOG_POLYNOMIALS = {
+    "x3": "xyz(x+y)(x+z)(y+z)",
+    "x2": "xyz(y-z)(x-z)(x+y)(x+y-2z)",
+    "nonpappus": "xyz(x+y)(y+z)(x+3z)(x+2y+z)(x+2y+3z)(2x+3y+3z)",
+    "pappus": "[x,y,z] y(y-z)(x-y)(x+y-z)(x-3y)(x+2y-2z)(x-2y-z)(x+y-2z)(x+7y-4z)",
+}
+
+
+def braid_polynomial(n: int) -> str:
+    """(x_i+x_j)(x_i-x_j) for i < j, over x, y, z when n = 3, else x1..xn."""
+    names = ("x", "y", "z") if n == 3 else tuple("x%d" % (i + 1) for i in range(n))
+    return "".join("(%s+%s)(%s-%s)" % (names[i], names[j], names[i], names[j])
+                   for i in range(n) for j in range(i + 1, n))
+
+
+def split_solvable_polynomial(ms) -> str:
+    """z0 (z0-z_i)(z0-2z_i)...(z0-m_i z_i) for each multiplicity m_i."""
+    parts = ["z0"]
+    for i, m in enumerate(ms, start=1):
+        parts += ["(z0-%sz%d)" % ("" if q == 1 else q, i) for q in range(1, m + 1)]
+    return "".join(parts)
+
+
 # ------------------------------------------------------------- lattice
 
 def _span_rank(vectors) -> int:

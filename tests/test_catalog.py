@@ -2,8 +2,12 @@ import pytest
 
 from arrinv.arrangement import compute_l2
 from arrinv import catalog
-from arrinv.catalog import CATALOG_NAMES, MAX_GRAPHIC_LABEL, builtin, from_spec
+from arrinv.catalog import CATALOG_NAMES, MAX_GRAPHIC_LABEL, MAX_HYPERPLANES, builtin, from_spec
+from arrinv.cli import main
 from arrinv.errors import CatalogError, ResourceError
+from arrinv.parsing import parse_arrangement
+
+from oracles import CATALOG_POLYNOMIALS, braid_polynomial, split_solvable_polynomial
 
 
 def census(arr):
@@ -108,6 +112,43 @@ def test_graphic_vertex_label_is_bounded(monkeypatch):
         from_spec("graphic:0-1,1-10001")
 
 
+def test_catalog_matches_the_parser():
+    # every entry is built from normals; its polynomial, parsed, is the oracle
+    # for the normals, the labels and the variables alike
+    cases = [(name, (), poly) for name, poly in CATALOG_POLYNOMIALS.items()]
+    cases += [("braid", (n,), braid_polynomial(n)) for n in range(3, 9)]
+    cases += [("split_solvable", ms, split_solvable_polynomial(ms))
+              for ms in ((2, 3), (3, 4, 2), (2, 2, 2, 2))]
+    for name, params, poly in cases:
+        arr, want = builtin(name, params), parse_arrangement(poly)
+        assert (arr.normals, arr.labels, arr.variables, arr.ambient_dim) == (
+            want.normals, want.labels, want.variables, want.ambient_dim), (name, params)
+        assert {type(v) for row in arr.normals for v in row} == {int}
+
+
+def test_hyperplane_count_is_bounded(monkeypatch, capsys):
+    # n(n - 1) for braid, 1 + sum m for split_solvable, the edge count for
+    # graphic: each is refused from its parameters, before any normal is built
+    assert builtin("braid", (25,)).n == MAX_HYPERPLANES == 600
+    assert builtin("split_solvable", (MAX_HYPERPLANES - 1,)).n == MAX_HYPERPLANES
+
+    def no_rows(*args):
+        raise AssertionError("a normal was built before the refusal")
+
+    for builder in ("_braid", "_split_solvable", "graphic_arrangement"):
+        monkeypatch.setattr(catalog, builder, no_rows)
+    assert main(["info", "--builtin", "braid:60"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "resource ceiling: braid hyperplane count 3540 exceeds 600\n"
+    with pytest.raises(ResourceError, match="braid hyperplane count 3998000 exceeds 600"):
+        from_spec("braid:2000")
+    with pytest.raises(ResourceError, match="split_solvable hyperplane count 601 exceeds 600"):
+        builtin("split_solvable", (MAX_HYPERPLANES,))
+    edges = ",".join("%d-%d" % (a, b) for a in range(36) for b in range(a + 1, 36))
+    with pytest.raises(ResourceError, match="graphic hyperplane count 630 exceeds 600"):
+        from_spec("graphic:" + edges)
+
+
 def test_from_spec():
     arr = from_spec("graphic:0-1,1-2")
     assert arr == builtin("graphic", [(0, 1), (1, 2)])
@@ -119,7 +160,7 @@ def test_from_spec():
 
 
 def test_lookups_build_equal_arrangements():
-    # nothing is cached: each lookup parses afresh, and equal arrangements
+    # nothing is cached: each lookup builds afresh, and equal arrangements
     # share the lattice cache of compute_l2
     for name, params in (("x3", ()), ("braid", (3,))):
         a, b = builtin(name, params), builtin(name, params)

@@ -260,6 +260,17 @@ def test_file_inputs(tmp_path, capsys):
     assert out == "" and err.startswith("error: %s is not UTF-8 text" % binary)
 
 
+def test_file_input_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # the same report with and without a UTF-8 BOM, in both input formats
+    for name, text in (("x3.txt", "xyz(x+y)(x+z)(y+z)\n"),
+                       ("x3.json", json.dumps({"normals": [[1, 0], [0, 1], [1, 1]]}))):
+        plain, marked = tmp_path / name, tmp_path / ("bom-" + name)
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want = run(capsys, "l2", "--file", str(plain))
+        assert want[0] == 0 and run(capsys, "l2", "--file", str(marked)) == want
+
+
 def test_input_sources_are_exclusive(tmp_path, capsys):
     poly = tmp_path / "a.txt"
     poly.write_text("x y\n")
@@ -300,7 +311,7 @@ def test_option_bounds(capsys, argv):
     ("holonomy", "--builtin", "x3", "--max", "x"),
     ("decomp", "--builtin", "x3", "--ceil", "5000"),
     ("check", "--ceiling", "5000"),
-    # --ceiling bounds a Lyndon basis, and these commands build none
+    # --ceiling bounds witt(n, k) of a holonomy degree, and these commands need none
     ("info", "--builtin", "x3", "--ceiling", "5000"),
     ("l2", "--builtin", "x3", "--ceiling", "5000"),
     ("betti", "--builtin", "x3", "--ceiling", "5000"),

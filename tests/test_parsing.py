@@ -104,6 +104,17 @@ def test_json_errors():
     assert kind_of(json.dumps({"normals": [[1, 0]], "labels": []})) == "syntax"
 
 
+def test_json_refuses_a_repeated_key():
+    text = '{"normals": [[1, 0], [0, 1]], "normals": [[1, 1]]}'
+    with pytest.raises(ParseError, match="repeated key 'normals'") as info:
+        parse_arrangement(text)
+    assert info.value.kind == "syntax"
+    labels = '{"normals": [[1, 0], [0, 1]], "labels": ["a", "b"], "labels": ["c", "d"]}'
+    with pytest.raises(ParseError, match="repeated key 'labels'"):
+        parse_arrangement(labels)
+    assert parse_arrangement('{"normals": [[1, 0], [0, 1]]}').n == 2
+
+
 def test_json_and_polynomial_agree():
     poly = parse_arrangement("[x, y, z] x y z (x-y) (x-z) (y-z)")
     doc = {

@@ -21,14 +21,16 @@ from arrinv.cli import main
 
 SRC = str(Path(arrinv.__file__).resolve().parents[1])
 
-# arrinv modules loaded by `import arrinv.cli` and by the commands that
-# need no formula, jump-locus, Milnor or check code
+# arrinv modules loaded by `import arrinv.cli`, and all that `info`, `l2`
+# and `betti` load on a built-in: no parser, no holonomy, no Lyndon code
 CORE = {"arrinv", "arrinv._record", "arrinv.arrangement", "arrinv.catalog", "arrinv.cli",
-        "arrinv.errors", "arrinv.holonomy", "arrinv.linalg", "arrinv.lyndon",
-        "arrinv.parsing"}
+        "arrinv.errors", "arrinv.linalg"}
 # arrinv modules only some commands run
-DEFERRED = {"arrinv.checks", "arrinv.formulas", "arrinv.jumploci", "arrinv.milnor",
-            "arrinv.osalgebra"}
+DEFERRED = {"arrinv.checks", "arrinv.formulas", "arrinv.holonomy", "arrinv.jumploci",
+            "arrinv.lyndon", "arrinv.milnor", "arrinv.osalgebra", "arrinv.parsing"}
+# what each command adds to CORE on a built-in
+RUNS = {"info": set(), "l2": set(), "betti": set(), "decomp": {"arrinv.holonomy"},
+        "holonomy": {"arrinv.holonomy"}}
 
 
 def loaded_modules(code: str) -> set[str]:
@@ -37,6 +39,12 @@ def loaded_modules(code: str) -> set[str]:
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, check=True)
     return set(done.stderr.split())
+
+
+def arrinv_loaded_by(bare, argv) -> set[str]:
+    """The arrinv modules a fresh interpreter loads to run ``arr argv``."""
+    code = "from arrinv.cli import main\nassert main(%r) == 0" % (list(argv),)
+    return {m for m in loaded_modules(code) - bare if m.startswith("arrinv")}
 
 
 @pytest.fixture(scope="module")
@@ -50,18 +58,30 @@ def test_cli_import_generates_no_code_and_defers_modules(bare):
     assert {m for m in added if m.startswith("arrinv")} == CORE
 
 
-@pytest.mark.parametrize("command", ["decomp", "info", "holonomy"])
+@pytest.mark.parametrize("command", ["decomp", "info", "holonomy", "l2", "betti"])
 def test_core_commands_load_only_what_they_run(bare, command):
     code = "from arrinv.cli import main\nassert main([%r, '--builtin', 'x3']) == 0" % command
     added = loaded_modules(code) - bare
-    assert not added & ({"dataclasses", "inspect", "random"} | DEFERRED)
-    assert {m for m in added if m.startswith("arrinv")} == CORE
+    assert not added & ({"dataclasses", "inspect", "random"} | (DEFERRED - RUNS[command]))
+    assert {m for m in added if m.startswith("arrinv")} == CORE | RUNS[command]
 
 
 def test_other_commands_load_their_modules(bare):
-    code = "from arrinv.cli import main\nassert main(['lcs', '--builtin', 'x3']) == 0"
-    added = {m for m in loaded_modules(code) - bare if m.startswith("arrinv")}
-    assert added == CORE | {"arrinv.formulas"}
+    assert arrinv_loaded_by(bare, ["lcs", "--builtin", "x3"]) == CORE | {
+        "arrinv.formulas", "arrinv.holonomy"}
+    # only the cross-check suite loads the Lyndon basis code
+    assert arrinv_loaded_by(bare, ["check", "--samples", "0"]) == (
+        CORE | DEFERRED) - {"arrinv.parsing"}
+
+
+def test_only_file_input_loads_the_parser(bare, tmp_path):
+    poly = tmp_path / "x3.txt"
+    poly.write_text("xyz(x+y)(x+z)(y+z)")
+    for spec in ("braid:4", "split_solvable:2,3", "pappus", "graphic:0-1,1-2,0-2"):
+        assert "arrinv.parsing" not in arrinv_loaded_by(bare, ["info", "--builtin", spec])
+    assert arrinv_loaded_by(bare, ["info", "--file", str(poly)]) == CORE | {"arrinv.parsing"}
+    assert arrinv_loaded_by(bare, ["decomp", "--file", str(poly)]) == CORE | {
+        "arrinv.parsing", "arrinv.holonomy"}
 
 
 def test_integer_input_loads_no_fractions(bare, tmp_path):
