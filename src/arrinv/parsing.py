@@ -17,7 +17,9 @@ Two formats are accepted, distinguished by the first non-space character:
 
 Every factor must be a nonzero linear form through the origin, and no two
 factors may cut the same hyperplane; ``ParseError.kind`` says which rule
-was violated.
+was violated.  Input with more than ``MAX_HYPERPLANES`` hyperplanes, the
+catalog's bound, is refused with ``ResourceError`` before the duplicate
+test.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from __future__ import annotations
 import json
 import re
 
-from .arrangement import Arrangement, default_variables, first_duplicate, render_linear_form
-from .errors import ParseError
+from .arrangement import (MAX_HYPERPLANES, Arrangement, default_variables, first_duplicate,
+                          render_linear_form)
+from .errors import ParseError, ResourceError
 
 _VAR_RE = re.compile(r"[A-Za-z][0-9]*\Z")
 _HEADER_RE = re.compile(r"\s*\[([^\]]*)\]")
@@ -205,7 +208,11 @@ def _parse_polynomial(text: str) -> Arrangement:
 
 def _checked_arrangement(rows, labels, variables) -> Arrangement:
     # the parsers have refused every input make_arrangement would refuse
-    # except a repeated hyperplane, so the only check left is this one
+    # except a repeated hyperplane, so the only check left is this one,
+    # after the size bound the catalog has too
+    if len(rows) > MAX_HYPERPLANES:
+        raise ResourceError("input hyperplane count %d exceeds %d"
+                            % (len(rows), MAX_HYPERPLANES))
     dup = first_duplicate(rows)
     if dup is not None:
         raise ParseError("duplicate", "factors %s and %s cut the same hyperplane"

@@ -351,6 +351,65 @@ def test_calls_naming_no_command_see_every_command(capsys):
         % ", ".join("'%s'" % c for c in COMMANDS))
 
 
+def _option_items(table):
+    """(well-formed, malformed) token groups for the options of a table."""
+    good, bad = [], []
+    for flag, kwargs in table:
+        if kwargs.get("action") in ("store_const", "store_true"):
+            good.append((flag,))
+            bad += [(flag, "extra"), (flag + "=1",), (flag[:-1],)]
+            continue
+        value = "7" if kwargs.get("type") is int else "a b"
+        good += [(flag, value), (flag, "12" if kwargs.get("type") is int else "")]
+        bad += [(flag,), (flag, "-3"), (flag, "-x"), (flag, "--"), (flag + "=" + value,),
+                (flag[:-1], value), (flag, "x" if kwargs.get("type") is int else "--json")]
+    bad += [("--",), ("--help",), ("--version",), ("--bogus",), ("extra",), ("-h",)]
+    return good, bad
+
+
+def _argparse_options(parser, argv):
+    """``vars(parser.parse_args(argv))``, or None where argparse refuses."""
+    import contextlib
+    import io
+
+    from arrinv.errors import DomainError
+
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except (DomainError, SystemExit):
+        return None
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_well_formed_calls_read_as_argparse_parses_them(command):
+    # the fast reader returns argparse's own dict, or None to hand over
+    import itertools
+    import random
+
+    from arrinv import cli
+
+    parser = cli._parser([command])
+    good, bad = _option_items(cli._SUBCOMMANDS[command][2])
+    rng = random.Random(command)
+    well_formed = [()] + [pick for k in (1, 2) for pick in itertools.permutations(good, k)]
+    well_formed += [tuple(rng.choices(good, k=rng.randint(3, 2 * len(good))))
+                    for _ in range(100)]
+    for groups in well_formed:
+        argv = [command, *itertools.chain.from_iterable(groups)]
+        got, want = cli._read(argv), _argparse_options(parser, argv)
+        assert want is not None and got == want and list(got) == list(want), argv
+    for extra in bad:
+        for _ in range(8):
+            groups = rng.choice(well_formed)
+            at = rng.randint(0, len(groups))
+            argv = [command, *itertools.chain.from_iterable(groups[:at] + (extra,) + groups[at:])]
+            got = cli._read(argv)
+            assert got is None or got == _argparse_options(parser, argv), argv
+    for argv in ([], ["--help"], ["--version"], ["nope"], ["--", command], [command.upper()]):
+        assert cli._read(argv) is None
+
+
 def test_modular_flag_surfaces_in_report(capsys):
     # every rank is exact; the key stays as a constant for old readers
     doc = run_json(capsys, "holonomy", "--builtin", "nonpappus", "--max", "4")
@@ -434,6 +493,34 @@ def test_holonomy_degree_is_bounded(tmp_path, capsys, monkeypatch):
     ranks = doc["result"]["ranks"]
     assert len(ranks) == holonomy.MAX_FORMULA_DEGREE
     assert ranks["1"] == 1 and set(ranks.values()) == {0, 1}
+
+
+def test_file_input_has_the_catalog_bound(tmp_path, capsys, monkeypatch):
+    # a pencil of distinct lines x + iy in either input format: 601 lines
+    # are refused before the lattice, 600 are read
+    from arrinv import arrangement, parse_arrangement
+    from arrinv import cli as cli_module
+    from arrinv.arrangement import MAX_HYPERPLANES
+
+    def no_lattice(*args):
+        raise AssertionError("the lattice was built past the hyperplane bound")
+
+    def pencil(n):
+        return (json.dumps({"normals": [[1, i] for i in range(n)]}),
+                "[x, y] " + "".join("(x+%dy)" % i for i in range(n)))
+
+    assert MAX_HYPERPLANES == 600
+    for text in pencil(601):
+        path = tmp_path / "pencil.txt"
+        path.write_text(text)
+        with monkeypatch.context() as m:
+            m.setattr(arrangement, "compute_l2", no_lattice)
+            m.setattr(cli_module, "compute_l2", no_lattice)
+            assert main(["info", "--file", str(path)]) == 3
+        assert capsys.readouterr() == (
+            "", "resource ceiling: input hyperplane count 601 exceeds 600\n")
+    for text in pencil(600):
+        assert parse_arrangement(text).n == 600
 
 
 def _count_eliminations(monkeypatch):

@@ -22,15 +22,20 @@ from arrinv.cli import main
 SRC = str(Path(arrinv.__file__).resolve().parents[1])
 
 # arrinv modules loaded by `import arrinv.cli`, and all that `info`, `l2`
-# and `betti` load on a built-in: no parser, no holonomy, no Lyndon code
-CORE = {"arrinv", "arrinv._record", "arrinv.arrangement", "arrinv.catalog", "arrinv.cli",
-        "arrinv.errors", "arrinv.linalg"}
+# and `betti` load on a file: no catalog, no holonomy, no Lyndon code
+CORE = {"arrinv", "arrinv._record", "arrinv.arrangement", "arrinv.cli", "arrinv.errors",
+        "arrinv.linalg"}
 # arrinv modules only some commands run
-DEFERRED = {"arrinv.checks", "arrinv.formulas", "arrinv.holonomy", "arrinv.jumploci",
-            "arrinv.lyndon", "arrinv.milnor", "arrinv.osalgebra", "arrinv.parsing"}
+DEFERRED = {"arrinv.catalog", "arrinv.checks", "arrinv.formulas", "arrinv.holonomy",
+            "arrinv.jumploci", "arrinv.lyndon", "arrinv.milnor", "arrinv.osalgebra",
+            "arrinv.parsing"}
 # what each command adds to CORE on a built-in
-RUNS = {"info": set(), "l2": set(), "betti": set(), "decomp": {"arrinv.holonomy"},
-        "holonomy": {"arrinv.holonomy"}}
+RUNS = {"info": {"arrinv.catalog"}, "l2": {"arrinv.catalog"}, "betti": {"arrinv.catalog"},
+        "decomp": {"arrinv.catalog", "arrinv.holonomy"},
+        "holonomy": {"arrinv.catalog", "arrinv.holonomy"}}
+# what only help, the version and usage errors load: parsing a well-formed
+# call needs no argparse, and argparse's messages import gettext and locale
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def loaded_modules(code: str) -> set[str]:
@@ -54,7 +59,7 @@ def bare():
 
 def test_cli_import_generates_no_code_and_defers_modules(bare):
     added = loaded_modules("import arrinv.cli") - bare
-    assert not added & ({"dataclasses", "inspect"} | DEFERRED)
+    assert not added & ({"dataclasses", "inspect"} | ARGPARSE | DEFERRED)
     assert {m for m in added if m.startswith("arrinv")} == CORE
 
 
@@ -62,13 +67,14 @@ def test_cli_import_generates_no_code_and_defers_modules(bare):
 def test_core_commands_load_only_what_they_run(bare, command):
     code = "from arrinv.cli import main\nassert main([%r, '--builtin', 'x3']) == 0" % command
     added = loaded_modules(code) - bare
-    assert not added & ({"dataclasses", "inspect", "random"} | (DEFERRED - RUNS[command]))
+    assert not added & ({"dataclasses", "inspect", "random"} | ARGPARSE
+                        | (DEFERRED - RUNS[command]))
     assert {m for m in added if m.startswith("arrinv")} == CORE | RUNS[command]
 
 
 def test_other_commands_load_their_modules(bare):
     assert arrinv_loaded_by(bare, ["lcs", "--builtin", "x3"]) == CORE | {
-        "arrinv.formulas", "arrinv.holonomy"}
+        "arrinv.catalog", "arrinv.formulas", "arrinv.holonomy"}
     # only the cross-check suite loads the Lyndon basis code
     assert arrinv_loaded_by(bare, ["check", "--samples", "0"]) == (
         CORE | DEFERRED) - {"arrinv.parsing"}
@@ -79,9 +85,31 @@ def test_only_file_input_loads_the_parser(bare, tmp_path):
     poly.write_text("xyz(x+y)(x+z)(y+z)")
     for spec in ("braid:4", "split_solvable:2,3", "pappus", "graphic:0-1,1-2,0-2"):
         assert "arrinv.parsing" not in arrinv_loaded_by(bare, ["info", "--builtin", spec])
+    # and file input loads no catalog
     assert arrinv_loaded_by(bare, ["info", "--file", str(poly)]) == CORE | {"arrinv.parsing"}
     assert arrinv_loaded_by(bare, ["decomp", "--file", str(poly)]) == CORE | {
         "arrinv.parsing", "arrinv.holonomy"}
+
+
+def test_only_help_and_usage_errors_load_argparse(bare, tmp_path):
+    poly = tmp_path / "x3.txt"
+    poly.write_text("xyz(x+y)(x+z)(y+z)")
+    well_formed = [["info", "--file", str(poly), "--table"],
+                   ["l2", "--builtin", "x3", "--json"],
+                   ["holonomy", "--builtin", "x3", "--max", "3", "--ceiling", "5000"],
+                   ["decomp", "--file", str(poly)], ["lcs", "--builtin", "x3", "--max", "4"],
+                   ["chen", "--builtin", "x3"], ["resonance", "--builtin", "x3", "--depth", "2"],
+                   ["charvar", "--builtin", "x3", "--assert-separated"],
+                   ["milnor", "--builtin", "x3", "--assert-separated", "--mult", "1,1,1,1,1,2"],
+                   ["betti", "--builtin", "x3"], ["check", "--seed", "1", "--samples", "0"]]
+    code = "from arrinv.cli import main\nfor argv in %r:\n    assert main(argv) == 0" % (
+        well_formed,)
+    assert not (loaded_modules(code) - bare) & ARGPARSE
+    # help, a usage error and a spelling the table does not read go to argparse
+    for argv, status in ((["--help"], 0), (["info", "--help"], 0), (["info", "--max", "3"], 1),
+                         (["holonomy", "--builtin", "x3", "--max=3"], 0)):
+        code = "from arrinv.cli import main\nassert main(%r) == %d" % (argv, status)
+        assert "argparse" in loaded_modules(code) - bare, argv
 
 
 def test_integer_input_loads_no_fractions(bare, tmp_path):
