@@ -27,6 +27,9 @@ from .linalg import rank_exact
 
 
 def _coerce_scalar(v) -> int | Fraction:
+    # the one entry rule for normals, from the library and from JSON input
+    if isinstance(v, bool):
+        raise DomainError("boolean is not a rational entry")
     if isinstance(v, int):
         return int(v)
     # a Fraction argument has loaded the module already
@@ -34,8 +37,11 @@ def _coerce_scalar(v) -> int | Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, str):
-        return Fraction(v)
-    raise DomainError("coefficients must be integers, fractions or 'p/q' strings")
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError("bad rational entry %r" % v) from None
+    raise DomainError("entries must be integers or 'p/q' strings")
 
 
 def render_linear_form(terms) -> str:

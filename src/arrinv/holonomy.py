@@ -162,8 +162,9 @@ class _Degree:
     table: tuple[list[list[dict[int, int]]], ...]
 
 
-def _add(acc: dict[int, int], row: dict[int, int], scale: int) -> None:
-    # acc += scale * row, for a nonzero scale
+def _add(acc: dict, row: dict, scale: int) -> None:
+    # acc += scale * row, for a nonzero scale; the rows are over generator
+    # indices here and over Lyndon words in ``lyndon``
     for c, v in row.items():
         w = acc.get(c, 0) + scale * v
         if w:

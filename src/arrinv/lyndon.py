@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 from ._record import record
 from .arrangement import DEFAULT_WORD_CEILING
-from .holonomy import check_words, witt_count  # witt_count is re-exported
+from .holonomy import _add, check_words, witt_count  # witt_count is re-exported
 
 Word = tuple[int, ...]
 
@@ -66,15 +66,6 @@ def _negate(d: dict[Word, int]) -> dict[Word, int]:
     return {w: -c for w, c in d.items()}
 
 
-def _add_into(acc: dict[Word, int], d: dict[Word, int], scale: int) -> None:
-    for w, c in d.items():
-        nv = acc.get(w, 0) + scale * c
-        if nv:
-            acc[w] = nv
-        else:
-            acc.pop(w, None)
-
-
 @lru_cache(maxsize=None)
 def lyndon_product(u: Word, v: Word) -> dict[Word, int]:
     """[u, v] expanded over the Lyndon basis, for Lyndon words u and v."""
@@ -89,9 +80,9 @@ def lyndon_product(u: Word, v: Word) -> dict[Word, int]:
     # Jacobi: [[u1,u2],v] = [u1,[u2,v]] - [u2,[u1,v]]
     acc: dict[Word, int] = {}
     for w, c in lyndon_product(u2, v).items():
-        _add_into(acc, lyndon_product(u1, w), c)
+        _add(acc, lyndon_product(u1, w), c)
     for w, c in lyndon_product(u1, v).items():
-        _add_into(acc, lyndon_product(u2, w), -c)
+        _add(acc, lyndon_product(u2, w), -c)
     return acc
 
 

@@ -125,12 +125,12 @@ def milnor_b1(ma: MultiArrangement, an: Analysis, *,
                             "needs one entry per residue mod N" % (N, MAX_MILNOR_TOTAL))
     eigen = {0: arr.n - 1}
     eigen.update(_local_spectrum(ma))
-    return MilnorReport(
-        N=N,
-        b1=sum(eigen.values()),
-        eigen_multiplicities=eigen,
-        trivial_monodromy=all(eigen[j] == 0 for j in range(1, N)),
-    )
+    # under the hypotheses the local bound is b1; its terms
+    # (d - 1)(mu(X) - 1) vanish only at d = 1, since mu(X) >= 2, so the
+    # monodromy is trivial exactly when b1 = n - 1
+    b1 = local_b1_lower_bound(ma)
+    return MilnorReport(N=N, b1=b1, eigen_multiplicities=eigen,
+                        trivial_monodromy=b1 == arr.n - 1)
 
 
 def monodromy_trivial_criterion(ma: MultiArrangement, an: Analysis) -> bool:

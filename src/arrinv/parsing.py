@@ -27,9 +27,9 @@ from __future__ import annotations
 import json
 import re
 
-from .arrangement import (MAX_HYPERPLANES, Arrangement, default_variables, first_duplicate,
-                          render_linear_form)
-from .errors import ParseError, ResourceError
+from .arrangement import (MAX_HYPERPLANES, Arrangement, _coerce_scalar, default_variables,
+                          first_duplicate, render_linear_form)
+from .errors import DomainError, ParseError, ResourceError
 
 _VAR_RE = re.compile(r"[A-Za-z][0-9]*\Z")
 _HEADER_RE = re.compile(r"\s*\[([^\]]*)\]")
@@ -220,20 +220,6 @@ def _checked_arrangement(rows, labels, variables) -> Arrangement:
     return Arrangement(len(variables), tuple(rows), tuple(labels), tuple(variables))
 
 
-def _json_entry(v) -> int | Fraction:
-    if isinstance(v, bool):
-        raise ParseError("syntax", "boolean is not a rational entry")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
-        from fractions import Fraction
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError("syntax", "bad rational entry %r" % v) from None
-    raise ParseError("syntax", "entries must be integers or 'p/q' strings")
-
-
 def _unique_keys(pairs) -> dict:
     # a JSON object that repeats a key is refused, not read as its last value
     data = {}
@@ -260,7 +246,10 @@ def _parse_json(text: str) -> Arrangement:
     for row in raw:
         if not isinstance(row, list):
             raise ParseError("syntax", "each normal must be a list")
-        rows.append(tuple(_json_entry(v) for v in row))
+        try:
+            rows.append(tuple(_coerce_scalar(v) for v in row))
+        except DomainError as e:
+            raise ParseError("syntax", str(e)) from None
     width = len(rows[0])
     if any(len(r) != width for r in rows) or width == 0:
         raise ParseError("syntax", "normals must form a nonempty rectangle")

@@ -22,7 +22,7 @@ from arrinv.arrangement import (
 )
 from arrinv.catalog import builtin, from_spec
 from arrinv.checks import random_rank3_arrangement
-from arrinv.errors import DomainError
+from arrinv.errors import DomainError, ParseError
 from arrinv.parsing import parse_arrangement
 
 from oracles import brute_l2_flats, fraction_rank, sympy_rank, whitney_betti2
@@ -55,6 +55,32 @@ def test_make_arrangement_rejections():
     # the lexicographically first proportional pair is named
     with pytest.raises(DomainError, match="normals 0 and 3 define the same hyperplane"):
         make_arrangement([(1, 0), (0, 1), (0, 2), (3, 0)])
+
+
+# one entry rule: the library and the JSON reader refuse the same entries
+# with the same words
+ENTRY_REFUSALS = [
+    (True, "boolean is not a rational entry"),
+    (False, "boolean is not a rational entry"),
+    ("abc", "bad rational entry 'abc'"),
+    ("1/0", "bad rational entry '1/0'"),
+    (1.5, "entries must be integers or 'p/q' strings"),
+    (None, "entries must be integers or 'p/q' strings"),
+]
+
+
+@pytest.mark.parametrize("entry, message", ENTRY_REFUSALS)
+def test_make_arrangement_refuses_a_bad_entry(entry, message):
+    with pytest.raises(DomainError) as ei:
+        make_arrangement([(1, 0), (entry, 1)])
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("entry, message", ENTRY_REFUSALS)
+def test_json_refuses_a_bad_entry_as_syntax(entry, message):
+    with pytest.raises(ParseError) as ei:
+        parse_arrangement(json.dumps({"normals": [[1, 0], [entry, 1]]}))
+    assert (ei.value.kind, str(ei.value)) == ("syntax", message)
 
 
 def _scaled(rng, row):

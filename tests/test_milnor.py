@@ -169,6 +169,8 @@ def test_eigen_invariants():
                 assert eigen[j] == eigen[report.N - j]
             assert report.b1 >= arr.n - 1
             assert report.b1 == local_b1_lower_bound(ma)
+            assert (report.trivial_monodromy == (report.b1 == arr.n - 1)
+                    == criterion(ma))
 
 
 def test_against_per_character_oracle():
