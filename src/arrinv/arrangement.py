@@ -9,6 +9,15 @@ on the rank-2 part of the intersection lattice: the partition of the
 hyperplane pairs into maximal pencils (flats of codimension 2), each
 weighted by its Moebius value mu = (number of members) - 1.
 
+An arrangement read from outside the program, by ``make_arrangement`` or
+by either file reader in ``parsing``, passes one intake rule: at most
+``MAX_HYPERPLANES`` hyperplanes (``_check_count``, tested before any entry
+is read), then a nonempty rectangle of normals, one variable name per
+column, one label per hyperplane, no zero normal and no hyperplane listed
+twice (``_intake``).  The first rule broken is reported in the readers'
+words: ``parsing`` raises them as ``ParseError`` of the rule's kind,
+``make_arrangement`` as ``DomainError``.
+
 Lines and 2-planes spanned by normals are compared through integer keys:
 a line by its primitive integer vector (``line_key``), a 2-plane by the
 primitive vector of its 2x2 minors, its Pluecker coordinates
@@ -22,7 +31,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from ._record import record
-from .errors import DomainError
+from .errors import DomainError, ParseError, ResourceError
 from .linalg import rank_exact
 
 
@@ -91,33 +100,44 @@ class Arrangement:
         return len(self.normals)
 
 
-def make_arrangement(normals, labels=None, ambient_dim=None) -> Arrangement:
+def make_arrangement(normals, labels=None) -> Arrangement:
     """Validate and freeze an arrangement from any iterable of normals.
 
-    Rejects empty input, zero normals, ragged rows and pairs of
-    proportional normals (the same hyperplane listed twice).
+    The intake rule of the file readers (see the module docstring), with
+    their words, raised as ``DomainError``; more than ``MAX_HYPERPLANES``
+    normals raise ``ResourceError`` before any entry is read.  Labels
+    default to H0, H1, ...
     """
+    normals = list(normals)
+    _check_count("input", len(normals))
     rows = [tuple(_coerce_scalar(v) for v in row) for row in normals]
-    if not rows:
-        raise DomainError("an arrangement needs at least one hyperplane")
-    d = ambient_dim if ambient_dim is not None else len(rows[0])
-    if d < 1:
-        raise DomainError("ambient dimension must be positive")
-    for row in rows:
-        if len(row) != d:
-            raise DomainError("all normals must have length %d" % d)
+    try:
+        return _intake(rows, None if labels is None else [str(s) for s in labels])
+    except ParseError as e:
+        raise DomainError(str(e)) from None
+
+
+def _intake(rows, labels=None, variables=None) -> Arrangement:
+    # the one rule for an arrangement read from outside the program, in the
+    # file readers' kinds and words; labels default to H0, H1, ... and
+    # variables to default_variables
+    d = len(rows[0]) if rows else 0
+    if not d or any(len(r) != d for r in rows):
+        raise ParseError("syntax", "normals must form a nonempty rectangle")
+    if variables is not None and len(variables) != d:
+        raise ParseError("syntax", "'variables' must name every column")
+    if labels is None:
+        labels = ["H%d" % i for i in range(len(rows))]
+    elif len(labels) != len(rows):
+        raise ParseError("syntax", "'labels' must name every hyperplane")
+    for i, row in enumerate(rows):
         if not any(row):
-            raise DomainError("zero vector is not a hyperplane normal")
+            raise ParseError("zero_form", "normal %d is the zero vector" % i)
     dup = first_duplicate(rows)
     if dup is not None:
-        raise DomainError("normals %d and %d define the same hyperplane" % dup)
-    if labels is None:
-        labels = tuple("H%d" % i for i in range(len(rows)))
-    else:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != len(rows):
-            raise DomainError("need exactly one label per hyperplane")
-    return Arrangement(d, tuple(rows), labels, default_variables(d))
+        raise ParseError("duplicate", "factors %s and %s cut the same hyperplane"
+                         % (labels[dup[0]], labels[dup[1]]))
+    return Arrangement(d, tuple(rows), tuple(labels), tuple(variables or default_variables(d)))
 
 
 def _primitive(vec) -> tuple[int, ...]:
@@ -213,10 +233,18 @@ CACHE_SIZE = 16
 # k a computation needs; ``holonomy.check_words`` refuses above it
 DEFAULT_WORD_CEILING = 200_000
 
-# largest hyperplane count the catalog builds and the parser reads; the
-# lattice groups C(n, 2) pairs: `info` on braid:25 (600) takes about 3 s
-# and 130 MB on a 2-core Xeon host
+# largest hyperplane count the catalog builds, the readers read and
+# make_arrangement takes; the lattice groups C(n, 2) pairs: `info` on
+# braid:25 (600) takes about 3 s and 130 MB on a 2-core Xeon host
 MAX_HYPERPLANES = 600
+
+
+def _check_count(what: str, count: int, more: bool = False) -> None:
+    """The hyperplane bound: refuse ``count`` above ``MAX_HYPERPLANES``.
+    ``more`` says the input goes on past the ``count`` hyperplanes read."""
+    if count > MAX_HYPERPLANES:
+        raise ResourceError("%s hyperplane count %d%s exceeds %d"
+                            % (what, count, " or more" if more else "", MAX_HYPERPLANES))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

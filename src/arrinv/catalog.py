@@ -11,14 +11,16 @@ distinct integers 1..m; this keeps every normal rational and leaves the
 rank-2 lattice unchanged, which is all the invariants here depend on.
 
 A parametrized entry is refused with ``ResourceError`` before any normal
-is built when it would have more than ``MAX_HYPERPLANES`` hyperplanes, or
-a graphic vertex label above ``MAX_GRAPHIC_LABEL``.
+is built when it would have more than ``MAX_HYPERPLANES`` hyperplanes
+(``arrangement._check_count`` of n(n - 1) for braid:n, 1 + m1 + ... + mr
+for split_solvable and the edge count for graphic), or a graphic vertex
+label above ``MAX_GRAPHIC_LABEL``.
 """
 
 from __future__ import annotations
 
-from .arrangement import (MAX_HYPERPLANES, Arrangement, SimpleGraph, default_variables,
-                          graphic_arrangement, render_linear_form)
+from .arrangement import (MAX_HYPERPLANES, Arrangement, SimpleGraph, _check_count,
+                          default_variables, graphic_arrangement, render_linear_form)
 from .errors import CatalogError, ResourceError
 
 # largest graphic vertex label: each edge is a normal with one entry per vertex
@@ -46,13 +48,6 @@ CATALOG_NAMES = ("braid", "x3", "x2", "nonpappus", "pappus", "split_solvable", "
 def _arrangement(variables: tuple[str, ...], normals) -> Arrangement:
     labels = tuple(render_linear_form(zip(variables, row)) for row in normals)
     return Arrangement(len(variables), tuple(normals), labels, variables)
-
-
-def _check_size(name: str, count: int) -> None:
-    # count is n(n - 1) for braid:n, 1 + m1 + ... + mr for split_solvable
-    # and the edge count for graphic
-    if count > MAX_HYPERPLANES:
-        raise ResourceError("%s hyperplane count %d exceeds %d" % (name, count, MAX_HYPERPLANES))
 
 
 def _braid(n: int) -> Arrangement:
@@ -101,7 +96,7 @@ def _edge_params(params) -> SimpleGraph:
     top = max(max(e) for e in edges)
     if top > MAX_GRAPHIC_LABEL:
         raise ResourceError("graphic vertex label %d exceeds %d" % (top, MAX_GRAPHIC_LABEL))
-    _check_size("graphic", len(edges))
+    _check_count("graphic", len(edges))
     try:
         return SimpleGraph(top + 1, tuple(sorted(edges)))
     except Exception as e:
@@ -117,14 +112,14 @@ def builtin(name: str, params=()) -> Arrangement:
         if len(params) != 1 or params[0] < 3:
             raise CatalogError("braid takes one integer parameter n >= 3")
         n = params[0]
-        _check_size("braid", n * (n - 1))
+        _check_count("braid", n * (n - 1))
         return _braid(n)
     if name == "split_solvable":
         if not params or any(m < 2 for m in params):
             raise CatalogError(
                 "split_solvable takes multiplicities m1..mr, each >= 2"
             )
-        _check_size("split_solvable", 1 + sum(params))
+        _check_count("split_solvable", 1 + sum(params))
         return _split_solvable(params)
     if name in _NORMALS:
         if params:

@@ -58,9 +58,10 @@ def random_rank3_arrangement(rng: random.Random, max_n: int = 8) -> Arrangement:
             return arr
 
 
-def random_multiplicities(rng: random.Random, n: int, top: int = 4) -> tuple[int, ...]:
+def random_multiplicities(rng: random.Random, n: int) -> tuple[int, ...]:
+    """Random multiplicities in 1..4 with gcd 1."""
     while True:
-        m = tuple(rng.randrange(1, top + 1) for _ in range(n))
+        m = tuple(rng.randrange(1, 5) for _ in range(n))
         if gcd(*m) == 1:
             return m
 
@@ -90,19 +91,23 @@ def check_falk_vs_holonomy(name: str, an: Analysis) -> str | None:
     return None
 
 
-def check_lcs_formula(name: str, an: Analysis, kmax: int = 4) -> str | None:
-    table = lcs_ranks_decomposable(an, kmax)
-    ranks = an.ranks(kmax)
-    for k in range(2, kmax + 1):
+# the degree the formula checks go up to
+_KMAX = 4
+
+
+def check_lcs_formula(name: str, an: Analysis) -> str | None:
+    table = lcs_ranks_decomposable(an, _KMAX)
+    ranks = an.ranks(_KMAX)
+    for k in range(2, _KMAX + 1):
         if table[k] != ranks[k - 1]:
             return "%s k=%d: formula %d, holonomy %d" % (name, k, table[k], ranks[k - 1])
     return None
 
 
-def check_chen_consistency(name: str, an: Analysis, kmax: int = 4) -> str | None:
-    table = chen_ranks_decomposable(an, kmax)
-    dims = an.alexander_dims(kmax - 2)
-    for k in range(2, kmax + 1):
+def check_chen_consistency(name: str, an: Analysis) -> str | None:
+    table = chen_ranks_decomposable(an, _KMAX)
+    dims = an.alexander_dims(_KMAX - 2)
+    for k in range(2, _KMAX + 1):
         formula, resonance = table[k], chen_ranks_from_resonance(an, k)
         if not (formula == resonance == dims[k - 2]):
             return ("%s k=%d: formula %d, resonance %d, alexander %d"
@@ -159,9 +164,10 @@ def _per_character_spectrum(ma: MultiArrangement) -> dict[int, int]:
     return out
 
 
-def check_milnor_double_count(arrs, rng, cases: int = 8) -> CheckResult:
+def check_milnor_double_count(arrs, rng) -> CheckResult:
     names = ["x3", "nonpappus", "split_solvable:2,3"]
     pool = [(n, a) for n, a in arrs if n in names]
+    cases = 8
     for _ in range(cases):
         name, arr = pool[rng.randrange(len(pool))]
         ma = MultiArrangement(arr, random_multiplicities(rng, arr.n))
@@ -172,15 +178,15 @@ def check_milnor_double_count(arrs, rng, cases: int = 8) -> CheckResult:
     return CheckResult("milnor-double-count", True, "%d multiplicity vectors" % cases)
 
 
-def check_witt_identity(n_max: int = 6, k_max: int = 6) -> CheckResult:
-    for n in range(1, n_max + 1):
-        for k in range(1, k_max + 1):
+def check_witt_identity() -> CheckResult:
+    for n in range(1, 7):
+        for k in range(1, 7):
             total = sum(d * witt_count(n, d) for d in range(1, k + 1) if k % d == 0)
             if total != n**k:
                 return CheckResult("witt-necklace", False, "n=%d k=%d" % (n, k))
             if n <= 4 and len(lyndon_words(n, k)) != witt_count(n, k):
                 return CheckResult("witt-necklace", False, "lyndon n=%d k=%d" % (n, k))
-    return CheckResult("witt-necklace", True, "n<=%d k<=%d" % (n_max, k_max))
+    return CheckResult("witt-necklace", True, "n<=6 k<=6")
 
 
 def run_all_checks(seed: int = 0, samples: int = 10) -> list[CheckResult]:

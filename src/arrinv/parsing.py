@@ -17,9 +17,14 @@ Two formats are accepted, distinguished by the first non-space character:
 
 Every factor must be a nonzero linear form through the origin, and no two
 factors may cut the same hyperplane; ``ParseError.kind`` says which rule
-was violated.  Input with more than ``MAX_HYPERPLANES`` hyperplanes, the
-catalog's bound, is refused with ``ResourceError`` before the duplicate
-test.
+was violated.  Both readers end in ``arrangement._intake``, the intake
+rule ``make_arrangement`` applies too, so the library and the readers
+refuse the same arrangements with the same words.  The hyperplane bound,
+``MAX_HYPERPLANES`` as in the catalog, comes first and raises
+``ResourceError``: the JSON reader tests the length of ``normals`` right
+after decoding, and the polynomial reader, which tokenizes lazily, stops
+at its 601st factor.  An integer literal longer than the interpreter
+converts, or JSON nested deeper than it decodes, is a ``syntax`` error.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from __future__ import annotations
 import json
 import re
 
-from .arrangement import (MAX_HYPERPLANES, Arrangement, _coerce_scalar, default_variables,
-                          first_duplicate, render_linear_form)
-from .errors import DomainError, ParseError, ResourceError
+from .arrangement import (Arrangement, _check_count, _coerce_scalar, _intake,
+                          render_linear_form)
+from .errors import DomainError, ParseError
 
 _VAR_RE = re.compile(r"[A-Za-z][0-9]*\Z")
 _HEADER_RE = re.compile(r"\s*\[([^\]]*)\]")
@@ -39,8 +44,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    out = []
+def _tokenize(text: str):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -49,38 +53,46 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
         pos = m.end()
         kind = m.lastgroup
         if kind != "skip":
-            out.append((kind, m.group()))
-    return out
+            yield kind, m.group()
 
 
 class _Tokens:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
+    """The tokens of a text, read one ahead of the parser, so a refusal
+    leaves the rest of the text untokenized."""
+
+    def __init__(self, text):
+        self.it = _tokenize(text)
+        self.next = next(self.it, (None, None))
 
     def peek(self):
-        if self.i < len(self.toks):
-            return self.toks[self.i]
-        return None, None
+        return self.next
 
     def take(self):
-        t = self.peek()
-        self.i += 1
+        t = self.next
+        self.next = next(self.it, (None, None))
         return t
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # more digits than the interpreter converts (sys.get_int_max_str_digits)
+        raise ParseError("syntax", "integer of %d digits is too long" % len(digits)) from None
 
 
 def _parse_number(ts: _Tokens) -> int | Fraction:
     kind, val = ts.take()
     if kind != "int":
         raise ParseError("syntax", "expected an integer")
-    num = int(val)
+    num = _int(val)
     kind, val = ts.peek()
     if kind == "op" and val == "/":
         ts.take()
         kind, val = ts.take()
         if kind != "int":
             raise ParseError("syntax", "expected a denominator after '/'")
-        den = int(val)
+        den = _int(val)
         if den == 0:
             raise ParseError("syntax", "zero denominator")
         from fractions import Fraction
@@ -153,8 +165,9 @@ def _parse_polynomial(text: str) -> Arrangement:
     m = _NAME_EQ_RE.match(text)
     if m:
         text = text[m.end() :]
-    ts = _Tokens(_tokenize(text))
+    ts = _Tokens(text)
     factors: list[dict[str, int | Fraction]] = []
+    labels = []
     while ts.peek()[0] is not None:
         coeffs, const = _parse_factor(ts)
         coeffs = {k: v for k, v in coeffs.items() if v}
@@ -167,21 +180,25 @@ def _parse_polynomial(text: str) -> Arrangement:
                 msg = "factor %s is constant, not linear" % const
             raise ParseError("nonlinear", msg)
         if not coeffs:
+            # a zero form names no variable, so it may leave no column for
+            # _intake to find it in
             raise ParseError("zero_form", "a factor is identically zero")
         kind, val = ts.peek()
         power = 1
         if kind == "op" and val == "^":
             ts.take()
             kind, val = ts.take()
-            if kind != "int" or int(val) < 1:
+            power = _int(val) if kind == "int" else 0
+            if power < 1:
                 raise ParseError("syntax", "exponent must be a positive integer")
-            power = int(val)
         if power > 1:
             raise ParseError(
                 "duplicate",
                 "exponent %d repeats the hyperplane %s" % (power, label),
             )
         factors.append(coeffs)
+        labels.append(label)
+        _check_count("input", len(factors), more=ts.peek()[0] is not None)
     if not factors:
         raise ParseError("syntax", "no factors found")
     if varorder is None:
@@ -198,26 +215,8 @@ def _parse_polynomial(text: str) -> Arrangement:
                     raise ParseError(
                         "syntax", "variable %r missing from header" % name
                     )
-    rows = []
-    labels = []
-    for coeffs in factors:
-        rows.append(tuple(coeffs.get(v, 0) for v in varorder))
-        labels.append(render_linear_form(coeffs.items()))
-    return _checked_arrangement(rows, labels, varorder)
-
-
-def _checked_arrangement(rows, labels, variables) -> Arrangement:
-    # the parsers have refused every input make_arrangement would refuse
-    # except a repeated hyperplane, so the only check left is this one,
-    # after the size bound the catalog has too
-    if len(rows) > MAX_HYPERPLANES:
-        raise ResourceError("input hyperplane count %d exceeds %d"
-                            % (len(rows), MAX_HYPERPLANES))
-    dup = first_duplicate(rows)
-    if dup is not None:
-        raise ParseError("duplicate", "factors %s and %s cut the same hyperplane"
-                         % (labels[dup[0]], labels[dup[1]]))
-    return Arrangement(len(variables), tuple(rows), tuple(labels), tuple(variables))
+    rows = [tuple(coeffs.get(v, 0) for v in varorder) for coeffs in factors]
+    return _intake(rows, labels, varorder)
 
 
 def _unique_keys(pairs) -> dict:
@@ -233,15 +232,18 @@ def _unique_keys(pairs) -> dict:
 def _parse_json(text: str) -> Arrangement:
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # malformed JSON, an integer longer than the interpreter converts
+        # or nesting deeper than it decodes
         raise ParseError("syntax", "invalid JSON: %s" % e) from None
     if not isinstance(data, dict):
         raise ParseError("syntax", "top level must be a JSON object")
     if "normals" not in data:
         raise ParseError("syntax", "missing 'normals'")
     raw = data["normals"]
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(raw, list):
         raise ParseError("syntax", "'normals' must be a nonempty list of rows")
+    _check_count("input", len(raw))
     rows = []
     for row in raw:
         if not isinstance(row, list):
@@ -250,31 +252,17 @@ def _parse_json(text: str) -> Arrangement:
             rows.append(tuple(_coerce_scalar(v) for v in row))
         except DomainError as e:
             raise ParseError("syntax", str(e)) from None
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or width == 0:
-        raise ParseError("syntax", "normals must form a nonempty rectangle")
     variables = data.get("variables")
     if variables is not None:
-        if (
-            not isinstance(variables, list)
-            or len(variables) != width
-            or any(not isinstance(s, str) for s in variables)
-        ):
+        if not isinstance(variables, list) or any(not isinstance(s, str) for s in variables):
             raise ParseError("syntax", "'variables' must name every column")
         _check_variables(variables, variables)
     labels = data.get("labels")
-    if labels is not None:
-        if (
-            not isinstance(labels, list)
-            or len(labels) != len(rows)
-            or any(not isinstance(s, str) for s in labels)
-        ):
-            raise ParseError("syntax", "'labels' must name every hyperplane")
-    for i, row in enumerate(rows):
-        if not any(row):
-            raise ParseError("zero_form", "normal %d is the zero vector" % i)
-    names = labels if labels is not None else ["H%d" % i for i in range(len(rows))]
-    return _checked_arrangement(rows, names, variables or default_variables(width))
+    if labels is not None and (
+        not isinstance(labels, list) or any(not isinstance(s, str) for s in labels)
+    ):
+        raise ParseError("syntax", "'labels' must name every hyperplane")
+    return _intake(rows, labels, variables)
 
 
 def parse_arrangement(text: str) -> Arrangement:

@@ -22,7 +22,7 @@ from arrinv.arrangement import (
 )
 from arrinv.catalog import builtin, from_spec
 from arrinv.checks import random_rank3_arrangement
-from arrinv.errors import DomainError, ParseError
+from arrinv.errors import DomainError, ParseError, ResourceError
 from arrinv.parsing import parse_arrangement
 
 from oracles import brute_l2_flats, fraction_rank, sympy_rank, whitney_betti2
@@ -53,7 +53,7 @@ def test_make_arrangement_rejections():
     with pytest.raises(DomainError):
         make_arrangement([])
     # the lexicographically first proportional pair is named
-    with pytest.raises(DomainError, match="normals 0 and 3 define the same hyperplane"):
+    with pytest.raises(DomainError, match="factors H0 and H3 cut the same hyperplane"):
         make_arrangement([(1, 0), (0, 1), (0, 2), (3, 0)])
 
 
@@ -81,6 +81,35 @@ def test_json_refuses_a_bad_entry_as_syntax(entry, message):
     with pytest.raises(ParseError) as ei:
         parse_arrangement(json.dumps({"normals": [[1, 0], [entry, 1]]}))
     assert (ei.value.kind, str(ei.value)) == ("syntax", message)
+
+
+# one intake rule: the library and the JSON reader refuse the same
+# arrangements with the same words, the bound (kind None) as ResourceError
+ARRANGEMENT_REFUSALS = [
+    pytest.param([[1, 0], [1]], None, "syntax", "normals must form a nonempty rectangle",
+                 id="ragged"),
+    pytest.param([[]], None, "syntax", "normals must form a nonempty rectangle",
+                 id="zero-width"),
+    pytest.param([[1, 0], [0, 0]], None, "zero_form", "normal 1 is the zero vector",
+                 id="zero-normal"),
+    pytest.param([[1, 0], [0, 1], [0, 2], [3, 0]], None, "duplicate",
+                 "factors H0 and H3 cut the same hyperplane", id="repeated"),
+    pytest.param([[1, 0], [0, 1]], ["a"], "syntax", "'labels' must name every hyperplane",
+                 id="label-count"),
+    pytest.param([[1, i] for i in range(601)], None, None,
+                 "input hyperplane count 601 exceeds 600", id="601-normals"),
+]
+
+
+@pytest.mark.parametrize("normals, labels, kind, message", ARRANGEMENT_REFUSALS)
+def test_library_and_json_refuse_an_arrangement_alike(normals, labels, kind, message):
+    with pytest.raises(ResourceError if kind is None else DomainError) as ei:
+        make_arrangement(normals, labels)
+    assert str(ei.value) == message
+    doc = {"normals": normals} if labels is None else {"normals": normals, "labels": labels}
+    with pytest.raises(ResourceError if kind is None else ParseError) as ei:
+        parse_arrangement(json.dumps(doc))
+    assert (getattr(ei.value, "kind", None), str(ei.value)) == (kind, message)
 
 
 def _scaled(rng, row):

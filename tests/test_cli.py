@@ -523,6 +523,61 @@ def test_file_input_has_the_catalog_bound(tmp_path, capsys, monkeypatch):
         assert parse_arrangement(text).n == 600
 
 
+def test_file_input_stops_at_the_601st_factor(tmp_path, capsys, monkeypatch):
+    # a million factors: the reader labels 601 of them, refuses and does
+    # not claim a count it did not read
+    from arrinv import parsing
+
+    calls = []
+
+    def spy(terms, real=parsing.render_linear_form):
+        calls.append(terms)
+        return real(terms)
+
+    monkeypatch.setattr(parsing, "render_linear_form", spy)
+    path = tmp_path / "long.txt"
+    path.write_text("x" * 1_000_000)
+    assert main(["info", "--file", str(path)]) == 3
+    assert capsys.readouterr() == (
+        "", "resource ceiling: input hyperplane count 601 or more exceeds 600\n")
+    assert len(calls) <= 601
+
+
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGITS, reason="the interpreter converts integers of any length")
+@pytest.mark.parametrize("text", ["(%sx)" % ("1" * 5000), "x^" + "1" * 5000,
+                                  '{"normals": [[%s, 0]]}' % ("1" * 5000)],
+                         ids=["coefficient", "exponent", "json"])
+def test_file_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys, text):
+    from arrinv import ParseError, parse_arrangement
+
+    assert _DIGITS < 5000
+    path = tmp_path / "long-integer.txt"
+    path.write_text(text)
+    assert main(["info", "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "5000 digits" in err
+    with pytest.raises(ParseError) as ei:
+        parse_arrangement(text)
+    assert ei.value.kind == "syntax"
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    from arrinv import ParseError, parse_arrangement
+
+    text = '{"normals": ' + "[" * 200_000
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    assert main(["info", "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid JSON: ")
+    with pytest.raises(ParseError) as ei:
+        parse_arrangement(text)
+    assert ei.value.kind == "syntax"
+
+
 def _count_eliminations(monkeypatch):
     """Calls of the unit pass, the Smith form and the rank kernel from
     holonomy."""
