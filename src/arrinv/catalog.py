@@ -90,6 +90,8 @@ def _edge_params(params) -> SimpleGraph:
             a, b = e
         except (TypeError, ValueError):
             raise CatalogError("graphic parameters must be edge pairs") from None
+        if a == b:
+            raise CatalogError("graphic edge %r-%r is a loop" % (a, b))
         edges.append((min(a, b), max(a, b)))
     if not edges:
         raise CatalogError("graphic needs at least one edge")

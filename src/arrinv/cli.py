@@ -12,14 +12,14 @@ false; the key is kept for compatibility with existing readers.
 
 A subcommand is one compute function ``(subject, **options) -> (result,
 hypotheses)``, whose docstring is its help, registered with
-``@_command(name, *extra_options)`` with its table of argparse options.
-Only the commands that need a holonomy degree take ``--ceiling``, and their
-subject ``an`` is the command's one ``holonomy.Analysis`` of its
-arrangement under it, so a command builds each holonomy degree and tests
-decomposability at most once; ``info``, ``l2`` and ``betti`` get the
-arrangement itself.  A command resting on the paper's hypotheses reports
-``an.require(...)``, called after its library call, so a refusal comes
-from the library with its own advisory.
+``@_command(name, *extra_options)`` with the options it adds to the
+shared ones.  Only the commands that need a holonomy degree take
+``--ceiling``, and their subject ``an`` is the command's one
+``holonomy.Analysis`` of its arrangement under it, so a command builds
+each holonomy degree and tests decomposability at most once; ``info``,
+``l2`` and ``betti`` get the arrangement itself.  A command resting on
+the paper's hypotheses reports ``an.require(...)``, called after its
+library call, so a refusal comes from the library with its own advisory.
 
 A call loads only the modules its command runs.  The top imports only
 what every command needs: the arrangement and the errors.  ``catalog``
@@ -33,14 +33,10 @@ called, so a tracer that rebinds the names of its defining module sees
 each call; the analysis's methods are not rebound, but the kernels they
 call are.
 
-A well-formed call (a subcommand, then its options spelled in full, each
-value a token that does not start with ``-``) is read straight from the
-subcommand's option table, with no argparse.  Any other call goes to
-argparse, the one code that renders help, the version and usage errors,
-which raise DomainError; it builds only the parser of the subcommand a
-call names, and all of them for ``--help``, ``--version`` and a missing
-or unknown command.  Both ways give the same options, and their bounds
-are checked once, after parsing.
+One function, ``_parse``, reads every call from the option tables, and
+``--help`` renders them.  It reads a call as the standard library's
+option parser did before it, in the same words, but for a bare ``--``:
+an unknown option here, not the end of the options.
 
 ``main(argv)`` is the library entry: it returns the exit code and leaves
 the process alone.  ``entry()`` is the program, for ``python -m
@@ -55,6 +51,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from collections import Counter
 
@@ -103,71 +100,51 @@ def _maybe_int(key):
     return (0, int(key)) if str(key).lstrip("-").isdigit() else (1, str(key))
 
 
-def _int_option(flag: str, default: int, help: str, dest: str | None = None):
-    """(flag, add_argument keywords) of an integer option showing its default."""
-    return flag, dict(dest=dest or flag[2:], type=int, default=default,
-                      help=help + " (default: %(default)s)")
+# An option is (flag, dest, default, read, help): ``read`` converts the
+# text of its value, raising ValueError if it is no integer and DomainError
+# if out of range; a flag taking no value has there the value it stores,
+# and ``--help`` and ``--version`` have None for dest and read.
+_HELP = ("--help", None, None, None, "show this message and exit")
+_TOP = {"--help": _HELP, "--version": ("--version", None, None, None, "show the version and exit")}
 
 
-# (dest, option, lowest value), checked once parsing is done
-_BOUNDS = (("ceiling", "--ceiling", 1000), ("kmax", "--max", 1), ("depth", "--depth", 1),
-           ("samples", "--samples", 0))
+def _at_least(low: int):
+    """The reader of an integer option whose value is at least ``low``."""
+    def read(text):
+        value = int(text)
+        if value < low:
+            raise DomainError("must be at least %d" % low)
+        return value
+    return read
 
-_CEILING_OPTION = _int_option("--ceiling", DEFAULT_WORD_CEILING,
-                              "largest witt(n, k), the free Lie rank in degree k, "
-                              "allowed for each degree k the command needs; a "
-                              "contract on the input")
 
-_FORMAT_OPTIONS = (
-    ("--json", dict(dest="fmt", action="store_const", const="json", default="json",
-                    help="machine readable output (default)")),
-    ("--table", dict(dest="fmt", action="store_const", const="table",
-                     help="human readable output")),
-)
+def _multiplicities(text) -> tuple:
+    """The reader of ``--mult``: comma separated integers."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise DomainError("wants integers like 1,2,1") from None
 
-_SOURCE_OPTIONS = (("--file", dict(help="arrangement file (polynomial or JSON)")),
-                   ("--builtin", dict(help="catalog arrangement NAME[:params]")))
 
-_separated_option = ("--assert-separated", dict(
-    dest="separated", action="store_true",
-    help="assert the Alexander invariant is separated"))
+_CEILING_OPTION = ("--ceiling", "ceiling", DEFAULT_WORD_CEILING, _at_least(1000),
+                   "largest witt(n, k), the free Lie rank in degree k, allowed for each "
+                   "degree k the command needs; a contract on the input")
 
-# name -> (runner, help text, options) of every subcommand, in help order
+_FORMAT_OPTIONS = (("--json", "fmt", "json", "json", "machine readable output (default)"),
+                   ("--table", "fmt", "json", "table", "human readable output"))
+
+_SOURCE_OPTIONS = (("--file", "file", None, str, "arrangement file (polynomial or JSON)"),
+                   ("--builtin", "builtin", None, str, "catalog arrangement NAME[:params]"))
+
+_SEPARATED_OPTION = ("--assert-separated", "separated", False, True,
+                     "assert the Alexander invariant is separated")
+
+# name -> (runner, help text, {flag: option}) of every subcommand, in help order
 _SUBCOMMANDS: dict[str, tuple] = {}
 
 
 def _subcommand(name: str, run, doc: str, options) -> None:
-    _SUBCOMMANDS[name] = (run, doc, options)
-
-
-def _parser(names):
-    """The ``arr`` argparse parser with the subcommands ``names``: the one
-    code that renders help, the version and usage errors."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """argparse without abbreviations or ``-h``, whose usage errors raise
-        DomainError, so they exit 1 through ``main`` like every input error."""
-
-        def __init__(self, **kwargs):
-            super().__init__(add_help=False, allow_abbrev=False, **kwargs)
-            self.add_argument("--help", action="help", help="show this message and exit")
-
-        def error(self, message):
-            raise DomainError(message)
-
-    cli = _Parser(prog="arr",
-                  description="Exact invariants of central complex hyperplane arrangements.")
-    cli.add_argument("--version", action="version", version="arr, version " + __version__,
-                     help="show the version and exit")
-    subcommands = cli.add_subparsers(metavar="COMMAND", required=True)
-    for name in names:
-        run, doc, options = _SUBCOMMANDS[name]
-        parser = subcommands.add_parser(name, help=doc, description=doc)
-        for flag, kwargs in options:
-            parser.add_argument(flag, **kwargs)
-        parser.set_defaults(run=run)
-    return cli
+    _SUBCOMMANDS[name] = (run, doc, {option[0]: option for option in (_HELP, *options)})
 
 
 def _command(name: str, *extra_options):
@@ -241,7 +218,7 @@ def betti_cmd(arr):
 
 
 @_command("holonomy", _CEILING_OPTION,
-          _int_option("--max", 3, "largest LCS degree to compute", "kmax"))
+          ("--max", "kmax", 3, _at_least(1), "largest LCS degree to compute"))
 def holonomy(an, kmax):
     """Holonomy Lie algebra ranks phi_1..phi_max from the presentation."""
     ranks = an.ranks(kmax)
@@ -264,7 +241,7 @@ def decomp(an):
 
 
 @_command("lcs", _CEILING_OPTION,
-          _int_option("--max", 5, "largest LCS degree to report", "kmax"))
+          ("--max", "kmax", 5, _at_least(1), "largest LCS degree to report"))
 def lcs(an, kmax):
     """LCS ranks from the product formula (decomposable arrangements)."""
     from .formulas import lcs_ranks_decomposable
@@ -274,7 +251,7 @@ def lcs(an, kmax):
 
 
 @_command("chen", _CEILING_OPTION,
-          _int_option("--max", 4, "largest Chen degree to report", "kmax"))
+          ("--max", "kmax", 4, _at_least(1), "largest Chen degree to report"))
 def chen(an, kmax):
     """Chen ranks theta_1..theta_max (decomposable arrangements)."""
     from .formulas import chen_ranks_decomposable
@@ -295,7 +272,8 @@ def _components_json(arr, depth, comps):
     }
 
 
-@_command("resonance", _CEILING_OPTION, _int_option("--depth", 1, "resonance depth s"))
+@_command("resonance", _CEILING_OPTION,
+          ("--depth", "depth", 1, _at_least(1), "resonance depth s"))
 def resonance(an, depth):
     """Components of the depth-s resonance variety."""
     from .jumploci import resonance_components
@@ -304,7 +282,8 @@ def resonance(an, depth):
 
 
 @_command("charvar", _CEILING_OPTION,
-          _int_option("--depth", 1, "characteristic variety depth s"), _separated_option)
+          ("--depth", "depth", 1, _at_least(1), "characteristic variety depth s"),
+          _SEPARATED_OPTION)
 def charvar(an, depth, separated):
     """Subtorus components of the depth-s characteristic variety."""
     from .jumploci import characteristic_components
@@ -313,9 +292,9 @@ def charvar(an, depth, separated):
 
 
 @_command("milnor", _CEILING_OPTION,
-          ("--mult", dict(help="comma separated multiplicities, one per hyperplane "
-                               "(default: all 1)")),
-          _separated_option)
+          ("--mult", "mult", None, _multiplicities,
+           "comma separated multiplicities, one per hyperplane (default: all 1)"),
+          _SEPARATED_OPTION)
 def milnor(an, mult, separated):
     """Milnor fiber b1 and monodromy eigenvalue multiplicities."""
     from .milnor import milnor_b1
@@ -348,77 +327,96 @@ def check(seed, samples, fmt):
 
 
 _subcommand("check", check, check.__doc__, (
-    _int_option("--seed", 0, "seed for the randomized cross checks"),
-    _int_option("--samples", 10, "number of random arrangements"),
+    ("--seed", "seed", 0, int, "seed for the randomized cross checks"),
+    ("--samples", "samples", 10, _at_least(0), "number of random arrangements"),
 ) + _FORMAT_OPTIONS)
 
 
-def _read(argv) -> dict | None:
-    """``vars(parse_args(argv))`` of a well-formed call, read from its
-    subcommand's option table; None for any other call.
-
-    Well formed: argv names a subcommand, then only that subcommand's
-    options, each spelled in full; a ``store_const`` or ``store_true``
-    flag takes no value and any other option the next token, which does
-    not start with ``-`` and converts by the option's ``type``.  A later
-    repeat wins, as in argparse."""
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        return None
-    run, _, table = _SUBCOMMANDS[argv[0]]
-    actions, options = {}, {}
-    for flag, kwargs in table:
-        dest = kwargs.get("dest") or flag[2:].replace("-", "_")
-        actions[flag] = dest, kwargs
-        # options sharing a dest (--json, --table) take the first default
-        store_true = kwargs.get("action") == "store_true"
-        options.setdefault(dest, kwargs.get("default", False if store_true else None))
-    options["run"] = run
-    tokens = iter(argv[1:])
-    for token in tokens:
-        if token not in actions:
-            return None
-        dest, kwargs = actions[token]
-        action = kwargs.get("action")
-        if action == "store_true":
-            value = True
-        elif action == "store_const":
-            value = kwargs["const"]
-        else:
-            value = next(tokens, "-")  # a missing value reads as dash-led
-            if value.startswith("-"):
-                return None
-            if "type" in kwargs:
-                try:
-                    value = kwargs["type"](value)
-                except (TypeError, ValueError):
-                    return None
-        options[dest] = value
-    return options
+def _is_value(token: str, table: dict) -> bool:
+    """Whether ``token`` is a value where ``table`` holds the options: it
+    does not start with a dash, or is a lone dash, a negative number or has
+    a space, and is no option, bare or before ``=``."""
+    return token.partition("=")[0] not in table and (
+        token[:1] != "-" or token == "-" or " " in token
+        or re.match(r"^-\d+$|^-\d*\.\d+$", token) is not None)
 
 
 def _parse(argv) -> tuple:
-    """The subcommand's runner and its options, bounds checked.
+    """The runner of a call and its options, read from the option tables.
 
-    A well-formed call is read by ``_read`` from its option table, with no
-    argparse.  Any other call goes to argparse, which renders every help,
-    version and usage error: a call naming a subcommand builds only that
-    subcommand's parser, and the rest (``--help``, ``--version``, no or
-    an unknown command) build them all, so their help and their list of
-    choices are complete."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    options = _read(argv)
-    if options is None:
-        names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
-        options = vars(_parser(names).parse_args(argv))
-    for dest, flag, low in _BOUNDS:
-        if options.get(dest, low) < low:
-            raise DomainError("%s must be at least %d" % (flag, low))
-    if options.get("mult") is not None:
+    Tokens are read in order: ``--help`` and ``--version`` answer at once,
+    and a missing value, a value given to a flag or one that is no integer
+    is refused where it stands; then tokens no option took are refused,
+    and last a kept value out of range, in table order.  A later repeat
+    wins."""
+    name, table, options, out_of_range, extras = None, _TOP, {}, {}, []
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        if _is_value(token, table):
+            if name is not None:
+                extras.append(token)
+                continue
+            if token not in _SUBCOMMANDS:
+                raise DomainError("argument COMMAND: invalid choice: %r (choose from %s)"
+                                  % (token, ", ".join(map(repr, _SUBCOMMANDS))))
+            name, (run, _, table) = token, _SUBCOMMANDS[token]
+            options = {dest: default for _, dest, default, _, _ in table.values() if dest}
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in table:
+            extras.append(token)
+            continue
+        _, dest, _, read, _ = table[flag]
+        if not callable(read):  # a flag, which takes no value
+            if eq:
+                raise DomainError("argument %s: ignored explicit argument %r" % (flag, text))
+            if dest is None:  # --help or --version
+                text = _help(name) if flag == "--help" else "arr, version %s\n" % __version__
+                return (lambda: print(text, end="")), {}
+            options[dest] = read
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or not _is_value(text, table):
+                raise DomainError("argument %s: expected one argument" % flag)
         try:
-            options["mult"] = tuple(int(p) for p in options["mult"].split(","))
+            options[dest] = read(text)
+            out_of_range.pop(dest, None)
         except ValueError:
-            raise DomainError("--mult wants integers like 1,2,1") from None
-    return options.pop("run"), options
+            raise DomainError("argument %s: invalid int value: %r" % (flag, text)) from None
+        except DomainError as exc:  # refused only if no later repeat replaces it
+            out_of_range[dest] = "%s %s" % (flag, exc)
+    if name is None:
+        raise DomainError("the following arguments are required: COMMAND")
+    if extras:
+        raise DomainError("unrecognized arguments: " + " ".join(extras))
+    for dest in options:
+        if dest in out_of_range:
+            raise DomainError(out_of_range[dest])
+    return run, options
+
+
+def _help(name) -> str:
+    """The help of ``arr``, or of its subcommand ``name``, from the tables."""
+    import textwrap
+    if name is None:
+        table, width = _TOP, max(map(len, _SUBCOMMANDS)) + 2
+        lines = ["usage: arr [--help] [--version] COMMAND ...", "",
+                 "Exact invariants of central complex hyperplane arrangements.", "", "commands:",
+                 *("    %-*s%s" % (width, c, sub[1]) for c, sub in _SUBCOMMANDS.items()), ""]
+    else:
+        _, doc, table = _SUBCOMMANDS[name]
+        lines = ["usage: arr %s [options]" % name, "", doc, ""]
+    spelled = [flag + (" " + flag[2:].upper() if callable(read) else "")
+               for flag, _, _, read, _ in table.values()]
+    width = max(map(len, spelled)) + 4
+    lines.append("options:")
+    for head, (_, _, default, _, text) in zip(spelled, table.values()):
+        if type(default) is int:
+            text += " (default: %d)" % default
+        lines.append(textwrap.fill(text, 78, initial_indent=("  " + head).ljust(width),
+                                   subsequent_indent=" " * width))
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

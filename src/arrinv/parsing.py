@@ -146,13 +146,14 @@ def _parse_factor(ts: _Tokens) -> tuple[dict[str, int | Fraction], int | Fractio
     raise ParseError("syntax", "unexpected token %r" % (val,))
 
 
-def _check_variables(names: list[str], shown) -> None:
+def _check_variables(names: list[str], where: str, bad: str) -> None:
     """Refuse variable names that are repeated or not a letter and digits,
-    the rule of the polynomial header and of JSON ``variables`` alike."""
-    if not names or any(not _VAR_RE.match(s) for s in names):
-        raise ParseError("syntax", "bad variable header %r" % (shown,))
+    the rule of the polynomial header and of JSON ``variables`` alike;
+    ``where`` names the list and ``bad`` is the message for a bad name."""
+    if any(not _VAR_RE.match(s) for s in names):
+        raise ParseError("syntax", bad)
     if len(set(names)) != len(names):
-        raise ParseError("syntax", "repeated variable in header")
+        raise ParseError("syntax", "repeated variable in " + where)
 
 
 def _parse_polynomial(text: str) -> Arrangement:
@@ -160,7 +161,7 @@ def _parse_polynomial(text: str) -> Arrangement:
     m = _HEADER_RE.match(text)
     if m:
         varorder = [s.strip() for s in m.group(1).split(",")]
-        _check_variables(varorder, m.group(0))
+        _check_variables(varorder, "header", "bad variable header %r" % m.group(0))
         text = text[m.end() :]
     m = _NAME_EQ_RE.match(text)
     if m:
@@ -254,9 +255,11 @@ def _parse_json(text: str) -> Arrangement:
             raise ParseError("syntax", str(e)) from None
     variables = data.get("variables")
     if variables is not None:
-        if not isinstance(variables, list) or any(not isinstance(s, str) for s in variables):
+        if (not isinstance(variables, list) or not variables
+                or any(not isinstance(s, str) for s in variables)):
             raise ParseError("syntax", "'variables' must name every column")
-        _check_variables(variables, variables)
+        _check_variables(variables, "'variables'",
+                         "bad variable name in 'variables': %r" % (variables,))
     labels = data.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or any(not isinstance(s, str) for s in labels)

@@ -95,8 +95,11 @@ def test_graphic_params():
         builtin("graphic", ())
     with pytest.raises(CatalogError):
         builtin("graphic", (3,))
-    with pytest.raises(CatalogError):
+    # a loop is named as such, though other pairs are sorted for the caller
+    with pytest.raises(CatalogError, match="^graphic edge 0-0 is a loop$"):
         builtin("graphic", ((0, 0),))
+    with pytest.raises(CatalogError, match="^graphic edge 2-2 is a loop$"):
+        from_spec("graphic:0-1,2-2")
 
 
 def test_graphic_vertex_label_is_bounded(monkeypatch):

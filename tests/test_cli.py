@@ -178,6 +178,8 @@ def test_exit_code_usage(capsys):
     assert rc == 1
     rc, _ = run(capsys, "betti", "--builtin", "braid:2")
     assert rc == 1
+    assert main(["holonomy", "--builtin", "graphic:0-0"]) == 1
+    assert capsys.readouterr().err == "error: graphic edge 0-0 is a loop\n"
     rc, _ = run(capsys, "no_such_command")
     assert rc == 1
     rc, _ = run(capsys, "betti")
@@ -245,9 +247,10 @@ def test_file_inputs(tmp_path, capsys):
     bad.write_text("x (x + 1)\n")
     rc, _ = run(capsys, "betti", "--file", str(bad))
     assert rc == 1
-    # JSON variables obey the polynomial header's naming rule
-    for names, message in ((["x", "x"], "repeated variable in header"),
-                           (["1", ""], "bad variable header ['1', '']")):
+    # JSON variables obey the polynomial header's naming rule, in JSON words
+    for names, message in ((["x", "x"], "repeated variable in 'variables'"),
+                           (["1", ""], "bad variable name in 'variables': ['1', '']"),
+                           ([], "'variables' must name every column")):
         blob.write_text(json.dumps({"variables": names, "normals": [[1, 0], [0, 1], [1, 1]]}))
         assert main(["info", "--file", str(blob)]) == 1
         out, err = capsys.readouterr()
@@ -330,16 +333,23 @@ def test_usage_errors(capsys, argv):
 @pytest.mark.parametrize("command", [()] + [(c[0],) for c in ARRANGEMENT_COMMANDS]
                          + [("check",)], ids=lambda c: c[0] if c else "arr")
 def test_help(capsys, command):
+    from arrinv import cli
+
     rc, out = run(capsys, *command, "--help")
     assert rc == 0
     assert out.startswith("usage: arr")
+    # rendered from the option table, with each integer default
+    table = cli._SUBCOMMANDS[command[0]][2] if command else cli._TOP
+    for flag, _, default, _, _ in table.values():
+        assert "\n  " + flag in out
+        assert type(default) is not int or "(default: %d)" % default in out
 
 
 COMMANDS = tuple(c[0] for c in ARRANGEMENT_COMMANDS) + ("check",)
 
 
 def test_calls_naming_no_command_see_every_command(capsys):
-    # a call naming a command builds only that parser; the rest build all
+    # the help lists every command, and an unknown one is refused naming all
     rc, out = run(capsys, "--help")
     assert rc == 0
     listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")
@@ -352,62 +362,152 @@ def test_calls_naming_no_command_see_every_command(capsys):
 
 
 def _option_items(table):
-    """(well-formed, malformed) token groups for the options of a table."""
-    good, bad = [], []
-    for flag, kwargs in table:
-        if kwargs.get("action") in ("store_const", "store_true"):
-            good.append((flag,))
-            bad += [(flag, "extra"), (flag + "=1",), (flag[:-1],)]
+    """(well-formed, odd) token groups for the options of a table."""
+    good, odd = [], []
+    for flag, dest, default, read, _ in table.values():
+        if dest is None:  # --help
             continue
-        value = "7" if kwargs.get("type") is int else "a b"
-        good += [(flag, value), (flag, "12" if kwargs.get("type") is int else "")]
-        bad += [(flag,), (flag, "-3"), (flag, "-x"), (flag, "--"), (flag + "=" + value,),
-                (flag[:-1], value), (flag, "x" if kwargs.get("type") is int else "--json")]
-    bad += [("--",), ("--help",), ("--version",), ("--bogus",), ("extra",), ("-h",)]
-    return good, bad
+        if not callable(read):  # a flag, which takes no value
+            good.append((flag,))
+            odd += [(flag, "extra"), (flag + "=1",), (flag + "=",), (flag + "=a b",), (flag[:-1],)]
+            continue
+        good += [(flag, "1000"), (flag + "=5000",)]
+        odd += [(flag,), (flag, "-3"), (flag, "-x"), (flag, "-1.5"), (flag, "-a b"), (flag, "a b"),
+                (flag, ""), (flag, "0"), (flag, "x"), (flag + "=-3",), (flag + "=a b",),
+                (flag + "=--json",), (flag[:-1], "7"), (flag, "--json"), (flag, "--help")]
+    odd += [("--help",), ("--version",), ("--bogus",), ("--bogus", "--help"), ("--help=x",),
+            ("extra",), ("-h",), ("-",), ("-3",)]
+    return good, odd
 
 
-def _argparse_options(parser, argv):
-    """``vars(parser.parse_args(argv))``, or None where argparse refuses."""
+def _reference_parser():
+    """``arr`` as argparse builds it from the option tables, with no
+    abbreviations and its usage errors raised: the reference for how the
+    reader reads a call."""
+    import argparse
+
+    from arrinv import DomainError, __version__, cli
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+
+        def error(self, message):
+            raise DomainError(message)
+
+    top = Parser(prog="arr")
+    top.add_argument("--help", action="help")
+    top.add_argument("--version", action="version", version="arr, version " + __version__)
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    for name, (run, _, table) in cli._SUBCOMMANDS.items():
+        parser = commands.add_parser(name)
+        for flag, dest, default, read, _ in table.values():
+            if dest is None:
+                parser.add_argument(flag, action="help")
+            elif callable(read):
+                parser.add_argument(flag, dest=dest, default=default,
+                                    type=int if type(default) is int else str)
+            else:
+                parser.add_argument(flag, dest=dest, default=default, action="store_const",
+                                    const=read)
+        parser.set_defaults(run=run)
+    return top
+
+
+def _printed(text):
+    """A printed outcome: the help's usage line up to its first option, or the version."""
+    return "print", text.split(" [")[0] if text.startswith("usage: ") else text
+
+
+def _argparse_outcome(parser, argv):
+    """("options", runner, option items), ("print", ...) or ("refused", message)
+    of the reference; a value out of range, or a bad --mult, is refused after
+    parsing, on the value kept."""
     import contextlib
     import io
 
-    from arrinv.errors import DomainError
+    from arrinv import DomainError, cli
+
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            options = vars(parser.parse_args(argv))
+    except SystemExit:
+        return _printed(out.getvalue())
+    except DomainError as exc:
+        return "refused", str(exc)
+    run = options.pop("run")
+    table = next(sub[2] for sub in cli._SUBCOMMANDS.values() if sub[0] is run)
+    for flag, dest, _, read, _ in table.values():
+        if callable(read) and options[dest] is not None:
+            try:
+                options[dest] = read(str(options[dest]))
+            except DomainError as exc:
+                return "refused", "%s %s" % (flag, exc)
+    return "options", run, list(options.items())
+
+
+def _reader_outcome(argv):
+    """The outcome of ``argv`` through the reader, in the reference's terms."""
+    import contextlib
+    import io
+
+    from arrinv import DomainError, cli
 
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            return vars(parser.parse_args(argv))
-    except (DomainError, SystemExit):
-        return None
+        run, options = cli._parse(argv)
+    except DomainError as exc:
+        return "refused", str(exc)
+    if any(sub[0] is run for sub in cli._SUBCOMMANDS.values()):
+        return "options", run, list(options.items())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run(**options)
+    return _printed(out.getvalue())
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_well_formed_calls_read_as_argparse_parses_them(command):
-    # the fast reader returns argparse's own dict, or None to hand over
+    # the reader gives argparse's options, in its order, or prints the same
+    # help or version, or refuses in the same words; on well-formed calls,
+    # on each with one odd token put in and on calls naming no command
     import itertools
     import random
 
     from arrinv import cli
 
-    parser = cli._parser([command])
-    good, bad = _option_items(cli._SUBCOMMANDS[command][2])
+    parser = _reference_parser()
+    good, odd = _option_items(cli._SUBCOMMANDS[command][2])
     rng = random.Random(command)
     well_formed = [()] + [pick for k in (1, 2) for pick in itertools.permutations(good, k)]
     well_formed += [tuple(rng.choices(good, k=rng.randint(3, 2 * len(good))))
                     for _ in range(100)]
     for groups in well_formed:
         argv = [command, *itertools.chain.from_iterable(groups)]
-        got, want = cli._read(argv), _argparse_options(parser, argv)
-        assert want is not None and got == want and list(got) == list(want), argv
-    for extra in bad:
+        want = _argparse_outcome(parser, argv)
+        assert want[0] == "options" and _reader_outcome(argv) == want, argv
+    for extra in odd:
         for _ in range(8):
             groups = rng.choice(well_formed)
             at = rng.randint(0, len(groups))
             argv = [command, *itertools.chain.from_iterable(groups[:at] + (extra,) + groups[at:])]
-            got = cli._read(argv)
-            assert got is None or got == _argparse_options(parser, argv), argv
-    for argv in ([], ["--help"], ["--version"], ["nope"], ["--", command], [command.upper()]):
-        assert cli._read(argv) is None
+            assert _reader_outcome(argv) == _argparse_outcome(parser, argv), argv
+    for argv in ([], ["--help"], ["--version"], ["nope"], ["--bogus"], ["--bogus", command],
+                 ["--help=x"], ["--version", "--help"], ["-3"], [command.upper()],
+                 ["--bogus", command, "--help"], ["--bogus", command, "--max", "x"]):
+        assert _reader_outcome(argv) == _argparse_outcome(parser, argv), argv
+
+
+def test_a_bare_double_dash_is_an_unknown_option(capsys):
+    # the one reading argparse does not share: there `--` ends the options,
+    # in ways that differ between Python versions
+    for argv, message in ((["info", "--builtin", "x3", "--"], "unrecognized arguments: --"),
+                          (["info", "--", "--builtin", "x3"], "unrecognized arguments: --"),
+                          (["--", "info"], "unrecognized arguments: --"),
+                          (["holonomy", "--builtin", "x3", "--max", "--", "3"],
+                           "argument --max: expected one argument")):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
 
 
 def test_modular_flag_surfaces_in_report(capsys):

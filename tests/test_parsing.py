@@ -151,14 +151,20 @@ def test_variables_name_the_columns_of_the_normals():
 
 def test_json_variables_follow_the_header_rule():
     # repeated names and names that are not a letter and digits are refused
-    # as in a polynomial header, with its messages
+    # as in a polynomial header, in messages naming 'variables'
     normals = [[1, 0], [0, 1], [1, 1]]
-    for names, message in ((["x", "x"], "repeated variable in header"),
-                           (["1", ""], "bad variable header ['1', '']")):
+    for names, message in ((["x", "x"], "repeated variable in 'variables'"),
+                           (["1", ""], "bad variable name in 'variables': ['1', '']"),
+                           ([], "'variables' must name every column")):
         with pytest.raises(ParseError) as ei:
             parse_arrangement(json.dumps({"variables": names, "normals": normals}))
         assert (ei.value.kind, str(ei.value)) == ("syntax", message)
-    with pytest.raises(ParseError, match="repeated variable in header"):
-        parse_arrangement("[x,x] x")
+    # the polynomial header keeps its words
+    for text, message in (("[x,x] x", "repeated variable in header"),
+                          ("[1, x] x", "bad variable header '[1, x]'"),
+                          ("[] x", "bad variable header '[]'")):
+        with pytest.raises(ParseError) as ei:
+            parse_arrangement(text)
+        assert str(ei.value) == message
     assert parse_arrangement(json.dumps({"variables": ["a1", "b"], "normals": normals})
                              ).variables == ("a1", "b")

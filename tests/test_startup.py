@@ -33,8 +33,8 @@ DEFERRED = {"arrinv.catalog", "arrinv.checks", "arrinv.formulas", "arrinv.holono
 RUNS = {"info": {"arrinv.catalog"}, "l2": {"arrinv.catalog"}, "betti": {"arrinv.catalog"},
         "decomp": {"arrinv.catalog", "arrinv.holonomy"},
         "holonomy": {"arrinv.catalog", "arrinv.holonomy"}}
-# what only help, the version and usage errors load: parsing a well-formed
-# call needs no argparse, and argparse's messages import gettext and locale
+# what no call loads: the option tables read every call, and argparse's
+# messages would import gettext and locale
 ARGPARSE = {"argparse", "gettext", "locale"}
 
 
@@ -91,25 +91,25 @@ def test_only_file_input_loads_the_parser(bare, tmp_path):
         "arrinv.parsing", "arrinv.holonomy"}
 
 
-def test_only_help_and_usage_errors_load_argparse(bare, tmp_path):
+def test_no_call_loads_argparse(bare, tmp_path):
     poly = tmp_path / "x3.txt"
     poly.write_text("xyz(x+y)(x+z)(y+z)")
-    well_formed = [["info", "--file", str(poly), "--table"],
-                   ["l2", "--builtin", "x3", "--json"],
-                   ["holonomy", "--builtin", "x3", "--max", "3", "--ceiling", "5000"],
-                   ["decomp", "--file", str(poly)], ["lcs", "--builtin", "x3", "--max", "4"],
-                   ["chen", "--builtin", "x3"], ["resonance", "--builtin", "x3", "--depth", "2"],
-                   ["charvar", "--builtin", "x3", "--assert-separated"],
-                   ["milnor", "--builtin", "x3", "--assert-separated", "--mult", "1,1,1,1,1,2"],
-                   ["betti", "--builtin", "x3"], ["check", "--seed", "1", "--samples", "0"]]
-    code = "from arrinv.cli import main\nfor argv in %r:\n    assert main(argv) == 0" % (
-        well_formed,)
+    calls = [(["info", "--file", str(poly), "--table"], 0),
+             (["l2", "--builtin", "x3", "--json"], 0),
+             (["holonomy", "--builtin", "x3", "--max", "3", "--ceiling", "5000"], 0),
+             (["decomp", "--file", str(poly)], 0), (["lcs", "--builtin", "x3", "--max", "4"], 0),
+             (["chen", "--builtin", "x3"], 0),
+             (["resonance", "--builtin", "x3", "--depth", "2"], 0),
+             (["charvar", "--builtin", "x3", "--assert-separated"], 0),
+             (["milnor", "--builtin", "x3", "--assert-separated", "--mult", "1,1,1,1,1,2"], 0),
+             (["betti", "--builtin", "x3"], 0), (["check", "--seed", "-1", "--samples", "0"], 0),
+             (["holonomy", "--builtin", "x3", "--max=3"], 0),
+             # help, the version and usage errors
+             (["--help"], 0), (["info", "--help"], 0), (["--version"], 0),
+             (["info", "--max", "3"], 1), (["holonomy", "--max", "x"], 1), ([], 1), (["nope"], 1)]
+    code = "from arrinv.cli import main\nfor argv, status in %r:\n    assert main(argv) == status"
+    code %= (calls,)
     assert not (loaded_modules(code) - bare) & ARGPARSE
-    # help, a usage error and a spelling the table does not read go to argparse
-    for argv, status in ((["--help"], 0), (["info", "--help"], 0), (["info", "--max", "3"], 1),
-                         (["holonomy", "--builtin", "x3", "--max=3"], 0)):
-        code = "from arrinv.cli import main\nassert main(%r) == %d" % (argv, status)
-        assert "argparse" in loaded_modules(code) - bare, argv
 
 
 def test_integer_input_loads_no_fractions(bare, tmp_path):
