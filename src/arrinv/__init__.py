@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arrangement": ("Arrangement", "Flat2", "L2Lattice", "MultiArrangement", "SimpleGraph",
                     "arrangement_rank", "betti", "compute_l2", "graphic_arrangement",
-                    "localization", "make_arrangement", "product", "render_linear_form"),
+                    "make_arrangement", "render_linear_form"),
     "catalog": ("CATALOG_NAMES", "builtin"),
     "errors": ("ArrangementError", "CatalogError", "DomainError", "HypothesisError",
                "ParseError", "RefusalError", "ResourceError"),

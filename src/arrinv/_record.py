@@ -4,9 +4,9 @@
 value type with the behavior of ``dataclass(frozen=True)`` that this
 package relies on:
 
-- ``__init__`` takes the fields positionally or by keyword, in
-  annotation order; a field assigned in the class body is optional with
-  that default.  It then calls ``__post_init__`` if the class has one.
+- ``__init__`` takes every field, positionally or by keyword, in
+  annotation order; fields have no defaults.  It then calls
+  ``__post_init__`` if the class has one.
 - ``__eq__`` and ``__hash__`` work over the tuple of field values.
   Instances of different classes are never equal.
 - ``__repr__`` prints ``Name(field=value, ...)``.
@@ -24,7 +24,6 @@ from __future__ import annotations
 def record(cls):
     """Turn ``cls`` into a frozen record over its annotated fields."""
     fields = tuple(cls.__dict__.get("__annotations__", {}))
-    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
     post_init = cls.__dict__.get("__post_init__")
     name = cls.__qualname__
 
@@ -40,12 +39,9 @@ def record(cls):
         d.update(zip(fields, args))
         if kwargs or len(args) < len(fields):
             for f in fields[len(args):]:
-                if f in kwargs:
-                    d[f] = kwargs.pop(f)
-                elif f in defaults:
-                    d[f] = defaults[f]
-                else:
+                if f not in kwargs:
                     raise TypeError("%s() missing required argument %r" % (name, f))
+                d[f] = kwargs.pop(f)
             if kwargs:
                 f = next(iter(kwargs))
                 raise TypeError("%s() got %s argument %r" % (

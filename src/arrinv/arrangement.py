@@ -284,36 +284,6 @@ def betti(arr: Arrangement) -> tuple[int, int]:
     return arr.n, sum(f.mobius for f in compute_l2(arr))
 
 
-def product(a: Arrangement, b: Arrangement) -> Arrangement:
-    """Product arrangement in the direct sum of the two ambient spaces."""
-    da, db = a.ambient_dim, b.ambient_dim
-    zero_a = (0,) * da
-    zero_b = (0,) * db
-    normals = [row + zero_b for row in a.normals]
-    normals += [zero_a + row for row in b.normals]
-    labels = tuple(s + "'" for s in a.labels) + tuple(s + "''" for s in b.labels)
-    variables = tuple(s + "'" for s in a.variables) + tuple(s + "''" for s in b.variables)
-    return Arrangement(da + db, tuple(normals), labels, variables)
-
-
-def localization(arr: Arrangement, f) -> Arrangement:
-    """Sub-arrangement of the hyperplanes of one rank-2 flat.
-
-    ``f`` may be a Flat2 or a bare member tuple; it must belong to the
-    rank-2 lattice of ``arr``.
-    """
-    members = f.members if isinstance(f, Flat2) else tuple(f)
-    key = tuple(sorted(members))
-    if key not in {g.members for g in compute_l2(arr)}:
-        raise DomainError("%r is not a rank-2 flat of this arrangement" % (key,))
-    return Arrangement(
-        arr.ambient_dim,
-        tuple(arr.normals[i] for i in key),
-        tuple(arr.labels[i] for i in key),
-        arr.variables,
-    )
-
-
 @record
 class SimpleGraph:
     """A simple graph on vertices 0..v-1, edges as sorted pairs."""

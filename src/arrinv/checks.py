@@ -149,10 +149,10 @@ def _run_sample_checks(arrs) -> list[CheckResult]:
             for n, unit, _, _ in _SAMPLE_CHECKS]
 
 
-def _per_character_spectrum(ma: MultiArrangement) -> dict[int, int]:
+def _per_character_spectrum(ma: MultiArrangement) -> list[int]:
     # independent route: test every residue against every flat directly
     arr, m, total = ma.arrangement, ma.multiplicities, ma.total
-    out = {j: 0 for j in range(1, total)}
+    out = [0] * total
     for j in range(1, total):
         for f in compute_l2(arr).multiple_flats():
             members = set(f.members)

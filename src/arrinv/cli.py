@@ -305,7 +305,7 @@ def milnor(an, mult, separated):
         "multiplicities": list(m),
         "b1": report.b1,
         "eigen_multiplicities": {
-            str(j): v for j, v in report.eigen_multiplicities.items()
+            str(j): v for j, v in enumerate(report.eigen_multiplicities)
         },
         "trivial_monodromy": report.trivial_monodromy,
     }, an.require(separated))

@@ -75,7 +75,6 @@ checked and refused, and it returns the hypotheses a report prints.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import comb
 
 from ._record import record
@@ -83,8 +82,9 @@ from .arrangement import CACHE_SIZE, DEFAULT_WORD_CEILING, Arrangement, compute_
 from .errors import DomainError, HypothesisError, RefusalError, ResourceError
 from .linalg import rank, smith_diagonal, unit_pass
 
-# a row over the column numbers of a Lyndon basis, as (column, value) pairs
-Row = tuple[tuple[int, int], ...]
+# a degree-2 relator over the Lyndon words (a, b), a < b, as (word, value)
+# pairs sorted by word
+Row = tuple[tuple[tuple[int, int], int], ...]
 
 # largest degree the quotient builds and the decomposable LCS and Chen
 # formulas report; past it they raise ResourceError
@@ -176,12 +176,11 @@ def _add(acc: dict, row: dict, scale: int) -> None:
 @lru_cache(maxsize=CACHE_SIZE)
 def holonomy_relators(arr: Arrangement) -> tuple[Row, ...]:
     """[x_h, sum of x_k over X] for every rank-2 flat X and every member h
-    of X but the largest, over the degree-2 Lyndon basis, sorted by column.
-    The basis words are the pairs a < b in lexicographic order, and
-    [x_h, x_k] is the word (h, k) for h < k and minus (k, h) for h > k."""
-    index = {w: j for j, w in enumerate(combinations(range(arr.n), 2))}
+    of X but the largest, over the degree-2 Lyndon words, sorted by word.
+    The words are the pairs (a, b) with a < b, and [x_h, x_k] is the word
+    (h, k) for h < k and minus (k, h) for h > k."""
     return tuple(
-        tuple(sorted((index[min(h, k), max(h, k)], 1 if h < k else -1)
+        tuple(sorted(((min(h, k), max(h, k)), 1 if h < k else -1)
                      for k in flat.members if k != h))
         for flat in compute_l2(arr) for h in flat.members[:-1])
 
@@ -259,9 +258,7 @@ class Analysis:
 
         rels = []
         if k == 1:
-            pairs = list(combinations(range(n), 2))
-            rels += [{pairs[c][0] * n + pairs[c][1]: v for c, v in r}
-                     for r in holonomy_relators(self.arr)]
+            rels += [{a * n + b: v for (a, b), v in r} for r in holonomy_relators(self.arr)]
         if k % 2:
             # antisymmetry and alternation [u, u] within the middle degree
             for u, uv in enumerate(raw[half]):

@@ -45,14 +45,17 @@ MAX_MILNOR_TOTAL = 10**6
 
 @record
 class MilnorReport:
+    """``eigen_multiplicities[j]`` is the multiplicity of the eigenvalue
+    exp(2 pi i j / N), one entry per residue j mod N; they sum to ``b1``."""
+
     N: int
     b1: int
-    eigen_multiplicities: dict[int, int]
+    eigen_multiplicities: list[int]
     trivial_monodromy: bool
 
     def __post_init__(self):
-        assert self.b1 == sum(self.eigen_multiplicities.values())
-        assert sorted(self.eigen_multiplicities) == list(range(self.N))
+        assert len(self.eigen_multiplicities) == self.N
+        assert self.b1 == sum(self.eigen_multiplicities)
 
 
 def _local_orders(ma: MultiArrangement) -> list[tuple[Flat2, int]]:
@@ -73,21 +76,21 @@ def _local_orders(ma: MultiArrangement) -> list[tuple[Flat2, int]]:
     return out
 
 
-def _local_spectrum(ma: MultiArrangement) -> dict[int, int]:
-    """Depth contributions of the local subtori, per nonzero residue.
+def _local_spectrum(ma: MultiArrangement) -> list[int]:
+    """Depth contributions of the local subtori, a list indexed by residue
+    mod N; entry 0, the trivial character, is 0.
 
     For each multiple flat X the characters t_j lying in T_X are exactly
     the j divisible by N/d, with d from ``_local_orders``; each
     contributes mu(X) - 1.
     """
     N = ma.total
-    spectrum = {j: 0 for j in range(1, N)}
+    spectrum = [0] * N
     for flat, d in _local_orders(ma):
         step = N // d
-        for j in range(step, N, step):
-            # distinct flats never claim the same nontrivial character
-            assert spectrum[j] == 0
-            spectrum[j] += flat.mobius - 1
+        # distinct flats never claim the same nontrivial character
+        assert not any(spectrum[step::step])
+        spectrum[step::step] = [flat.mobius - 1] * (d - 1)
     return spectrum
 
 
@@ -123,8 +126,8 @@ def milnor_b1(ma: MultiArrangement, an: Analysis, *,
     if N > MAX_MILNOR_TOTAL:
         raise ResourceError("multiplicity total N = %d exceeds %d; the report "
                             "needs one entry per residue mod N" % (N, MAX_MILNOR_TOTAL))
-    eigen = {0: arr.n - 1}
-    eigen.update(_local_spectrum(ma))
+    eigen = _local_spectrum(ma)
+    eigen[0] = arr.n - 1
     # under the hypotheses the local bound is b1; its terms
     # (d - 1)(mu(X) - 1) vanish only at d = 1, since mu(X) >= 2, so the
     # monodromy is trivial exactly when b1 = n - 1

@@ -375,8 +375,7 @@ def raw_jk_word_rows(arr, k: int) -> list[dict]:
     """Raw generating rows of J_k over Lyndon words: the degree-2 relators
     bracketed k - 2 times by every generator, duplicates dropped, with no
     elimination between degrees."""
-    words = lyndon_words(arr.n, 2)
-    rows = [{words[c]: v for c, v in r} for r in holonomy_relators(arr)]
+    rows = [dict(r) for r in holonomy_relators(arr)]
     for _ in range(k - 2):
         out, seen = [], set()
         for row in rows:

@@ -15,10 +15,8 @@ from arrinv.arrangement import (
     graphic_arrangement,
     l2_to_json,
     line_key,
-    localization,
     make_arrangement,
     plane_key,
-    product,
 )
 from arrinv.catalog import builtin, from_spec
 from arrinv.checks import random_rank3_arrangement
@@ -241,32 +239,6 @@ def test_arrangement_rank():
         assert arrangement_rank(arr) == want
 
 
-def test_localization():
-    arr = builtin("x3")
-    flat = next(f for f in compute_l2(arr) if len(f) == 3)
-    local = localization(arr, flat)
-    assert local.n == 3
-    assert arrangement_rank(local) == 2
-    assert local.labels == tuple(arr.labels[i] for i in flat.members)
-    # a pair inside a triple flat is not itself a flat
-    with pytest.raises(DomainError):
-        localization(arr, flat.members[:2])
-
-
-def test_product_lattice():
-    a = make_arrangement([(1, 0), (0, 1), (1, 1)])  # pencil of 3
-    b = make_arrangement([(1,), ])
-    c = product(a, b)
-    assert c.n == 4
-    assert c.ambient_dim == 3
-    assert arrangement_rank(c) == 3
-    # one triple flat from the pencil, plus one double per cross pair
-    mus = sorted(f.mobius for f in compute_l2(c))
-    assert mus == [1, 1, 1, 2]
-    b1, b2 = betti(c)
-    assert (b1, b2) == (4, 5)
-
-
 def test_graphic_arrangement_k4_is_braid_like():
     k4 = SimpleGraph(4, tuple((a, b) for a in range(4) for b in range(a + 1, 4)))
     arr = graphic_arrangement(k4)
@@ -310,15 +282,8 @@ def test_l2_json_shape():
 
 
 def test_variables_follow_the_construction():
-    # graphic: one coordinate per vertex; product: the factors' names,
-    # suffixed like the labels; localization: the arrangement's own
+    # graphic: one coordinate per vertex
     path = graphic_arrangement(SimpleGraph(3, ((0, 1), (1, 2))))
     assert path.variables == ("x0", "x1", "x2")
     assert from_spec("split_solvable:2,3").variables == ("z0", "z1", "z2")
-    uv = parse_arrangement("[u,v] u v (u+v)")
-    c = product(uv, path)
-    assert c.variables == ("u'", "v'", "x0''", "x1''", "x2''")
-    assert len(c.variables) == c.ambient_dim
-    flat = next(f for f in compute_l2(c) if len(f) == 3)
-    assert localization(c, flat).variables == c.variables
     assert make_arrangement([(1, 0, 0, 0)]).variables == ("x1", "x2", "x3", "x4")

@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 import arrinv
+from arrinv.arrangement import compute_l2
+from arrinv.catalog import builtin
 from arrinv.cli import main
+
+from oracles import per_character_milnor
 
 SRC = str(Path(arrinv.__file__).resolve().parents[1])
 
@@ -116,6 +120,19 @@ def test_milnor(capsys):
     )
     assert doc["result"]["b1"] == 5
     assert doc["result"]["eigen_multiplicities"]["4"] == 1
+
+
+@pytest.mark.parametrize("mult", ["781,787,990,1007,910,805",  # N = 5280
+                                  "1969,1739,1953,2280,2658,2406"])  # N = 13 005
+def test_milnor_table_at_large_n(capsys, mult):
+    # the whole table, residue by residue, against the per-character oracle
+    doc = run_json(capsys, "milnor", "--builtin", "x3", "--assert-separated", "--mult", mult)
+    m = [int(v) for v in mult.split(",")]
+    flats = [(f.members, f.mobius) for f in compute_l2(builtin("x3")).multiple_flats()]
+    oracle = per_character_milnor(flats, m)
+    eigen = doc["result"]["eigen_multiplicities"]
+    assert eigen == {"0": 5, **{str(j): v for j, v in oracle.items()}}
+    assert doc["result"]["b1"] == sum(eigen.values())
 
 
 def test_exit_code_refusal(capsys):

@@ -54,7 +54,7 @@ def test_pencil_has_nontrivial_monodromy():
     assert report.N == 3
     assert report.b1 == 4
     assert not report.trivial_monodromy
-    assert report.eigen_multiplicities == {0: 2, 1: 1, 2: 1}
+    assert report.eigen_multiplicities == [2, 1, 1]
     assert not criterion(unit(pencil))
 
 
@@ -162,8 +162,8 @@ def test_eigen_invariants():
             ma = MultiArrangement(arr, random_multiplicities(rng, arr.n))
             report = b1_report(ma, separated=True)
             eigen = report.eigen_multiplicities
-            assert report.b1 == sum(eigen.values())
-            assert sorted(eigen) == list(range(report.N))
+            assert report.b1 == sum(eigen)
+            assert len(eigen) == report.N
             # complex conjugation pairs the nontrivial eigenvalues
             for j in range(1, report.N):
                 assert eigen[j] == eigen[report.N - j]

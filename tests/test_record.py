@@ -49,20 +49,21 @@ def test_fields_are_frozen():
 @record
 class Point:
     x: int
-    y: int = 0
-    label: str = "p"
+    y: int
+    label: str
 
 
 def test_keyword_construction_and_defaults():
-    assert Point(1) == Point(x=1) == Point(1, 0, "p")
-    assert Point(1, label="q") == Point(label="q", x=1, y=0)
-    assert repr(Point(2, y=3)) == "Point(x=2, y=3, label='p')"
+    assert Point(1, 0, "p") == Point(1, 0, label="p") == Point(label="p", x=1, y=0)
+    assert repr(Point(2, y=3, label="q")) == "Point(x=2, y=3, label='q')"
     with pytest.raises(TypeError):
         Point()
     with pytest.raises(TypeError):
-        Point(1, x=2)
+        Point(1, 0)
     with pytest.raises(TypeError):
-        Point(1, z=2)
+        Point(1, 0, "p", x=2)
+    with pytest.raises(TypeError):
+        Point(1, 0, "p", z=2)
     with pytest.raises(TypeError):
         Point(1, 2, "p", 4)
     table = RankTable(kind="chen", values={1: 3, 2: 1})

@@ -121,8 +121,8 @@ def test_integer_input_loads_no_fractions(bare, tmp_path):
                    ["--file", str(poly)], ["--file", str(table)]):
         code = "from arrinv.cli import main\nassert main(['l2', *%r]) == 0" % (source,)
         assert not (loaded_modules(code) - bare) & {"fractions", "decimal"}, source
-    code = ("from arrinv import builtin, make_arrangement, product\n"
-            "product(make_arrangement([[2, 1], [0, 1]]), builtin('graphic', [(0, 1)]))")
+    code = ("from arrinv import betti, builtin, make_arrangement\n"
+            "betti(make_arrangement([[2, 1], [0, 1], [1, 1]])), betti(builtin('graphic', [(0, 1)]))")
     assert not (loaded_modules(code) - bare) & {"fractions", "decimal"}
 
 
@@ -165,15 +165,15 @@ PUBLIC = [
     "characteristic_components", "chen_lower_bound", "chen_ranks_decomposable",
     "chen_ranks_from_resonance", "clique_counts", "compute_l2", "falk_phi3", "free_chen",
     "graphic_arrangement", "graphic_lcs", "holonomy_rank", "holonomy_relators", "i2_basis",
-    "lcs_ranks_decomposable", "local_b1_lower_bound", "local_h3_rank", "localization",
-    "lyndon_basis", "lyndon_words", "make_arrangement", "milnor_b1",
-    "monodromy_trivial_criterion", "parse_arrangement", "product", "render_linear_form",
+    "lcs_ranks_decomposable", "local_b1_lower_bound", "local_h3_rank", "lyndon_basis",
+    "lyndon_words", "make_arrangement", "milnor_b1", "monodromy_trivial_criterion",
+    "parse_arrangement", "render_linear_form",
     "resonance_components", "witt_count",
 ]
 
 
 def test_public_names_resolve_to_their_defining_module():
-    assert arrinv.__all__ == PUBLIC and len(PUBLIC) == 51
+    assert arrinv.__all__ == PUBLIC and len(PUBLIC) == 49
     for name in PUBLIC:
         obj = getattr(arrinv, name)
         home = {"__version__": "arrinv", "CATALOG_NAMES": "arrinv.catalog"}.get(
