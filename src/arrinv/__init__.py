@@ -26,8 +26,7 @@ _EXPORTS = {
                "ParseError", "RefusalError", "ResourceError"),
     "formulas": ("RankTable", "chen_lower_bound", "chen_ranks_decomposable", "clique_counts",
                  "free_chen", "graphic_lcs", "lcs_ranks_decomposable"),
-    "holonomy": ("Analysis", "holonomy_rank", "holonomy_relators", "local_h3_rank",
-                 "witt_count"),
+    "holonomy": ("Analysis", "holonomy_rank", "holonomy_relators", "local_rank", "witt_count"),
     "jumploci": ("LinearComponent", "TorusComponent", "characteristic_components",
                  "chen_ranks_from_resonance", "resonance_components"),
     "lyndon": ("LyndonBasis", "lyndon_basis", "lyndon_words"),

@@ -87,10 +87,13 @@ class Arrangement:
     column of the normals.
     """
 
-    ambient_dim: int
     normals: tuple[tuple[int | Fraction, ...], ...]
     labels: tuple[str, ...]
     variables: tuple[str, ...]
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.variables)
 
     @property
     def n(self) -> int:
@@ -137,7 +140,7 @@ def _intake(rows, labels=None, variables=None) -> Arrangement:
     if dup is not None:
         raise ParseError("duplicate", "factors %s and %s cut the same hyperplane"
                          % (labels[dup[0]], labels[dup[1]]))
-    return Arrangement(d, tuple(rows), tuple(labels), tuple(variables or default_variables(d)))
+    return Arrangement(tuple(rows), tuple(labels), tuple(variables or default_variables(d)))
 
 
 def _primitive(vec) -> tuple[int, ...]:
@@ -317,7 +320,7 @@ def graphic_arrangement(graph: SimpleGraph) -> Arrangement:
         normals.append(tuple(row))
         labels.append("x%d-x%d" % (a, b))
     variables = tuple("x%d" % i for i in range(graph.vertices))
-    return Arrangement(graph.vertices, tuple(normals), tuple(labels), variables)
+    return Arrangement(tuple(normals), tuple(labels), variables)
 
 
 @record

@@ -47,7 +47,7 @@ CATALOG_NAMES = ("braid", "x3", "x2", "nonpappus", "pappus", "split_solvable", "
 
 def _arrangement(variables: tuple[str, ...], normals) -> Arrangement:
     labels = tuple(render_linear_form(zip(variables, row)) for row in normals)
-    return Arrangement(len(variables), tuple(normals), labels, variables)
+    return Arrangement(tuple(normals), labels, variables)
 
 
 def _braid(n: int) -> Arrangement:

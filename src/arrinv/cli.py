@@ -229,13 +229,13 @@ def holonomy(an, kmax):
 @_command("decomp", _CEILING_OPTION)
 def decomp(an):
     """Decomposability over Q and Z, with degree-3 ranks and torsion."""
-    from .holonomy import local_h3_rank
+    from .holonomy import local_rank
     h3 = an.group(3)
     return {
         "rational": an.decomposable["rational"],
         "integral": an.decomposable["integral"],
         "h3_rank": h3.rank,
-        "local_rank": local_h3_rank(an.arr),
+        "local_rank": local_rank(an.arr, 3),
         "torsion": list(h3.torsion),
     }, {}
 

@@ -1,22 +1,22 @@
 """Closed-form rank formulas for LCS and Chen ranks.
 
-Everything here is exact integer arithmetic.  The lower central series
-ranks of a decomposable arrangement group are extracted from the product
-formula
+Everything here is exact integer arithmetic.  In degrees >= 2 the
+holonomy Lie algebra of a decomposable arrangement is the product of
+free Lie algebras on mu(X) generators over the multiple flats X, so its
+LCS ranks are phi_1 = n and phi_k = sum_X witt(mu(X), k) for k >= 2
+(`holonomy.local_rank`).  They solve the product formula
 
     prod_N (1 - t^N)^{phi_N}  =  (1 - t)^a * prod_X (1 - mu(X) t),
 
-with a = n - sum mu(X), by Mobius inversion:
-
-    N * phi_N = sum_{d | N} mobius(d) * (a + sum_X mu(X)^{N/d}).
+with a = n - sum mu(X).
 
 Graphic arrangements use the clique/Witt double sum instead, for every
 graph: with kappa_s the number of complete subgraphs on s+1 vertices,
 
     phi_k = sum_{j=1}^{k} sum_{s=j}^{k} (-1)^(s-j) C(s, j) kappa_s witt(j, k).
 
-On K4-free graphs it agrees with the product formula, and the tests
-compare the two.
+On K4-free graphs it agrees with the local sum, and the tests compare
+the two.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import comb
 from ._record import record
 from .arrangement import Arrangement, SimpleGraph, compute_l2
 from .errors import DomainError
-from .holonomy import Analysis, check_degree, divisors, number_mobius, witt_count
+from .holonomy import Analysis, check_degree, local_rank, witt_count
 
 
 @record
@@ -84,17 +84,6 @@ def chen_ranks_decomposable(an: Analysis, kmax: int) -> RankTable:
     return RankTable("chen", values)
 
 
-def _phi_from_product(a: int, mus, degree: int) -> int:
-    # Mobius inversion of the product formula; valid for every degree >= 1
-    # (degree 1 recovers a + sum mu = n).
-    total = 0
-    for d in divisors(degree):
-        total += number_mobius(d) * (a + sum(m ** (degree // d) for m in mus))
-    quot, rem = divmod(total, degree)
-    assert rem == 0, "product formula gave a non-integer rank"
-    return quot
-
-
 def lcs_ranks_decomposable(an: Analysis, kmax: int) -> RankTable:
     """LCS ranks phi_1..phi_kmax under the decomposability hypothesis.
 
@@ -107,9 +96,8 @@ def lcs_ranks_decomposable(an: Analysis, kmax: int) -> RankTable:
         an = Analysis(an)
     an.require()
     check_degree(kmax)
-    mus = [f.mobius for f in compute_l2(an.arr)]
-    a = an.arr.n - sum(mus)
-    values = {k: _phi_from_product(a, mus, k) for k in range(1, kmax + 1)}
+    values = {1: an.arr.n}
+    values.update((k, local_rank(an.arr, k)) for k in range(2, kmax + 1))
     return RankTable("lcs", values)
 
 

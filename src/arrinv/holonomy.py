@@ -75,7 +75,6 @@ checked and refused, and it returns the hypotheses a report prints.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import comb
 
 from ._record import record
 from .arrangement import CACHE_SIZE, DEFAULT_WORD_CEILING, Arrangement, compute_l2
@@ -185,9 +184,14 @@ def holonomy_relators(arr: Arrangement) -> tuple[Row, ...]:
         for flat in compute_l2(arr) for h in flat.members[:-1])
 
 
-def local_h3_rank(arr: Arrangement) -> int:
-    """Degree-3 rank contributed by the local pencils alone."""
-    return 2 * sum(comb(f.mobius + 1, 3) for f in compute_l2(arr))
+def local_rank(arr: Arrangement, k: int) -> int:
+    """Degree-k rank, k >= 2, of the local part: the sum of witt(mu(X), k)
+    over the multiple flats X, one free Lie algebra on mu(X) generators
+    per flat.  A decomposable arrangement's phi_k is exactly this."""
+    if k < 2:
+        raise DomainError("the local rank is defined for k >= 2")
+    mus = [f.mobius for f in compute_l2(arr).multiple_flats()]
+    return sum(mus.count(mu) * witt_count(mu, k) for mu in set(mus))
 
 
 class Analysis:
@@ -331,7 +335,7 @@ class Analysis:
         decomposability additionally needs h_3 torsion-free.
         """
         h3 = self.group(3)
-        rational = h3.rank == local_h3_rank(self.arr)
+        rational = h3.rank == local_rank(self.arr, 3)
         return {"rational": rational, "integral": rational and not h3.torsion}
 
     def require(self, separated: bool | None = None) -> dict:
@@ -346,7 +350,7 @@ class Analysis:
             raise HypothesisError(
                 "the computation needs a rationally decomposable arrangement; "
                 "this one is not (h3_rank %d > local_rank %d)"
-                % (self.group(3).rank, local_h3_rank(self.arr)))
+                % (self.group(3).rank, local_rank(self.arr, 3)))
         if separated is None:
             return {"q_decomposable": True}
         if not separated:

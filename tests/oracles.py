@@ -3,7 +3,7 @@
 Each oracle recomputes a quantity along a route the library never takes:
 rotation-filtered Lyndon enumeration, tensor-algebra bracket expansion,
 sympy ranks and Smith forms, whole-lattice Moebius sums, Hilbert series
-coefficient extraction, per-character Milnor accounting, and a Kunneth
+coefficient extraction, Moebius inversion of the LCS product formula, per-character Milnor accounting, and a Kunneth
 count on product arrangements, the raw graded route to J_k with no
 elimination between degrees, and J_k in the tensor algebra with its rank
 mod p.  Slow and simple on purpose.  The graded
@@ -275,6 +275,25 @@ def hilbert_theta(n: int, k: int) -> int:
     if k == 0:
         return 0
     return n * comb(n + k - 2, k - 1) - comb(n + k - 1, k)
+
+
+def product_formula_lcs(n: int, mus, kmax: int) -> tuple[int, ...]:
+    """phi_1..phi_kmax solving the product formula
+
+        prod_k (1 - t^k)^{phi_k}  =  (1 - t)^a * prod_X (1 - mu(X) t)
+
+    with a = n - sum mu(X), by Moebius inversion:
+    k * phi_k = sum_{d | k} mobius(d) * (a + sum_X mu(X)^{k/d}).
+    """
+    a = n - sum(mus)
+    out = []
+    for k in range(1, kmax + 1):
+        total = sum(int(sympy.mobius(d)) * (a + sum(m ** (k // d) for m in mus))
+                    for d in sympy.divisors(k))
+        quot, rem = divmod(total, k)
+        assert rem == 0, "the product formula gave a non-integer rank"
+        out.append(quot)
+    return tuple(out)
 
 
 # --------------------------------------------------------------- milnor

@@ -29,7 +29,7 @@ from arrinv.formulas import (
     graphic_lcs,
     lcs_ranks_decomposable,
 )
-from arrinv.holonomy import Analysis, holonomy_rank, local_h3_rank
+from arrinv.holonomy import Analysis, holonomy_rank, local_rank
 from arrinv.jumploci import chen_ranks_from_resonance, resonance_components
 from arrinv.lyndon import lyndon_words, witt_count
 from arrinv.milnor import milnor_b1, monodromy_trivial_criterion
@@ -68,7 +68,7 @@ def test_criterion_01_braid_h3():
     with budget(1, "criterion 1"):
         arr = builtin("braid", (3,))
         assert holonomy_rank(arr, 3) == 10
-        assert local_h3_rank(arr) == 8
+        assert local_rank(arr, 3) == 8
         assert Analysis(arr).decomposable == {"rational": False, "integral": False}
 
 

@@ -573,7 +573,7 @@ def test_formula_degree_is_bounded(capsys, monkeypatch):
     for command in ("lcs", "chen"):
         with monkeypatch.context() as m:
             m.setattr(formulas, "chen_lower_bound", no_rank)
-            m.setattr(formulas, "_phi_from_product", no_rank)
+            m.setattr(formulas, "local_rank", no_rank)
             rc = main([command, "--builtin", "x3", "--max", "1000001"])
         assert rc == 3
         assert capsys.readouterr().err.startswith("resource ceiling: degree 1000001")

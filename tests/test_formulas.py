@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from arrinv.arrangement import SimpleGraph, graphic_arrangement, make_arrangement
+from arrinv.arrangement import SimpleGraph, compute_l2, graphic_arrangement, make_arrangement
 from arrinv.catalog import builtin
 from arrinv.errors import DomainError, HypothesisError
 from arrinv.formulas import (
@@ -16,10 +16,10 @@ from arrinv.formulas import (
     graphic_lcs,
     lcs_ranks_decomposable,
 )
-from arrinv.holonomy import Analysis, holonomy_rank
+from arrinv.holonomy import Analysis, holonomy_rank, local_rank
 from arrinv.lyndon import lyndon_words, witt_count
 
-from oracles import hilbert_theta
+from oracles import hilbert_theta, product_formula_lcs
 
 
 def test_witt_rank_matches_word_count():
@@ -78,6 +78,33 @@ def test_lcs_ranks_decomposable():
         lcs_ranks_decomposable(Analysis(builtin("braid", (3,))), 4)
     # an Arrangement is analysed for the one call
     assert lcs_ranks_decomposable(builtin("x3"), 5) == table
+
+
+def test_local_sum_solves_the_product_formula():
+    # phi_k = sum_X witt(mu(X), k) against the Moebius inversion of the
+    # product formula to degree 40: on the decomposable catalog entries, also
+    # against the presentation to degree 5, and on split-solvable
+    # arrangements, whose multiple flats have mu = m_i, for 50 random
+    # mu-multisets
+    for name, params in (("x3", ()), ("x2", ()), ("nonpappus", ()), ("split_solvable", (2, 3))):
+        an = Analysis(builtin(name, params))
+        mus = [f.mobius for f in compute_l2(an.arr)]
+        assert lcs_ranks_decomposable(an, 40).as_tuple() == product_formula_lcs(
+            an.arr.n, mus, 40), name
+        assert lcs_ranks_decomposable(an, 5).as_tuple() == an.ranks(5), name
+    rng = random.Random(29)
+    for _ in range(50):
+        ms = tuple(rng.randint(2, 5) for _ in range(rng.randint(1, 4)))
+        table = lcs_ranks_decomposable(builtin("split_solvable", ms), 40)
+        assert table.as_tuple() == product_formula_lcs(1 + sum(ms), ms, 40), ms
+    # degree 3 against the pencils' closed form 2 * sum C(mu + 1, 3)
+    arrs = [builtin("braid", (n,)) for n in range(3, 7)]
+    arrs += [builtin("pappus"), builtin("nonpappus")]
+    arrs += [graphic_arrangement(SimpleGraph(v, tuple(combinations(range(v), 2))))
+             for v in range(4, 8)]
+    for arr in arrs:
+        want = 2 * sum(comb(f.mobius + 1, 3) for f in compute_l2(arr))
+        assert local_rank(arr, 3) == want, arr.labels
 
 
 def test_lcs_pencil_is_free_times_line():

@@ -21,7 +21,7 @@ from arrinv.holonomy import (
     Analysis,
     holonomy_rank,
     holonomy_relators,
-    local_h3_rank,
+    local_rank,
 )
 from arrinv.milnor import monodromy_trivial_criterion
 from arrinv.linalg import rank_exact, smith_diagonal
@@ -105,7 +105,7 @@ def test_wide_h3_groups_match_the_rank_route():
             assert not an.decomposable["rational"], spec
         braid6 = Analysis(builtin("braid", (6,)))
         assert braid6.group(3).rank == 440
-        assert local_h3_rank(braid6.arr) == 160
+        assert local_rank(braid6.arr, 3) == 160
         assert braid6.decomposable == {"rational": False, "integral": False}
 
 
@@ -248,10 +248,10 @@ def test_graphic_chen_ranks_match_schenck_suciu():
 
 
 def test_local_h3_rank():
-    assert local_h3_rank(builtin("braid", (3,))) == 8
-    assert local_h3_rank(builtin("x3")) == 6
-    assert local_h3_rank(builtin("nonpappus")) == 18
-    assert local_h3_rank(builtin("pappus")) == 18
+    assert local_rank(builtin("braid", (3,)), 3) == 8
+    assert local_rank(builtin("x3"), 3) == 6
+    assert local_rank(builtin("nonpappus"), 3) == 18
+    assert local_rank(builtin("pappus"), 3) == 18
 
 
 def test_decomposability_flags():

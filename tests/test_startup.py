@@ -165,7 +165,7 @@ PUBLIC = [
     "characteristic_components", "chen_lower_bound", "chen_ranks_decomposable",
     "chen_ranks_from_resonance", "clique_counts", "compute_l2", "falk_phi3", "free_chen",
     "graphic_arrangement", "graphic_lcs", "holonomy_rank", "holonomy_relators", "i2_basis",
-    "lcs_ranks_decomposable", "local_b1_lower_bound", "local_h3_rank", "lyndon_basis",
+    "lcs_ranks_decomposable", "local_b1_lower_bound", "local_rank", "lyndon_basis",
     "lyndon_words", "make_arrangement", "milnor_b1", "monodromy_trivial_criterion",
     "parse_arrangement", "render_linear_form",
     "resonance_components", "witt_count",
