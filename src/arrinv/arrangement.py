@@ -35,12 +35,17 @@ from .errors import DomainError, ParseError, ResourceError
 from .linalg import rank_exact
 
 
+def _is_int(v) -> bool:
+    # the library's one integer test: a bool is an int to Python, not here
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _coerce_scalar(v) -> int | Fraction:
     # the one entry rule for normals, from the library and from JSON input
+    if _is_int(v):
+        return int(v)
     if isinstance(v, bool):
         raise DomainError("boolean is not a rational entry")
-    if isinstance(v, int):
-        return int(v)
     # a Fraction argument has loaded the module already
     from fractions import Fraction
     if isinstance(v, Fraction):
@@ -295,6 +300,8 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not all(map(_is_int, [self.vertices] + [v for e in self.edges for v in e])):
+            raise DomainError("graph vertex counts and endpoints must be integers")
         seen = set()
         for a, b in self.edges:
             if not (0 <= a < self.vertices and 0 <= b < self.vertices):
@@ -334,7 +341,7 @@ class MultiArrangement:
         m = self.multiplicities
         if len(m) != self.arrangement.n:
             raise DomainError("need one multiplicity per hyperplane")
-        if any(v < 1 for v in m):
+        if not all(_is_int(v) and v >= 1 for v in m):
             raise DomainError("multiplicities must be positive integers")
         g = 0
         for v in m:

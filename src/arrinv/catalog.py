@@ -19,7 +19,7 @@ label above ``MAX_GRAPHIC_LABEL``.
 
 from __future__ import annotations
 
-from .arrangement import (MAX_HYPERPLANES, Arrangement, SimpleGraph, _check_count,
+from .arrangement import (MAX_HYPERPLANES, Arrangement, SimpleGraph, _check_count, _is_int,
                           default_variables, graphic_arrangement, render_linear_form)
 from .errors import CatalogError, ResourceError
 
@@ -77,7 +77,7 @@ def _split_solvable(ms: tuple[int, ...]) -> Arrangement:
 def _int_params(params) -> tuple[int, ...]:
     out = []
     for p in params:
-        if isinstance(p, bool) or not isinstance(p, int):
+        if not _is_int(p):
             raise CatalogError("parameters must be integers, got %r" % (p,))
         out.append(p)
     return tuple(out)
@@ -87,7 +87,7 @@ def _edge_params(params) -> SimpleGraph:
     edges = []
     for e in params:
         try:
-            a, b = e
+            a, b = _int_params(e)
         except (TypeError, ValueError):
             raise CatalogError("graphic parameters must be edge pairs") from None
         if a == b:

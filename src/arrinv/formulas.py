@@ -69,19 +69,25 @@ def chen_lower_bound(arr: Arrangement, k: int) -> int:
     """
     if k < 2:
         raise DomainError("the local Chen bound is defined for k >= 2")
-    lat = compute_l2(arr)
-    return (k - 1) * sum(comb(f.mobius + k - 2, k) for f in lat.multiple_flats())
+    mus = [f.mobius for f in compute_l2(arr).multiple_flats()]
+    return sum(mus.count(mu) * free_chen(mu, k) for mu in set(mus))
 
 
-def chen_ranks_decomposable(an: Analysis, kmax: int) -> RankTable:
-    """Chen ranks theta_1..theta_kmax under the decomposability hypothesis."""
+def _local_table(kind: str, an: Analysis, kmax: int, rule) -> RankTable:
+    # the decomposable tables in one refusal order: kmax, the hypothesis,
+    # the degree bound; then n in degree 1 and rule(arr, k) above it
     if kmax < 1:
         raise DomainError("need kmax >= 1")
     an.require()
     check_degree(kmax)
     values = {1: an.arr.n}
-    values.update((k, chen_lower_bound(an.arr, k)) for k in range(2, kmax + 1))
-    return RankTable("chen", values)
+    values.update((k, rule(an.arr, k)) for k in range(2, kmax + 1))
+    return RankTable(kind, values)
+
+
+def chen_ranks_decomposable(an: Analysis, kmax: int) -> RankTable:
+    """Chen ranks theta_1..theta_kmax under the decomposability hypothesis."""
+    return _local_table("chen", an, kmax, chen_lower_bound)
 
 
 def lcs_ranks_decomposable(an: Analysis, kmax: int) -> RankTable:
@@ -90,15 +96,9 @@ def lcs_ranks_decomposable(an: Analysis, kmax: int) -> RankTable:
     An Arrangement is accepted in place of ``an`` and analysed for this
     call alone; perfbench/expectations.py calls it that way.
     """
-    if kmax < 1:
-        raise DomainError("need kmax >= 1")
     if isinstance(an, Arrangement):
         an = Analysis(an)
-    an.require()
-    check_degree(kmax)
-    values = {1: an.arr.n}
-    values.update((k, local_rank(an.arr, k)) for k in range(2, kmax + 1))
-    return RankTable("lcs", values)
+    return _local_table("lcs", an, kmax, local_rank)
 
 
 def clique_counts(g: SimpleGraph) -> list[int]:

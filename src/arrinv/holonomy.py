@@ -79,7 +79,7 @@ from functools import cached_property, lru_cache
 from ._record import record
 from .arrangement import CACHE_SIZE, DEFAULT_WORD_CEILING, Arrangement, compute_l2
 from .errors import DomainError, HypothesisError, RefusalError, ResourceError
-from .linalg import rank, smith_diagonal, unit_pass
+from .linalg import _add, rank, smith_diagonal, unit_pass
 
 # a degree-2 relator over the Lyndon words (a, b), a < b, as (word, value)
 # pairs sorted by word
@@ -159,17 +159,6 @@ class _Degree:
     defs: tuple[tuple[int, int | None], ...]
     core: list[dict[int, int]]
     table: tuple[list[list[dict[int, int]]], ...]
-
-
-def _add(acc: dict, row: dict, scale: int) -> None:
-    # acc += scale * row, for a nonzero scale; the rows are over generator
-    # indices here and over Lyndon words in ``lyndon``
-    for c, v in row.items():
-        w = acc.get(c, 0) + scale * v
-        if w:
-            acc[c] = w
-        else:
-            del acc[c]
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -17,7 +17,7 @@ records.
 from __future__ import annotations
 
 from ._record import record
-from .arrangement import Arrangement, compute_l2
+from .arrangement import compute_l2
 from .errors import DomainError
 from .formulas import free_chen
 from .holonomy import Analysis
@@ -50,17 +50,18 @@ def _check_support(support, dimension):
         raise ValueError("dimension must be |support| - 1")
 
 
-def _deep_flats(arr: Arrangement, s: int):
+def _components(kind, an: Analysis, s: int, separated: bool | None = None) -> list:
+    # the gate, then the depth, then one component of dimension mu per flat
+    # with mu > s
+    an.require(separated)
     if s < 1:
         raise DomainError("jump locus depth must be >= 1")
-    return [f for f in compute_l2(arr) if f.mobius > s]
+    return [kind(f.members, f.mobius) for f in compute_l2(an.arr) if f.mobius > s]
 
 
 def resonance_components(an: Analysis, s: int) -> list[LinearComponent]:
     """Components of the depth-s resonance variety, one per flat with mu > s."""
-    an.require()
-    flats = _deep_flats(an.arr, s)
-    return [LinearComponent(f.members, len(f.members) - 1) for f in flats]
+    return _components(LinearComponent, an, s)
 
 
 def characteristic_components(
@@ -71,10 +72,7 @@ def characteristic_components(
     Requires the caller to assert separatedness of the rationalized
     Alexander invariant.
     """
-    an.require(separated)
-    return tuple(
-        TorusComponent(f.members, len(f.members) - 1) for f in _deep_flats(an.arr, s)
-    )
+    return tuple(_components(TorusComponent, an, s, separated))
 
 
 def chen_ranks_from_resonance(an: Analysis, k: int) -> int:

@@ -25,6 +25,10 @@ kernels differ in which lead may become a pivot:
   gcd/lcm turns that diagonal into invariant factors.  Their number is
   the rank, so one pass gives rank and torsion.
 
+Outside `_eliminate`, every sparse row update acc += s * row is `_add`:
+the row steps of ``_smith_core``, the bracket table and back-substitution
+of the nilpotent quotient in ``holonomy``, and ``lyndon.lyndon_product``.
+
 Spans of normals are compared by integer keys in ``arrangement`` and need
 no echelon form.
 """
@@ -45,6 +49,16 @@ def _integer_row(row) -> dict[int, int]:
         if iv:
             r[c] = iv
     return r
+
+
+def _add(acc: dict, row: dict, scale: int) -> None:
+    # acc += scale * row, for a nonzero scale
+    for c, v in row.items():
+        w = acc.get(c, 0) + scale * v
+        if w:
+            acc[c] = w
+        else:
+            del acc[c]
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:
@@ -195,15 +209,9 @@ def _smith_core(core: list[dict[int, int]]) -> list[int]:
         # clear column c by row operations
         for r in core:
             a = r.get(c)
-            if a is None or r is p:
-                continue
-            q = a // b
-            for k, v in p.items():
-                w = r.get(k, 0) - q * v
-                if w:
-                    r[k] = w
-                else:
-                    del r[k]
+            if a is not None and r is not p:
+                # |a| >= |b|, so the scale is never 0
+                _add(r, p, -(a // b))
         core = [r for r in core if r]
         # clear row p by column operations: column k -= q * column c
         column = [(r, r[c]) for r in core if c in r]

@@ -20,7 +20,8 @@ from functools import cached_property, lru_cache
 
 from ._record import record
 from .arrangement import DEFAULT_WORD_CEILING
-from .holonomy import _add, check_words, witt_count  # witt_count is re-exported
+from .holonomy import check_words, witt_count  # witt_count is re-exported
+from .linalg import _add
 
 Word = tuple[int, ...]
 

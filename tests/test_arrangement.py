@@ -257,6 +257,12 @@ def test_simple_graph_validation():
         SimpleGraph(3, ((1, 0),))
     with pytest.raises(DomainError):
         SimpleGraph(3, ((0, 1), (0, 1)))
+    # one integer rule: an int that is not a bool, for the count and every endpoint
+    for vertices, edges in ((3, ((0, True),)), (3, ((0, 1.0),)), (3.0, ((0, 1),)),
+                            (True, ()), (3, (("0", 1),))):
+        with pytest.raises(DomainError, match="^graph vertex counts and endpoints must be "
+                           "integers$"):
+            SimpleGraph(vertices, edges)
 
 
 def test_multi_arrangement_validation():
@@ -268,6 +274,10 @@ def test_multi_arrangement_validation():
         MultiArrangement(arr, (2, 2, 2, 2, 2, 2))
     with pytest.raises(DomainError):
         MultiArrangement(arr, (1, 1, 1, 1, 1, 0))
+    # a bool, a float and a string are not multiplicities
+    for bad in ((True,) * 6, (1.5,) + (1,) * 5, ("2",) + (1,) * 5, (1,) * 5 + (2.0,)):
+        with pytest.raises(DomainError, match="^multiplicities must be positive integers$"):
+            MultiArrangement(arr, bad)
     assert MultiArrangement(arr, (1,) * 6).total == 6
 
 

@@ -95,6 +95,10 @@ def test_graphic_params():
         builtin("graphic", ())
     with pytest.raises(CatalogError):
         builtin("graphic", (3,))
+    # endpoints pass the parameters' integer rule, which refuses a bool
+    for edge in ((0, True), (0, 1.5), ("a", 1)):
+        with pytest.raises(CatalogError, match="^parameters must be integers, got "):
+            builtin("graphic", (edge,))
     # a loop is named as such, though other pairs are sorted for the caller
     with pytest.raises(CatalogError, match="^graphic edge 0-0 is a loop$"):
         builtin("graphic", ((0, 0),))

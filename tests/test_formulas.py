@@ -65,6 +65,9 @@ def test_chen_ranks_decomposable():
         chen_ranks_decomposable(Analysis(builtin("pappus")), 3)
     with pytest.raises(DomainError):
         chen_ranks_decomposable(Analysis(builtin("x3")), 0)
+    # kmax is checked before the hypothesis
+    with pytest.raises(DomainError, match="^need kmax >= 1$"):
+        chen_ranks_decomposable(Analysis(builtin("pappus")), 0)
 
 
 def test_lcs_ranks_decomposable():
@@ -76,6 +79,10 @@ def test_lcs_ranks_decomposable():
         assert ss[k] == witt_count(2, k) + witt_count(3, k)
     with pytest.raises(HypothesisError):
         lcs_ranks_decomposable(Analysis(builtin("braid", (3,))), 4)
+    # kmax is checked first, on an Analysis as on an Arrangement
+    for subject in (Analysis(builtin("pappus")), builtin("pappus")):
+        with pytest.raises(DomainError, match="^need kmax >= 1$"):
+            lcs_ranks_decomposable(subject, 0)
     # an Arrangement is analysed for the one call
     assert lcs_ranks_decomposable(builtin("x3"), 5) == table
 

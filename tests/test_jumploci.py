@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -47,8 +48,13 @@ def test_components_overlap_in_at_most_one_coordinate():
 
 
 def test_resonance_domain_and_hypothesis():
-    with pytest.raises(DomainError):
-        resonance_components(Analysis(builtin("x3")), 0)
+    # the gate comes before the depth check, for both kinds of component
+    for components in (resonance_components,
+                       partial(characteristic_components, separated=True)):
+        with pytest.raises(HypothesisError):
+            components(Analysis(builtin("pappus")), 0)
+        with pytest.raises(DomainError, match="^jump locus depth must be >= 1$"):
+            components(Analysis(builtin("x3")), 0)
     with pytest.raises(HypothesisError):
         resonance_components(Analysis(builtin("braid", (3,))), 1)
     with pytest.raises(HypothesisError):
