@@ -29,7 +29,6 @@ _EXPORTS = {
     "holonomy": ("Analysis", "holonomy_rank", "holonomy_relators", "local_rank", "witt_count"),
     "jumploci": ("LinearComponent", "TorusComponent", "characteristic_components",
                  "chen_ranks_from_resonance", "resonance_components"),
-    "lyndon": ("LyndonBasis", "lyndon_basis", "lyndon_words"),
     "milnor": ("MilnorReport", "local_b1_lower_bound", "milnor_b1",
                "monodromy_trivial_criterion"),
     "osalgebra": ("OSQuadraticIdeal", "falk_phi3", "i2_basis"),

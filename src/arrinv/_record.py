@@ -6,7 +6,8 @@ package relies on:
 
 - ``__init__`` takes every field, positionally or by keyword, in
   annotation order; fields have no defaults.  It then calls
-  ``__post_init__`` if the class has one.
+  ``__post_init__`` if the class has one, which may normalize a field
+  with ``object.__setattr__``.
 - ``__eq__`` and ``__hash__`` work over the tuple of field values.
   Instances of different classes are never equal.
 - ``__repr__`` prints ``Name(field=value, ...)``.

@@ -40,6 +40,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _as_tuple(value, what: str) -> tuple:
+    # a record's sequence field: a tuple or a list, kept as a tuple so the
+    # record hashes
+    if not isinstance(value, (tuple, list)):
+        raise DomainError("%s must be a tuple or a list" % what)
+    return tuple(value)
+
+
 def _coerce_scalar(v) -> int | Fraction:
     # the one entry rule for normals, from the library and from JSON input
     if _is_int(v):
@@ -238,7 +246,7 @@ class L2Lattice:
 CACHE_SIZE = 16
 
 # default bound on witt(n, k), the free Lie rank, for each holonomy degree
-# k a computation needs; ``holonomy.check_words`` refuses above it
+# k a computation needs; ``holonomy.Analysis`` refuses above it
 DEFAULT_WORD_CEILING = 200_000
 
 # largest hyperplane count the catalog builds, the readers read and
@@ -300,10 +308,16 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not all(map(_is_int, [self.vertices] + [v for e in self.edges for v in e])):
+        edges = tuple(_as_tuple(e, "a graph edge") for e in _as_tuple(self.edges, "graph edges"))
+        if any(len(e) != 2 for e in edges):
+            raise DomainError("graph edges must be pairs (a, b)")
+        if not all(map(_is_int, [self.vertices] + [v for e in edges for v in e])):
             raise DomainError("graph vertex counts and endpoints must be integers")
+        if self.vertices < 0:
+            raise DomainError("graph vertex count must be nonnegative")
+        object.__setattr__(self, "edges", edges)
         seen = set()
-        for a, b in self.edges:
+        for a, b in edges:
             if not (0 <= a < self.vertices and 0 <= b < self.vertices):
                 raise DomainError("edge endpoint out of range")
             if a >= b:
@@ -338,7 +352,10 @@ class MultiArrangement:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        m = self.multiplicities
+        if not isinstance(self.arrangement, Arrangement):
+            raise DomainError("multiplicities need an Arrangement")
+        m = _as_tuple(self.multiplicities, "multiplicities")
+        object.__setattr__(self, "multiplicities", m)
         if len(m) != self.arrangement.n:
             raise DomainError("need one multiplicity per hyperplane")
         if not all(_is_int(v) and v >= 1 for v in m):

@@ -31,7 +31,6 @@ from .errors import HypothesisError
 from .formulas import chen_ranks_decomposable, lcs_ranks_decomposable
 from .holonomy import Analysis, witt_count
 from .jumploci import chen_ranks_from_resonance
-from .lyndon import lyndon_words
 from .milnor import _local_spectrum
 from .osalgebra import falk_phi3, i2_basis
 
@@ -184,8 +183,6 @@ def check_witt_identity() -> CheckResult:
             total = sum(d * witt_count(n, d) for d in range(1, k + 1) if k % d == 0)
             if total != n**k:
                 return CheckResult("witt-necklace", False, "n=%d k=%d" % (n, k))
-            if n <= 4 and len(lyndon_words(n, k)) != witt_count(n, k):
-                return CheckResult("witt-necklace", False, "lyndon n=%d k=%d" % (n, k))
     return CheckResult("witt-necklace", True, "n<=6 k<=6")
 
 

@@ -27,7 +27,7 @@ is imported only for ``--builtin``, ``parsing`` only for ``--file``,
 ``holonomy`` when a command with ``--ceiling`` builds its analysis, and
 ``formulas``, ``jumploci``, ``milnor`` and ``checks`` inside the compute
 function that uses them; so a built-in loads no parser, a file no
-catalog, ``info``, ``l2`` and ``betti`` no holonomy, and only ``check``
+catalog, ``info``, ``l2`` and ``betti`` no holonomy, and no command
 loads ``lyndon``.  Either way a library function is looked up when it is
 called, so a tracer that rebinds the names of its defining module sees
 each call; the analysis's methods are not rebound, but the kernels they
@@ -43,8 +43,8 @@ the process alone.  ``entry()`` is the program, for ``python -m
 arrinv.cli`` and the installed ``arr``: it runs ``main``, flushes stdout
 and stderr and leaves by ``os._exit``, without the interpreter's teardown.
 
-Exit codes: 0 success, 1 input or parse error, 2 hypothesis refusal,
-3 resource ceiling hit.
+Exit codes: 0 success, 1 input or parse error or a ``check`` mismatch,
+2 hypothesis refusal, 3 resource ceiling hit.
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ _SOURCE_OPTIONS = (("--file", "file", None, str, "arrangement file (polynomial o
 _SEPARATED_OPTION = ("--assert-separated", "separated", False, True,
                      "assert the Alexander invariant is separated")
 
-# name -> (runner, help text, {flag: option}) of every subcommand, in help order
+# name -> (runner, help text, {flag: option}) of every subcommand, in help order;
+# a runner returns its exit status, or None for 0
 _SUBCOMMANDS: dict[str, tuple] = {}
 
 
@@ -322,8 +323,7 @@ def check(seed, samples, fmt):
             {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
         ],
     }, {}), fmt)
-    if not ok:
-        raise SystemExit(1)
+    return 0 if ok else 1
 
 
 _subcommand("check", check, check.__doc__, (
@@ -423,7 +423,7 @@ def main(argv=None) -> int:
     try:
         try:
             run, options = _parse(argv)
-            run(**options)
+            status = run(**options)
         finally:
             # a closed stdout shows here, not at interpreter exit
             sys.stdout.flush()
@@ -442,9 +442,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print("resource ceiling: %s" % exc, file=sys.stderr)
         return 3
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return 0
+    return status or 0
 
 
 def entry():

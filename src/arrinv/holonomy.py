@@ -56,10 +56,9 @@ longer a cost: every entry refuses in one order before any row is built
 `MAX_FORMULA_DEGREE` (`check_degree`, which the formulas share), then
 witt(n, k) for every degree from 2 up, smallest first, against its one
 ceiling, so a refusal names the smallest degree over the ceiling.
-`check_words` is the package's one check of a degree against the word
-ceiling, and `witt_count` (the necklace formula) lives here with it, so
-the holonomy path loads no Lyndon code; `lyndon.lyndon_basis` calls the
-same check.
+`_check` is the package's one check of a degree against the word
+ceiling, and `witt_count` (the necklace formula) lives here with it; no
+Lyndon word is enumerated.
 
 Each degree has one result, `Analysis.group(k)`: the Smith form of its
 core (`linalg.smith_diagonal`) gives both the rank phi_k and the torsion.
@@ -123,21 +122,6 @@ def witt_count(n: int, k: int) -> int:
         raise DomainError("degree must be positive")
     total = sum(number_mobius(d) * n ** (k // d) for d in divisors(k))
     return total // k
-
-
-def check_words(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> None:
-    """Refuse degree k over n generators when witt(n, k) is above ``ceiling``.
-
-    This is the package's one check of a free Lie degree against the word
-    ceiling: the analysis and ``lyndon.lyndon_basis`` both ask it, with
-    their caller's ceiling, before any work starts.
-    """
-    size = witt_count(n, k) if k >= 1 else 0
-    if size > ceiling:
-        raise ResourceError(
-            "degree-%d computation needs %d basis words, above the ceiling "
-            "of %d" % (k, size, ceiling)
-        )
 
 
 @record
@@ -204,7 +188,11 @@ class Analysis:
         built: the ceiling is a contract, not a cost."""
         check_degree(kmax)
         for k in range(self._checked + 1, kmax + 1):
-            check_words(self.arr.n, k, self.ceiling)
+            size = witt_count(self.arr.n, k)
+            if size > self.ceiling:
+                raise ResourceError(
+                    "degree-%d computation needs %d basis words, above the ceiling "
+                    "of %d" % (k, size, self.ceiling))
             self._checked = k
 
     def _degree(self, k: int) -> _Degree:

@@ -1,4 +1,4 @@
-"""Lyndon words and the Lyndon basis of the free Lie algebra.
+"""Lyndon words and the bracket of the free Lie algebra in their basis.
 
 Words over the alphabet 0..n-1 are tuples of ints.  A Lyndon word is
 strictly smaller than each of its proper cyclic rotations; the bracketings
@@ -8,19 +8,19 @@ rewrites the bracket of two basis elements in this basis; the rewriting is
 classical: a "standard pair" is already a basis word, everything else is
 reduced by the Jacobi identity through the standard factorization.
 
-The holonomy quotient needs none of this: it bounds its degrees by
-``holonomy.check_words`` on the necklace count ``holonomy.witt_count``,
-which ``lyndon_basis`` shares and this module re-exports.  The
-cross-check suite and the tests' oracles use the basis itself.
+The library needs none of this: the holonomy quotient is built without
+the free Lie algebra, and the word ceiling is checked on the necklace
+count ``holonomy.witt_count`` in ``holonomy.Analysis``.  No command loads
+this module.  It stays in the package for two readers outside it: the
+tests' word-route oracle, and the benchmark tracer, which imports it as a
+layer and reads ``lyndon_product``'s cache.  It moves to the tests'
+oracles once the benchmark stops reading it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from ._record import record
-from .arrangement import DEFAULT_WORD_CEILING
-from .holonomy import check_words, witt_count  # witt_count is re-exported
 from .linalg import _add
 
 Word = tuple[int, ...]
@@ -55,14 +55,6 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
     return w[: len(w) - len(v)], v
 
 
-def standard_bracketing(w: Word):
-    """Nested-pair form of the basis bracket of a Lyndon word."""
-    if len(w) == 1:
-        return w[0]
-    u, v = standard_factorization(w)
-    return (standard_bracketing(u), standard_bracketing(v))
-
-
 def _negate(d: dict[Word, int]) -> dict[Word, int]:
     return {w: -c for w, c in d.items()}
 
@@ -85,33 +77,3 @@ def lyndon_product(u: Word, v: Word) -> dict[Word, int]:
     for w, c in lyndon_product(u1, v).items():
         _add(acc, lyndon_product(u2, w), -c)
     return acc
-
-
-@record
-class LyndonBasis:
-    """The degree-k Lyndon basis over n generators, with index lookup.
-
-    The basis is determined by (n, degree); the words and their index
-    are built on first use.
-    """
-
-    n: int
-    degree: int
-
-    @cached_property
-    def words(self) -> tuple[Word, ...]:
-        return tuple(lyndon_words(self.n, self.degree))
-
-    @cached_property
-    def index(self) -> dict[Word, int]:
-        return {w: i for i, w in enumerate(self.words)}
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def lyndon_basis(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> LyndonBasis:
-    """The degree-k Lyndon basis, refused above ``ceiling`` words by the
-    package's one check, ``holonomy.check_words``."""
-    check_words(n, k, ceiling)
-    return LyndonBasis(n, k)

@@ -23,7 +23,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from arrinv.errors import DomainError
 from arrinv.holonomy import holonomy_relators
-from arrinv.lyndon import DEFAULT_WORD_CEILING, lyndon_basis, lyndon_product, lyndon_words
+from arrinv.lyndon import lyndon_product, lyndon_words, standard_factorization
 
 
 # ---------------------------------------------------------------- lyndon
@@ -36,6 +36,19 @@ def is_lyndon(word) -> bool:
 
 def brute_lyndon_words(n: int, k: int) -> list[tuple[int, ...]]:
     return [w for w in iproduct(range(n), repeat=k) if is_lyndon(w)]
+
+
+def standard_bracketing(w):
+    """Nested-pair form of the basis bracket of a Lyndon word."""
+    if len(w) == 1:
+        return w[0]
+    u, v = standard_factorization(w)
+    return (standard_bracketing(u), standard_bracketing(v))
+
+
+def word_index(n: int, k: int) -> dict:
+    """The column number of each Lyndon word of length k over n letters."""
+    return {w: i for i, w in enumerate(lyndon_words(n, k))}
 
 
 # ------------------------------------------------- tensor algebra brackets
@@ -408,11 +421,11 @@ def raw_jk_word_rows(arr, k: int) -> list[dict]:
     return rows
 
 
-def raw_jk_rows(arr, k: int, ceiling: int = DEFAULT_WORD_CEILING):
+def raw_jk_rows(arr, k: int):
     """(rows, ncols): the raw rows of J_k over the column numbers of the
     degree-k Lyndon basis."""
-    basis = lyndon_basis(arr.n, k, ceiling)
-    return _columns(raw_jk_word_rows(arr, k), basis), len(basis)
+    index = word_index(arr.n, k)
+    return _columns(raw_jk_word_rows(arr, k), index), len(index)
 
 
 def derived_word_rows(n: int, k: int) -> list[dict]:
@@ -429,8 +442,8 @@ def derived_word_rows(n: int, k: int) -> list[dict]:
     return rows
 
 
-def _columns(word_rows, basis) -> list[dict]:
-    return [{basis.index[w]: c for w, c in row.items()} for row in word_rows]
+def _columns(word_rows, index) -> list[dict]:
+    return [{index[w]: c for w, c in row.items()} for row in word_rows]
 
 
 # ------------------------------------------------------- graded subspaces
@@ -448,10 +461,11 @@ class GradedSubspace:
         return len(self.basis_rows)
 
 
-def _echelon_subspace(word_rows, basis) -> GradedSubspace:
+def _echelon_subspace(word_rows, n: int, k: int) -> GradedSubspace:
+    index = word_index(n, k)
     dense = []
-    for r in _columns(word_rows, basis):
-        row = [0] * len(basis)
+    for r in _columns(word_rows, index):
+        row = [0] * len(index)
         for c, v in r.items():
             row[c] = v
         dense.append(row)
@@ -461,21 +475,18 @@ def _echelon_subspace(word_rows, basis) -> GradedSubspace:
         for r in rref
         if any(r)
     )
-    return GradedSubspace(basis.degree, len(basis), frozen)
+    return GradedSubspace(k, len(index), frozen)
 
 
-def holonomy_ideal_subspace(
-    arr, k: int, ceiling: int = DEFAULT_WORD_CEILING
-) -> GradedSubspace:
+def holonomy_ideal_subspace(arr, k: int) -> GradedSubspace:
     """Reduced echelon basis of J_k (exact; meant for small degrees)."""
     if k < 2:
         raise DomainError("the ideal starts in degree 2")
-    basis = lyndon_basis(arr.n, k, ceiling)
-    return _echelon_subspace(raw_jk_word_rows(arr, k), basis)
+    return _echelon_subspace(raw_jk_word_rows(arr, k), arr.n, k)
 
 
-def derived_subspace(n: int, k: int, ceiling: int = DEFAULT_WORD_CEILING) -> GradedSubspace:
+def derived_subspace(n: int, k: int) -> GradedSubspace:
     """Reduced echelon basis of the derived span D_k of the free Lie algebra."""
     if n < 1 or k < 1:
         raise DomainError("need n >= 1 and k >= 1")
-    return _echelon_subspace(derived_word_rows(n, k), lyndon_basis(n, k, ceiling))
+    return _echelon_subspace(derived_word_rows(n, k), n, k)

@@ -29,9 +29,9 @@ from arrinv.formulas import (
     graphic_lcs,
     lcs_ranks_decomposable,
 )
-from arrinv.holonomy import Analysis, holonomy_rank, local_rank
+from arrinv.holonomy import Analysis, holonomy_rank, local_rank, witt_count
 from arrinv.jumploci import chen_ranks_from_resonance, resonance_components
-from arrinv.lyndon import lyndon_words, witt_count
+from arrinv.lyndon import lyndon_words
 from arrinv.milnor import milnor_b1, monodromy_trivial_criterion
 from arrinv.osalgebra import falk_phi3, i2_basis
 

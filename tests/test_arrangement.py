@@ -263,6 +263,10 @@ def test_simple_graph_validation():
         with pytest.raises(DomainError, match="^graph vertex counts and endpoints must be "
                            "integers$"):
             SimpleGraph(vertices, edges)
+    # lists are stored as tuples, so the record hashes
+    graph = SimpleGraph(3, [[0, 1], (1, 2)])
+    assert graph.edges == ((0, 1), (1, 2))
+    assert hash(graph) == hash(SimpleGraph(3, ((0, 1), (1, 2))))
 
 
 def test_multi_arrangement_validation():
@@ -279,6 +283,23 @@ def test_multi_arrangement_validation():
         with pytest.raises(DomainError, match="^multiplicities must be positive integers$"):
             MultiArrangement(arr, bad)
     assert MultiArrangement(arr, (1,) * 6).total == 6
+    multi = MultiArrangement(arr, [1, 2, 1, 1, 1, 1])
+    assert multi.multiplicities == (1, 2, 1, 1, 1, 1)
+    assert hash(multi) == hash(MultiArrangement(arr, (1, 2, 1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SimpleGraph(3, ((0, 1, 2),)), "graph edges must be pairs"),
+    (lambda: SimpleGraph(3, (5,)), "a graph edge must be a tuple or a list"),
+    (lambda: SimpleGraph(3, 5), "graph edges must be a tuple or a list"),
+    (lambda: SimpleGraph(-2, ()), "graph vertex count must be nonnegative"),
+    (lambda: MultiArrangement(builtin("x3"), 5), "multiplicities must be a tuple or a list"),
+    (lambda: MultiArrangement("x3", (1,) * 6), "multiplicities need an Arrangement"),
+], ids=["triple", "bare-endpoint", "bare-edges", "negative-count", "bare-multiplicity",
+        "no-arrangement"])
+def test_shape_errors_are_domain_errors(make, message):
+    with pytest.raises(DomainError, match="^" + message):
+        make()
 
 
 def test_l2_json_shape():

@@ -547,6 +547,25 @@ def test_check_subcommand(capsys):
     assert "milnor-double-count" in names
 
 
+def test_check_mismatch_exits_1_after_the_full_report(capsys, monkeypatch):
+    from arrinv import checks
+
+    def mismatch(name, an):
+        return "%s: planted mismatch" % name
+
+    monkeypatch.setattr(checks, "_SAMPLE_CHECKS", tuple(
+        (name, unit, mismatch if name == "falk-vs-holonomy" else check, only)
+        for name, unit, check, only in checks._SAMPLE_CHECKS))
+    assert main(["check", "--seed", "3", "--samples", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["result"]["ok"] is False
+    verdicts = {c["name"]: (c["ok"], c["detail"]) for c in doc["result"]["checks"]}
+    assert verdicts["falk-vs-holonomy"] == (False, "x3: planted mismatch")
+    assert len(verdicts) == 7 and [ok for ok, _ in verdicts.values()].count(False) == 1
+
+
 def test_version(capsys):
     rc, out = run(capsys, "--version")
     assert rc == 0

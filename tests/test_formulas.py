@@ -16,14 +16,14 @@ from arrinv.formulas import (
     graphic_lcs,
     lcs_ranks_decomposable,
 )
-from arrinv.holonomy import Analysis, holonomy_rank, local_rank
-from arrinv.lyndon import lyndon_words, witt_count
+from arrinv.holonomy import Analysis, holonomy_rank, local_rank, witt_count
+from arrinv.lyndon import lyndon_words
 
 from oracles import hilbert_theta, product_formula_lcs
 
 
 def test_witt_rank_matches_word_count():
-    # the formulas take the free Lie ranks from lyndon.witt_count
+    # the formulas take the free Lie ranks from holonomy.witt_count
     for n in range(1, 5):
         for k in range(1, 7):
             assert witt_count(n, k) == len(lyndon_words(n, k))

@@ -22,10 +22,10 @@ from arrinv.holonomy import (
     holonomy_rank,
     holonomy_relators,
     local_rank,
+    witt_count,
 )
 from arrinv.milnor import monodromy_trivial_criterion
 from arrinv.linalg import rank_exact, smith_diagonal
-from arrinv.lyndon import DEFAULT_WORD_CEILING, witt_count
 
 from oracles import (
     derived_subspace,
@@ -309,31 +309,25 @@ def test_resource_ceiling():
         Analysis(builtin("nonpappus"), 2000).alexander_dims(6)
 
 
-def test_every_basis_is_checked_against_the_callers_ceiling(monkeypatch):
-    from arrinv import holonomy, lyndon
-
-    # the analysis and the Lyndon basis share one check
-    assert lyndon.check_words is holonomy.check_words
-    seen = []
-    real = holonomy.check_words
-
-    def spy(n, k, ceiling=DEFAULT_WORD_CEILING):
-        seen.append(ceiling)
-        return real(n, k, ceiling)
-
-    monkeypatch.setattr(holonomy, "check_words", spy)
+def test_every_basis_is_checked_against_the_callers_ceiling():
+    # every entry checks witt(n, k) against its caller's ceiling: on x3,
+    # degree 5 has 1554 words and passes 5000, degree 6 has 7735 and does not
     arr = builtin("x3")
     assert holonomy_rank(arr, 4, ceiling=5000) == 9
     assert Analysis(arr, 5000).group(3).rank == 6
     assert Analysis(arr, 5000).alexander_dims(2) == [3, 6, 9]
-    assert seen and set(seen) == {5000}
-    with pytest.raises(ResourceError, match="7735 basis words, above the ceiling of 5000"):
-        holonomy_rank(arr, 6, ceiling=5000)
-    # a refusal names the caller's ceiling, above the default as well
+    for refused in (lambda: holonomy_rank(arr, 6, ceiling=5000),
+                    lambda: Analysis(arr, 5000).group(6),
+                    lambda: Analysis(arr, 5000).alexander_dims(4)):
+        with pytest.raises(ResourceError, match="^degree-6 computation needs 7735 basis words, "
+                           "above the ceiling of 5000$"):
+            refused()
+    # a refusal names the caller's ceiling, above the default as well, and a
+    # ceiling above the default lets the same degree through
     braid10 = from_spec("braid:10")
     with pytest.raises(ResourceError, match="242970 basis words, above the ceiling of 242969"):
         Analysis(braid10, 242969).group(3)
-    assert lyndon.lyndon_basis(braid10.n, 3, 300000).degree == 3
+    Analysis(braid10, 300000)._check(3)
 
 
 def test_holonomy_ranks_is_one_graded_pass():

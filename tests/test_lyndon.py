@@ -1,21 +1,13 @@
 import random
 from itertools import combinations
 
-import pytest
-
-from arrinv.errors import ResourceError
-from arrinv.lyndon import (
-    lyndon_basis,
-    lyndon_product,
-    lyndon_words,
-    standard_bracketing,
-    standard_factorization,
-    witt_count,
-)
+from arrinv.holonomy import witt_count
+from arrinv.lyndon import lyndon_product, lyndon_words, standard_factorization
 
 from oracles import (
     brute_lyndon_words,
     is_lyndon,
+    standard_bracketing,
     tensor_combination,
     tensor_commutator,
     tensor_of_bracket,
@@ -86,18 +78,10 @@ def test_lyndon_product_antisymmetry_and_self():
     assert lyndon_product(b, b) == {}
 
 
-def test_lyndon_basis_index_and_bracketing():
-    basis = lyndon_basis(3, 3)
-    assert len(basis) == witt_count(3, 3) == 8
-    for i, w in enumerate(basis.words):
-        assert basis.index[w] == i
+def test_standard_bracketing_nests_the_standard_factorization():
     assert standard_bracketing((0, 1, 2)) == (0, (1, 2))
-    assert (1, 0, 2) not in basis.index
-
-
-def test_lyndon_basis_ceiling():
-    with pytest.raises(ResourceError):
-        lyndon_basis(9, 8, ceiling=1000)
+    assert standard_bracketing((0, 0, 1)) == (0, (0, 1))
+    assert standard_bracketing((0, 1, 1)) == ((0, 1), 1)
 
 
 def test_necklace_identity_small():

@@ -1,5 +1,5 @@
 import pickle
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import pytest
 
@@ -9,7 +9,6 @@ from arrinv.catalog import builtin
 from arrinv.errors import DomainError
 from arrinv.formulas import RankTable
 from arrinv.jumploci import LinearComponent, TorusComponent
-from arrinv.lyndon import LyndonBasis
 
 
 def test_equal_values_are_equal_and_hash_equal():
@@ -86,9 +85,21 @@ def test_repr_is_the_dataclass_format():
     assert repr(RankTable("lcs", {1: 3})) == "RankTable(kind='lcs', values={1: 3})"
 
 
+@record
+class Span:
+    low: int
+    high: int
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        return tuple(range(self.low, self.high))
+
+
 def test_cached_property_and_pickle():
-    basis = LyndonBasis(2, 3)
-    assert basis.words == ((0, 0, 1), (0, 1, 1)) and basis.index[0, 1, 1] == 1
-    assert basis.words is basis.words
+    span = Span(2, 5)
+    assert span.values == (2, 3, 4)
+    assert span.values is span.values
+    # the cached value is no field: equality and the hash read the fields alone
+    assert span == Span(2, 5) and hash(span) == hash(Span(2, 5))
     arr = builtin("x3")
     assert pickle.loads(pickle.dumps(arr)) == arr

@@ -25,10 +25,10 @@ SRC = str(Path(arrinv.__file__).resolve().parents[1])
 # and `betti` load on a file: no catalog, no holonomy, no Lyndon code
 CORE = {"arrinv", "arrinv._record", "arrinv.arrangement", "arrinv.cli", "arrinv.errors",
         "arrinv.linalg"}
-# arrinv modules only some commands run
+# arrinv modules only some commands run; no command runs ``arrinv.lyndon``,
+# whose Lyndon words serve the tests' oracles and the benchmark tracer
 DEFERRED = {"arrinv.catalog", "arrinv.checks", "arrinv.formulas", "arrinv.holonomy",
-            "arrinv.jumploci", "arrinv.lyndon", "arrinv.milnor", "arrinv.osalgebra",
-            "arrinv.parsing"}
+            "arrinv.jumploci", "arrinv.milnor", "arrinv.osalgebra", "arrinv.parsing"}
 # what each command adds to CORE on a built-in
 RUNS = {"info": {"arrinv.catalog"}, "l2": {"arrinv.catalog"}, "betti": {"arrinv.catalog"},
         "decomp": {"arrinv.catalog", "arrinv.holonomy"},
@@ -75,9 +75,15 @@ def test_core_commands_load_only_what_they_run(bare, command):
 def test_other_commands_load_their_modules(bare):
     assert arrinv_loaded_by(bare, ["lcs", "--builtin", "x3"]) == CORE | {
         "arrinv.catalog", "arrinv.formulas", "arrinv.holonomy"}
-    # only the cross-check suite loads the Lyndon basis code
+    # the cross-check suite loads every command module but the parser
     assert arrinv_loaded_by(bare, ["check", "--samples", "0"]) == (
         CORE | DEFERRED) - {"arrinv.parsing"}
+
+
+def test_the_lyndon_words_load_no_holonomy(bare):
+    added = loaded_modules("import arrinv.lyndon") - bare
+    assert {m for m in added if m.startswith("arrinv")} == {
+        "arrinv", "arrinv.linalg", "arrinv.lyndon"}
 
 
 def test_only_file_input_loads_the_parser(bare, tmp_path):
@@ -109,7 +115,10 @@ def test_no_call_loads_argparse(bare, tmp_path):
              (["info", "--max", "3"], 1), (["holonomy", "--max", "x"], 1), ([], 1), (["nope"], 1)]
     code = "from arrinv.cli import main\nfor argv, status in %r:\n    assert main(argv) == status"
     code %= (calls,)
-    assert not (loaded_modules(code) - bare) & ARGPARSE
+    added = loaded_modules(code) - bare
+    assert not added & ARGPARSE
+    # nor the Lyndon words: no command, ``check`` included, loads them
+    assert "arrinv.lyndon" not in added
 
 
 def test_integer_input_loads_no_fractions(bare, tmp_path):
@@ -159,21 +168,21 @@ def test_package_import_loads_no_library_module(bare):
 PUBLIC = [
     "__version__", "Analysis", "Arrangement", "ArrangementError", "CATALOG_NAMES",
     "CatalogError", "DomainError", "Flat2", "HypothesisError", "L2Lattice",
-    "LinearComponent", "LyndonBasis", "MilnorReport", "MultiArrangement",
+    "LinearComponent", "MilnorReport", "MultiArrangement",
     "OSQuadraticIdeal", "ParseError", "RankTable", "RefusalError", "ResourceError",
     "SimpleGraph", "TorusComponent", "arrangement_rank", "betti", "builtin",
     "characteristic_components", "chen_lower_bound", "chen_ranks_decomposable",
     "chen_ranks_from_resonance", "clique_counts", "compute_l2", "falk_phi3", "free_chen",
     "graphic_arrangement", "graphic_lcs", "holonomy_rank", "holonomy_relators", "i2_basis",
-    "lcs_ranks_decomposable", "local_b1_lower_bound", "local_rank", "lyndon_basis",
-    "lyndon_words", "make_arrangement", "milnor_b1", "monodromy_trivial_criterion",
+    "lcs_ranks_decomposable", "local_b1_lower_bound", "local_rank", "make_arrangement",
+    "milnor_b1", "monodromy_trivial_criterion",
     "parse_arrangement", "render_linear_form",
     "resonance_components", "witt_count",
 ]
 
 
 def test_public_names_resolve_to_their_defining_module():
-    assert arrinv.__all__ == PUBLIC and len(PUBLIC) == 49
+    assert arrinv.__all__ == PUBLIC and len(PUBLIC) == 46
     for name in PUBLIC:
         obj = getattr(arrinv, name)
         home = {"__version__": "arrinv", "CATALOG_NAMES": "arrinv.catalog"}.get(
