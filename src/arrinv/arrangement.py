@@ -21,7 +21,9 @@ words: ``parsing`` raises them as ``ParseError`` of the rule's kind,
 Lines and 2-planes spanned by normals are compared through integer keys:
 a line by its primitive integer vector (``line_key``), a 2-plane by the
 primitive vector of its 2x2 minors, its Pluecker coordinates
-(``plane_key``).  Neither needs an elimination.
+(``plane_key``).  Neither needs an elimination: ``compute_l2`` reduces
+each normal once, O(n d) in dimension d, to a sparse row as in ``linalg``,
+and the pairs read only their rows' supports, O(n^2 s^2) at s per row.
 """
 
 from __future__ import annotations
@@ -178,19 +180,27 @@ def line_key(row) -> tuple[int, ...]:
     return _primitive([int(v * den) for v in row])
 
 
+def _line_row(row) -> dict[int, int]:
+    # line_key as a sparse row {column: value}, reduced on the nonzero entries
+    cols = [c for c, v in enumerate(row) if v]
+    return dict(zip(cols, line_key([row[c] for c in cols])))
+
+
 def plane_key(u, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Support and primitive Pluecker vector of the 2-plane spanned by
-    integer rows u, v.
+    sparse integer rows u, v ({column: value}, with no zero value).
 
     The 2x2 minors u_a v_b - u_b v_a (a < b) determine the plane up to a
     nonzero scalar.  A minor is 0 unless columns a and b both lie in the
     support, the columns where u or v is nonzero, which every basis of
     the plane shares; so the key keeps the support and the minors over
-    it, and two pairs span the same plane iff their keys are equal.
-    Proportional rows span no plane and raise DomainError.
+    it, and two pairs span the same plane iff their keys are equal; no
+    other column is read.  Proportional rows span no plane and raise
+    DomainError.
     """
-    support = tuple(c for c, (a, b) in enumerate(zip(u, v)) if a or b)
-    minors = [u[a] * v[b] - u[b] * v[a] for a, b in combinations(support, 2)]
+    support = tuple(sorted({**u, **v}))
+    minors = [u.get(a, 0) * v.get(b, 0) - u.get(b, 0) * v.get(a, 0)
+              for a, b in combinations(support, 2)]
     if not any(minors):
         raise DomainError("proportional rows span no 2-plane")
     return support, _primitive(minors)
@@ -270,17 +280,17 @@ def compute_l2(arr: Arrangement) -> L2Lattice:
     Hyperplane k contains the codimension-2 intersection of hyperplanes i
     and j iff n_k lies in the 2-plane span(n_i, n_j).  So the flat through
     i and j is the union of all pairs whose normals span the same 2-plane.
-    Each normal is reduced once to its primitive integer vector
-    (``line_key``), and the pairs are grouped by ``plane_key``, the
-    primitive vector of their 2x2 minors on the pair's support: O(n^2 s^2)
-    integer products for normals with at most s nonzero entries, and no
-    elimination, in any ambient dimension.
+    Each normal is reduced once, in O(d), to the sparse row of its
+    primitive integer vector (``line_key``), and the pairs are grouped by
+    ``plane_key``, their 2x2 minors over their rows' supports: O(n^2 s^2)
+    integer products for normals with at most s nonzero entries, with no
+    scan of the ambient dimension per pair and no elimination.
     """
     n = arr.n
-    prim = [line_key(r) for r in arr.normals]
+    rows = [_line_row(r) for r in arr.normals]
     planes: dict[tuple, set[int]] = {}
     for i, j in combinations(range(n), 2):
-        planes.setdefault(plane_key(prim[i], prim[j]), set()).update((i, j))
+        planes.setdefault(plane_key(rows[i], rows[j]), set()).update((i, j))
     members = sorted(tuple(sorted(m)) for m in planes.values())
     lat = L2Lattice(tuple(Flat2(m) for m in members), n)
     # every pair of hyperplanes lies in exactly one flat
@@ -292,7 +302,7 @@ def compute_l2(arr: Arrangement) -> L2Lattice:
 
 def arrangement_rank(arr: Arrangement) -> int:
     """Rank of the arrangement: codimension of the common intersection."""
-    return rank_exact([dict(enumerate(line_key(r))) for r in arr.normals])
+    return rank_exact(map(_line_row, arr.normals))
 
 
 def betti(arr: Arrangement) -> tuple[int, int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .arrangement import (MAX_HYPERPLANES, Arrangement, SimpleGraph, _check_count, _is_int,
                           default_variables, graphic_arrangement, render_linear_form)
-from .errors import CatalogError, ResourceError
+from .errors import CatalogError, DomainError, ResourceError
 
 # largest graphic vertex label: each edge is a normal with one entry per vertex
 MAX_GRAPHIC_LABEL = 10_000
@@ -101,7 +101,7 @@ def _edge_params(params) -> SimpleGraph:
     _check_count("graphic", len(edges))
     try:
         return SimpleGraph(top + 1, tuple(sorted(edges)))
-    except Exception as e:
+    except DomainError as e:
         raise CatalogError("bad edge list: %s" % e) from None
 
 

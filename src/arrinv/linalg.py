@@ -29,8 +29,10 @@ Outside `_eliminate`, every sparse row update acc += s * row is `_add`:
 the row steps of ``_smith_core``, the bracket table and back-substitution
 of the nilpotent quotient in ``holonomy``, and ``lyndon.lyndon_product``.
 
-Spans of normals are compared by integer keys in ``arrangement`` and need
-no echelon form.
+These sparse rows are the package's one row format.  ``arrangement``
+reduces each normal to one and compares spans of normals by integer keys
+over the rows' supports, with no echelon form; ``osalgebra`` computes its
+exterior columns (i*n + j for e_i^e_j) and keeps no index table.
 """
 
 from __future__ import annotations

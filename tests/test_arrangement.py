@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -123,6 +124,11 @@ def _nonzero(rng, d):
             return v
 
 
+def _row(v):
+    # the sparse row {column: value} of v's line key, as compute_l2 keeps it
+    return {c: x for c, x in enumerate(line_key(v)) if x}
+
+
 def test_line_and_plane_keys_match_span_equality():
     rng = random.Random(41)
     for d in range(2, 10):
@@ -132,7 +138,7 @@ def test_line_and_plane_keys_match_span_equality():
             assert (line_key(_scaled(rng, u)) == line_key(_scaled(rng, v))) == same_line
             if same_line:
                 with pytest.raises(DomainError):
-                    plane_key(line_key(u), line_key(_scaled(rng, v)))
+                    plane_key(_row(u), _row(_scaled(rng, v)))
                 continue
             # a second pair: a random change of basis of span(u, v), whose
             # determinant may be negative, or an unrelated pair
@@ -147,8 +153,8 @@ def test_line_and_plane_keys_match_span_equality():
                 x, y = _nonzero(rng, d), _nonzero(rng, d)
                 if fraction_rank([x, y], d) < 2:
                     continue
-            key = plane_key(line_key(_scaled(rng, u)), line_key(_scaled(rng, v)))
-            other = plane_key(line_key(_scaled(rng, x)), line_key(_scaled(rng, y)))
+            key = plane_key(_row(_scaled(rng, u)), _row(_scaled(rng, v)))
+            other = plane_key(_row(_scaled(rng, x)), _row(_scaled(rng, y)))
             assert (key == other) == (fraction_rank([u, v, x, y], d) == 2)
 
 
@@ -163,20 +169,28 @@ def _random_arrangement(rng, d, n):
 
 def test_plane_key_reads_only_the_support():
     # equal minors on their own supports, different planes
-    def unit(i, d):
-        return tuple(int(c == i) for c in range(d))
-    assert plane_key(unit(0, 4), unit(1, 4)) != plane_key(unit(2, 4), unit(3, 4))
-    # a wide pair costs its width once, not its squared width
-    d = 200_000
-    u = tuple(1 if c in (0, d - 1) else 0 for c in range(d))
-    v = tuple(-1 if c == 5 else 0 for c in range(d))
+    def unit(i):
+        return {i: 1}
+    assert plane_key(unit(0), unit(1)) != plane_key(unit(2), unit(3))
+    # a wide pair costs its support, not its width: no dense scan could
+    # reach column 10^18 - 1
+    d = 10 ** 18
+    u = {0: 1, d - 1: 1}
+    v = {5: -1}
     assert plane_key(u, v) == ((0, 5, d - 1), (1, 0, -1))
-    w = tuple(a + b for a, b in zip(u, v))
+    w = {0: 1, 5: -1, d - 1: 1}
     assert plane_key(u, w) == plane_key(u, v)
-    # a graphic arrangement with a large vertex label has the lattice of
-    # the same graph relabelled small
-    wide = compute_l2(from_spec("graphic:0-1,1-2,0-10000"))
-    assert wide == compute_l2(from_spec("graphic:0-1,1-2,0-3"))
+    # a graphic arrangement on vertex labels up to 10 000 has the lattice
+    # of the same graph relabelled 0..29 in the same order
+    rng = random.Random(47)
+    labels = sorted(rng.sample(range(10_000), 29)) + [10_000]
+    edges = sorted(rng.sample(list(combinations(range(30), 2)), 60))
+
+    def spec(names):
+        return "graphic:" + ",".join("%d-%d" % (names[a], names[b]) for a, b in edges)
+    wide = compute_l2(from_spec(spec(labels)))
+    assert wide.n == 60 and wide.multiple_flats()
+    assert wide == compute_l2(from_spec(spec(range(30))))
 
 
 def test_compute_l2_matches_sympy_route():

@@ -16,7 +16,9 @@ KEPT_CACHES = {
     # bracket expansion of two Lyndon words, keyed by the words alone; the
     # recursion revisits the same pairs, and perfbench/tracer.py reads its cache_info()
     "arrinv.lyndon.lyndon_product",
-    # keyed by one word; without it x2 J_5 and braid:4 J_4 ran slower
+    # keyed by one word: lyndon_product and the tests' bracketing oracles
+    # (tests/oracles.py) factor the same words again and again; the library
+    # builds no Lyndon rows
     "arrinv.lyndon.standard_factorization",
 }
 

@@ -104,6 +104,20 @@ def test_graphic_params():
         builtin("graphic", ((0, 0),))
     with pytest.raises(CatalogError, match="^graphic edge 2-2 is a loop$"):
         from_spec("graphic:0-1,2-2")
+    # an edge listed twice, in either order, is the graph's own refusal
+    with pytest.raises(CatalogError, match=r"^bad edge list: duplicate edge \(0, 1\)$"):
+        builtin("graphic", ((0, 1), (1, 0)))
+
+
+def test_a_fault_inside_the_graph_is_not_a_bad_edge_list(monkeypatch):
+    # only the graph's DomainError becomes "bad edge list"; anything else
+    # it raises is a fault and surfaces as itself
+    def broken(vertices, edges):
+        raise KeyError("fault")
+
+    monkeypatch.setattr(catalog, "SimpleGraph", broken)
+    with pytest.raises(KeyError):
+        builtin("graphic", ((0, 1),))
 
 
 def test_graphic_vertex_label_is_bounded(monkeypatch):

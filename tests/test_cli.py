@@ -197,6 +197,8 @@ def test_exit_code_usage(capsys):
     assert rc == 1
     assert main(["holonomy", "--builtin", "graphic:0-0"]) == 1
     assert capsys.readouterr().err == "error: graphic edge 0-0 is a loop\n"
+    assert main(["info", "--builtin", "graphic:0-1,1-0"]) == 1
+    assert capsys.readouterr().err == "error: bad edge list: duplicate edge (0, 1)\n"
     rc, _ = run(capsys, "no_such_command")
     assert rc == 1
     rc, _ = run(capsys, "betti")

@@ -426,26 +426,6 @@ def test_check_suite_builds_each_degree_once_per_sample(monkeypatch):
     assert len(calls["unit_pass"]) == len(passed) == 40
 
 
-def test_analysis_builds_no_lyndon_basis(monkeypatch):
-    # the quotient never enumerates Lyndon words; the ceiling is checked
-    # on witt(n, k) alone
-    from arrinv import lyndon
-
-    built = []
-    real = lyndon.lyndon_words
-
-    def spy(n, k):
-        built.append(k)
-        return real(n, k)
-
-    monkeypatch.setattr(lyndon, "lyndon_words", spy)
-    an = Analysis(builtin("x3"))
-    assert an.ranks(4) == (6, 3, 6, 9)
-    assert an.group(3).rank == 6
-    assert an.alexander_dims(2) == [3, 6, 9]
-    assert built == []
-
-
 def test_the_stored_degrees_are_never_changed(monkeypatch):
     # each degree is kept as its step built it: the later steps that read
     # its table and core, and the kernels, leave its rows as they were

@@ -1,23 +1,15 @@
 import random
+from itertools import combinations
 from math import comb
 
-from arrinv.arrangement import betti, compute_l2
+from arrinv.arrangement import SimpleGraph, betti, compute_l2, graphic_arrangement
 from arrinv.catalog import builtin
 from arrinv.checks import random_rank3_arrangement
+from arrinv.formulas import graphic_lcs
 from arrinv.holonomy import holonomy_rank
-from arrinv.osalgebra import falk_phi3, i2_basis, pair_index, triple_index
+from arrinv.osalgebra import falk_phi3, i2_basis
 
 from oracles import sympy_rank
-
-
-def test_pair_and_triple_index_cover():
-    for n in (3, 5, 7):
-        p = pair_index(n)
-        t = triple_index(n)
-        assert sorted(p.values()) == list(range(comb(n, 2)))
-        assert sorted(t.values()) == list(range(comb(n, 3)))
-        assert p[0, 1] == 0
-        assert t[n - 3, n - 2, n - 1] == comb(n, 3) - 1
 
 
 def test_i2_generator_count_and_rank():
@@ -41,8 +33,9 @@ def test_i2_rank_is_complement_of_b2():
         ideal = i2_basis(lat)
         _, b2 = betti(arr)
         assert ideal.rank == comb(arr.n, 2) - b2
-        # double-check that rank with an outside tool
-        assert ideal.rank == sympy_rank(list(ideal.generators), comb(arr.n, 2))
+        # double-check that rank with an outside tool; e_i^e_j is column
+        # i*n + j, so n^2 columns hold every generator
+        assert ideal.rank == sympy_rank(list(ideal.generators), arr.n ** 2)
 
 
 def test_falk_phi3_catalog_values():
@@ -60,3 +53,13 @@ def test_falk_phi3_matches_holonomy_route():
     for _ in range(24):
         arr = random_rank3_arrangement(rng, max_n=8)
         assert falk_phi3(arr) == holonomy_rank(arr, 3)
+
+
+def test_falk_phi3_on_complete_graphs():
+    # phi_3 of the braid arrangement K_m is 2 C(m+1, 4), from the clique
+    # formula; K_12 has 66 hyperplanes
+    for m in range(4, 13):
+        g = SimpleGraph(m, tuple(combinations(range(m), 2)))
+        want = graphic_lcs(g, 3)[3]
+        assert want == 2 * comb(m + 1, 4)
+        assert falk_phi3(graphic_arrangement(g)) == want, m
